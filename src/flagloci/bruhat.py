@@ -1,19 +1,23 @@
 """Bruhat order, covering relation, intervals, subwords, and DOT export.
 
-Two independent routes to the order are kept deliberately:
+Every comparison in the package goes through ``leq`` and every walk over
+the subwords of a reduced word goes through ``walk_subwords``; the other
+modules only supply policies.  Two independent routes to the order sit
+behind ``leq`` and are kept deliberately:
 
 * ``bruhat_leq`` runs the classical descent recursion (iteratively), which
   works in any group without enumeration;
 * ``BruhatTable`` builds the covering relation from reflections on an
   enumerated group and stores reachability bitmasks.
 
-The two are cross-checked against each other and against the raw subword
-definition in the test suite.
+``leq`` reads the table when one exists (or may be built) and falls back
+to the recursion otherwise.  The two routes are cross-checked against each
+other and against the raw subword definition in the test suite.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .rootsys import RootSystem, weyl_order
 from .weyl import (
@@ -27,15 +31,18 @@ from .weyl import (
     perm_string,
     reduced_word,
     reflection,
+    right_descents,
     simple_reflection,
     smallest_left_descent,
 )
 
 __all__ = [
     "bruhat_leq",
+    "leq",
     "covers",
     "covering_pairs",
     "interval",
+    "walk_subwords",
     "subwords_with_value",
     "export_bruhat_graph",
     "BruhatTable",
@@ -128,15 +135,17 @@ def get_table(rs: RootSystem, build_limit: int = _TABLE_BUILD_LIMIT) -> Optional
     return table
 
 
-def _leq(rs: RootSystem, v: WeylElement, w: WeylElement) -> bool:
-    table = get_table(rs)
+def leq(v: WeylElement, w: WeylElement, build_limit: int = _TABLE_BUILD_LIMIT) -> bool:
+    """v <= w: by the reachability table when one exists or the group is
+    small enough to build one (``build_limit``), else by descent recursion."""
+    table = get_table(v.rs, build_limit)
     if table is not None:
         return table.leq(v, w)
     return bruhat_leq(v, w)
 
 
 def covers(v: WeylElement, w: WeylElement) -> bool:
-    return length(v) == length(w) - 1 and _leq(v.rs, v, w)
+    return length(v) == length(w) - 1 and leq(v, w)
 
 
 def covering_pairs(rs: RootSystem, cap: int = 60000) -> list[tuple[WeylElement, WeylElement]]:
@@ -174,6 +183,58 @@ def interval(
     return elements, edges
 
 
+Step = Callable[[int, WeylElement, list[int]], tuple[bool, bool]]
+
+
+def walk_subwords(
+    rs: RootSystem, word: Sequence[int], target: WeylElement, step: Step
+) -> Iterator[tuple[tuple[int, ...], tuple[WeylElement, ...]]]:
+    """Depth-first walk over the subwords of the reduced ``word`` whose
+    letters multiply to ``target``.
+
+    At letter k (0-based) with partial product ``sigma``,
+    ``step(k, sigma, removed)`` returns ``(may_remove, may_keep)``; removal
+    is tried first, so hits come in lexicographic order of their removal
+    sets.  Each hit is ``(removed, trace)``: the 1-based removed positions
+    and the l + 1 partial products from the identity on.  A branch is
+    pruned as soon as ``sigma^{-1} target`` is no longer below the value of
+    the remaining suffix (subword property).  Validation and the suffix
+    products happen at the call; the walk runs as the result is iterated.
+    """
+    word = tuple(word)
+    if not is_reduced(rs, word):
+        raise ValueError(f"word {word} is not reduced")
+    l = len(word)
+    gens = [simple_reflection(rs, i) for i in word]
+    suffix = [identity(rs)] * (l + 1)  # suffix[k] = value of word[k:]
+    for k in range(l - 1, -1, -1):
+        suffix[k] = gens[k] * suffix[k + 1]
+    removed: list[int] = []
+    trace = [identity(rs)]
+
+    def walk(k: int):
+        sigma = trace[-1]
+        if k == l:
+            if sigma == target:
+                yield tuple(removed), tuple(trace)
+            return
+        if not leq(inverse(sigma) * target, suffix[k]):
+            return
+        may_remove, may_keep = step(k, sigma, removed)
+        if may_remove:
+            removed.append(k + 1)
+            trace.append(sigma)
+            yield from walk(k + 1)
+            trace.pop()
+            removed.pop()
+        if may_keep:
+            trace.append(sigma * gens[k])
+            yield from walk(k + 1)
+            trace.pop()
+
+    return walk(0)
+
+
 def subwords_with_value(
     rs: RootSystem,
     word: Sequence[int],
@@ -192,51 +253,24 @@ def subwords_with_value(
     in lexicographic order of removal sets; ``first_only`` stops at one.
     """
     word = tuple(word)
-    l = len(word)
-    if not is_reduced(rs, word):
-        raise ValueError(f"word {word} is not reduced")
-    gens = [simple_reflection(rs, i) for i in word]
-    # suffix_value[k] = value of word[k:]; reduced, so subword values below it
-    suffix = [identity(rs)] * (l + 1)
-    for k in range(l - 1, -1, -1):
-        suffix[k] = gens[k] * suffix[k + 1]
     lt = length(target)
-    d_total = l - lt  # removals needed in reduced mode
-    table = get_table(rs)
+    d_total = len(word) - lt  # removals needed in reduced mode
 
-    def reachable(sigma: WeylElement, k: int) -> bool:
-        need = inverse(sigma) * target
-        if table is not None:
-            return table.leq(need, suffix[k])
-        return bruhat_leq(need, suffix[k])
+    def step(k, sigma, removed):
+        may_remove = not (reduced_only and len(removed) >= d_total) and (
+            removal_filter is None or removal_filter(removed, k)
+        )
+        # in reduced mode a kept letter must ascend and fit the target length
+        may_keep = not reduced_only or (
+            word[k] not in right_descents(sigma) and k - len(removed) < lt
+        )
+        return may_remove, may_keep
 
-    results: list[tuple[int, ...]] = []
-    removed: list[int] = []
-
-    def walk(k: int, sigma: WeylElement, kept: int) -> bool:
-        if k == l:
-            if sigma == target:
-                results.append(tuple(removed))
-                return first_only
-            return False
-        if not reachable(sigma, k):
-            return False
-        # remove branch first: removal sets come out lexicographically
-        pos = k + 1
-        if not (reduced_only and len(removed) >= d_total):
-            if removal_filter is None or removal_filter(removed, k):
-                removed.append(pos)
-                if walk(k + 1, sigma, kept):
-                    return True
-                removed.pop()
-        nxt = sigma * gens[k]
-        if reduced_only and length(nxt) <= length(sigma):
-            return False  # a non-reduced prefix can never give a reduced subword
-        if reduced_only and kept >= lt:
-            return False
-        return walk(k + 1, nxt, kept + 1)
-
-    walk(0, identity(rs), 0)
+    results = []
+    for removed, _ in walk_subwords(rs, word, target, step):
+        results.append(removed)
+        if first_only:
+            break
     return results
 
 

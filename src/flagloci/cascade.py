@@ -15,11 +15,11 @@ from .rootsys import (
     dual_coxeter_number,
     highest_roots,
     is_positive_root,
+    nonorthogonal_components,
     pairing,
     strongly_orthogonal,
 )
 from .weyl import (
-    WeylElement,
     identity,
     longest_element,
     multiply,
@@ -34,7 +34,6 @@ __all__ = [
     "support_subsystem",
     "descendants",
     "build_cascade",
-    "heisenberg_pairs",
     "verify_kostant",
     "KostantCheckError",
 ]
@@ -72,23 +71,7 @@ def descendants(rs: RootSystem, gamma) -> list[tuple]:
         raise ValueError(f"{gamma} is not the highest root of its support subsystem")
     _, sub = support_subsystem(rs, gamma)
     orth = [d for d in sub if pairing(rs, d, gamma) == 0]
-    # split by non-orthogonality connectivity
-    comps: list[list[tuple]] = []
-    remaining = list(orth)
-    while remaining:
-        stack = [remaining.pop(0)]
-        comp = []
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            still = []
-            for y in remaining:
-                if pairing(rs, x, y) != 0:
-                    stack.append(y)
-                else:
-                    still.append(y)
-            remaining = still
-        comps.append(comp)
+    comps = nonorthogonal_components(rs, orth)
     tops = [max(c, key=lambda r: (rs.height(r), r)) for c in comps]
     tops.sort(key=lambda r: (-rs.height(r), r))
     return tops
@@ -155,10 +138,6 @@ def build_cascade(rs: RootSystem) -> Cascade:
     for node in forest:
         walk(node)
     return Cascade(rs, tuple(roots), forest)
-
-
-def heisenberg_pairs(node: CascadeNode) -> list[tuple[tuple, tuple]]:
-    return list(node.pairs)
 
 
 def iter_nodes(c: Cascade) -> list[CascadeNode]:

@@ -12,11 +12,10 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
-from .bruhat import bruhat_leq, export_bruhat_graph
+from .bruhat import export_bruhat_graph
 from .cascade import KostantCheckError, build_cascade, iter_nodes, verify_kostant
 from .construct import ConstructError, build_top_pair
 from .deodhar import r_polynomial_deodhar, r_polynomial_recurrence
@@ -48,6 +47,7 @@ from .weyl import (
     length,
     perm_from_string,
     perm_string,
+    perm_to_element,
     reduced_word,
 )
 
@@ -75,13 +75,19 @@ def element_name(w: WeylElement) -> str:
 
 
 def parse_element(rs: RootSystem, text: str) -> WeylElement:
-    """One-line permutation for a single type-A system, else a
-    dot-separated reduced word; `e` is the identity everywhere."""
+    """One-line permutation for a single type-A system (digits, or
+    comma-separated entries once n+1 > 9), else a dot-separated reduced
+    word; `e` is the identity everywhere."""
     text = text.strip()
     if text == "e":
         return identity(rs)
-    if _is_single_a(rs) and text.isdigit() and "." not in text:
+    if _is_single_a(rs) and text.isdigit():
         return perm_from_string(rs, text)
+    if _is_single_a(rs) and "," in text:
+        entries = [tok.strip() for tok in text.split(",")]
+        if not all(tok.isdigit() for tok in entries):
+            raise InputError(f"cannot parse permutation {text!r}")
+        return perm_to_element(rs, [int(tok) for tok in entries])
     try:
         word = [int(tok) for tok in text.split(".")]
     except ValueError:
@@ -345,12 +351,6 @@ def cmd_construct(args) -> Report:
     return Report(payload, text)
 
 
-def _chart_for(args, rs: RootSystem):
-    n = rs.rank
-    cell = args.cell
-    return build_chart(n, cell)
-
-
 def cmd_poisson(args) -> Report:
     rs = build_root_system(args.type)
     if not _is_single_a(rs):
@@ -370,7 +370,7 @@ def cmd_poisson(args) -> Report:
             for c in report["charts"]
         ]
         return Report(payload, text, csv=(["v", "witness", "generators", "timeout"], rows))
-    chart = _chart_for(args, rs)
+    chart = build_chart(rs.rank, args.cell)
     pm = poisson_matrix(chart)
     if args.action == "matrix":
         entries = []
@@ -423,6 +423,13 @@ def cmd_graph(args) -> Report:
     return Report(payload, [dot], dot=dot)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flagloci",
@@ -436,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=60000)
         p.add_argument("--timeout-secs", type=float, default=60.0)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("gcr", help="enumerate or check witnessed pairs")
     p.add_argument("action", choices=["enumerate", "components", "check", "powerset"])

@@ -18,6 +18,7 @@ from .rootsys import (
     dual_coxeter_number,
     highest_roots,
     is_positive_root,
+    nonorthogonal_components,
     pairing,
     reflect,
     weyl_order,
@@ -150,24 +151,7 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement, theta) -> Subsystem:
     pos = [b for b in rs.positive_roots if pairing(rs, b, fixed) == 0]
     if not pos:
         return Subsystem(rs, fixed, (), None)
-    simples = _indecomposables(rs, pos)
-    # split into components by the form
-    comps: list[list[tuple]] = []
-    remaining = list(simples)
-    while remaining:
-        stack = [remaining.pop(0)]
-        comp = []
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            still = []
-            for y in remaining:
-                if pairing(rs, x, y) != 0:
-                    stack.append(y)
-                else:
-                    still.append(y)
-            remaining = still
-        comps.append(comp)
+    comps = nonorthogonal_components(rs, _indecomposables(rs, pos))
     # classify each component and put its roots into Bourbaki order
     typed: list[tuple[str, int, list[tuple]]] = []
     for comp in comps:
@@ -176,7 +160,8 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement, theta) -> Subsystem:
         for i in range(m):
             for j in range(m):
                 val = Fraction(2 * pairing(rs, comp[i], comp[j]), pairing(rs, comp[i], comp[i]))
-                assert val.denominator == 1
+                if val.denominator != 1:
+                    raise ConstructError("non-integral Cartan entry in the subsystem")
                 cm[i][j] = int(val)
         letter, rank, order = classify_component(cm, range(m))
         typed.append((letter, rank, [comp[k] for k in order]))

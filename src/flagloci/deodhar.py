@@ -7,17 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bruhat import bruhat_leq, get_table
+from .bruhat import leq, walk_subwords
 from .rootsys import RootSystem
 from .weyl import (
     WeylElement,
-    from_word,
-    identity,
-    inverse,
-    is_reduced,
     length,
     multiply,
     reduced_word,
+    right_descents,
     simple_reflection,
     smallest_left_descent,
 )
@@ -71,12 +68,6 @@ class LaurentFreePolynomial:
 
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def evaluate(self, q):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
 
     def factored(self) -> Optional[str]:
         """"(q-1)^k" when the polynomial is exactly that, else None."""
@@ -140,55 +131,26 @@ class DistinguishedSubword:
     m_stat: int
 
 
+def _kept_descents(trace: Sequence[WeylElement]) -> int:
+    return sum(1 for a, b in zip(trace, trace[1:]) if length(b) < length(a))
+
+
 def distinguished_subwords(
     rs: RootSystem, word: Sequence[int], v: WeylElement
 ) -> list[DistinguishedSubword]:
     """Depth-first enumeration (removal sets lexicographic) of the subwords
     of ``word`` with value v in which every removal happens at an ascent."""
     word = tuple(word)
-    if not is_reduced(rs, word):
-        raise ValueError(f"word {word} is not reduced")
-    l = len(word)
-    gens = [simple_reflection(rs, i) for i in word]
-    suffix = [identity(rs)] * (l + 1)
-    for k in range(l - 1, -1, -1):
-        suffix[k] = gens[k] * suffix[k + 1]
-    table = get_table(rs)
 
-    def reachable(sigma: WeylElement, k: int) -> bool:
-        need = inverse(sigma) * v
-        if table is not None:
-            return table.leq(need, suffix[k])
-        return bruhat_leq(need, suffix[k])
+    def step(k, sigma, removed):
+        # removal keeps sigma and needs an ascent (s_k not a right descent
+        # of sigma); keeping is always allowed
+        return word[k] not in right_descents(sigma), True
 
-    results: list[DistinguishedSubword] = []
-    removed: list[int] = []
-    trace: list[WeylElement] = [identity(rs)]
-
-    def walk(k: int, n: int, m: int) -> None:
-        sigma = trace[-1]
-        if k == l:
-            if sigma == v:
-                results.append(
-                    DistinguishedSubword(word, tuple(removed), tuple(trace), n, m)
-                )
-            return
-        if not reachable(sigma, k):
-            return
-        nxt = sigma * gens[k]
-        ascent = length(nxt) > length(sigma)
-        if ascent:  # removal keeps sigma and needs the ascent
-            removed.append(k + 1)
-            trace.append(sigma)
-            walk(k + 1, n + 1, m)
-            trace.pop()
-            removed.pop()
-        trace.append(nxt)
-        walk(k + 1, n, m + (0 if ascent else 1))
-        trace.pop()
-
-    walk(0, 0, 0)
-    return results
+    return [
+        DistinguishedSubword(word, removed, trace, len(removed), _kept_descents(trace))
+        for removed, trace in walk_subwords(rs, word, v, step)
+    ]
 
 
 def positive_subword(
@@ -196,49 +158,18 @@ def positive_subword(
 ) -> DistinguishedSubword:
     """The unique distinguished subword with no kept descents."""
     word = tuple(word)
-    if not is_reduced(rs, word):
-        raise ValueError(f"word {word} is not reduced")
-    l = len(word)
-    gens = [simple_reflection(rs, i) for i in word]
-    suffix = [identity(rs)] * (l + 1)
-    for k in range(l - 1, -1, -1):
-        suffix[k] = gens[k] * suffix[k + 1]
-    table = get_table(rs)
 
-    def reachable(sigma: WeylElement, k: int) -> bool:
-        need = inverse(sigma) * v
-        if table is not None:
-            return table.leq(need, suffix[k])
-        return bruhat_leq(need, suffix[k])
+    def step(k, sigma, removed):
+        # a descent forces a kept descent or an illegal removal
+        ascent = word[k] not in right_descents(sigma)
+        return ascent, ascent
 
-    hits: list[DistinguishedSubword] = []
-    removed: list[int] = []
-    trace: list[WeylElement] = [identity(rs)]
-
-    def walk(k: int, n: int) -> None:
-        sigma = trace[-1]
-        if k == l:
-            if sigma == v:
-                hits.append(
-                    DistinguishedSubword(word, tuple(removed), tuple(trace), n, 0)
-                )
-            return
-        if not reachable(sigma, k):
-            return
-        nxt = sigma * gens[k]
-        if length(nxt) <= length(sigma):
-            return  # a descent forces a kept descent or an illegal removal
-        removed.append(k + 1)
-        trace.append(sigma)
-        walk(k + 1, n + 1)
-        trace.pop()
-        removed.pop()
-        trace.append(nxt)
-        walk(k + 1, n)
-        trace.pop()
-
-    walk(0, 0)
-    assert len(hits) == 1, f"expected a unique no-descent subword, got {len(hits)}"
+    hits = [
+        DistinguishedSubword(word, removed, trace, len(removed), 0)
+        for removed, trace in walk_subwords(rs, word, v, step)
+    ]
+    if len(hits) != 1:
+        raise RuntimeError(f"expected a unique no-descent subword, got {len(hits)}")
     return hits[0]
 
 
@@ -255,13 +186,6 @@ def r_polynomial_deodhar(v: WeylElement, w: WeylElement) -> LaurentFreePolynomia
     return out
 
 
-def _leq(v: WeylElement, w: WeylElement) -> bool:
-    table = get_table(v.rs)
-    if table is not None:
-        return table.leq(v, w)
-    return bruhat_leq(v, w)
-
-
 def r_polynomial_recurrence(v: WeylElement, w: WeylElement) -> LaurentFreePolynomial:
     """Independent route: descent recurrence with memoization."""
     rs = w.rs
@@ -271,7 +195,7 @@ def r_polynomial_recurrence(v: WeylElement, w: WeylElement) -> LaurentFreePolyno
     def rec(a: WeylElement, b: WeylElement) -> LaurentFreePolynomial:
         if a == b:
             return ONE
-        if not _leq(a, b):
+        if not leq(a, b):
             return ZERO
         key = (a.matrix, b.matrix)
         got = memo.get(key)

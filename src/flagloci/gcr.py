@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bruhat import BruhatTable, get_table, interval, subwords_with_value
+from .bruhat import get_table, interval, leq, subwords_with_value
 from .rootsys import RootSystem, orthogonal, weyl_order
 from .weyl import (
     GroupTooLargeError,
@@ -46,21 +46,11 @@ __all__ = [
 ]
 
 
-def _below(v: WeylElement, w: WeylElement) -> bool:
-    # reuse a reachability table when one exists, but a single membership
-    # test never justifies building one
-    table = get_table(v.rs, build_limit=0)
-    if table is not None:
-        return table.leq(v, w)
-    from .bruhat import bruhat_leq
-
-    return bruhat_leq(v, w)
-
-
 def is_gcr_cond3(v: WeylElement, w: WeylElement) -> bool:
     """v <= w and the (-1)-eigenspace of v w^{-1} has dim = length difference."""
     d = length(w) - length(v)
-    if d < 0 or not _below(v, w):
+    # build_limit=0: a single membership test never justifies building a table
+    if d < 0 or not leq(v, w, build_limit=0):
         return False
     x = multiply(v, inverse(w))
     n = len(x.matrix)
@@ -73,7 +63,7 @@ def is_gcr_cond3(v: WeylElement, w: WeylElement) -> bool:
 def is_gcr_cond4(v: WeylElement, w: WeylElement) -> bool:
     """v <= w and v w^{-1} is an involution of reflection length = length difference."""
     d = length(w) - length(v)
-    if d < 0 or not _below(v, w):
+    if d < 0 or not leq(v, w, build_limit=0):
         return False
     x = multiply(v, inverse(w))
     if d == 0:
@@ -125,24 +115,32 @@ class GcrPair:
 
     def __post_init__(self):
         rs = self.w.rs
-        assert self.d == length(self.w) - length(self.v) == len(self.removed_positions)
-        assert from_word(rs, self.host_word) == self.w
+        if not self.d == length(self.w) - length(self.v) == len(self.removed_positions):
+            raise ValueError(
+                f"gap d={self.d} must equal l(w) - l(v) and the number of removals"
+            )
+        if from_word(rs, self.host_word) != self.w:
+            raise ValueError("host word does not multiply to w")
         kept = tuple(
             s
             for k, s in enumerate(self.host_word, start=1)
             if k not in self.removed_positions
         )
-        assert from_word(rs, kept) == self.v and len(kept) == length(self.v)
+        if from_word(rs, kept) != self.v or len(kept) != length(self.v):
+            raise ValueError("kept letters are not a reduced word of v")
         betas = roots_of_word(rs, self.host_word)  # also validates reducedness
         for k, p in enumerate(self.removed_positions):
-            assert betas[p - 1] == self.removed_roots[k]
+            if betas[p - 1] != self.removed_roots[k]:
+                raise ValueError(f"removed root {k + 1} is not the inversion root at {p}")
         for a, b in itertools.combinations(self.removed_roots, 2):
-            assert orthogonal(rs, a, b)
+            if not orthogonal(rs, a, b):
+                raise ValueError(f"removed roots {a} and {b} are not orthogonal")
         # the removed reflections carry w back to v
         x = self.w
         for g in self.removed_roots:
             x = multiply(reflection(rs, g), x)
-        assert x == self.v
+        if x != self.v:
+            raise ValueError("removed reflections do not carry w to v")
 
     def key(self):
         return (self.w.sort_key(), self.v.sort_key())
@@ -158,13 +156,7 @@ def make_gcr_pair(v: WeylElement, w: WeylElement) -> GcrPair:
 
 def pair_encloses(outer: GcrPair, inner: GcrPair) -> bool:
     """True when [inner.v, inner.w] sits inside [outer.v, outer.w]."""
-    rs = outer.w.rs
-    table = get_table(rs)
-    if table is not None:
-        return table.leq(outer.v, inner.v) and table.leq(inner.w, outer.w)
-    from .bruhat import bruhat_leq
-
-    return bruhat_leq(outer.v, inner.v) and bruhat_leq(inner.w, outer.w)
+    return leq(outer.v, inner.v) and leq(inner.w, outer.w)
 
 
 class GcrPoset:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bruhat import get_table, interval
+from .bruhat import get_table
 from .gcr import GcrPair, sub_pairs, verify_powerset_interval
 from .rootsys import RootSystem, weyl_order
 from .weyl import (
@@ -59,8 +59,8 @@ def min_coset_rep(w: WeylElement, J: Iterable[int]) -> tuple[WeylElement, WeylEl
         cur = multiply(cur, simple_reflection(rs, j))
         stripped.append(j)
     w_p = from_word(rs, tuple(reversed(stripped)))
-    assert multiply(cur, w_p) == w
-    assert length(cur) + length(w_p) == length(w)
+    if multiply(cur, w_p) != w or length(cur) + length(w_p) != length(w):
+        raise RuntimeError("coset factorization is not length-additive")
     return cur, w_p
 
 

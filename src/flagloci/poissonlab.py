@@ -10,6 +10,7 @@ but f not in it certifies non-reducedness of the chart scheme."""
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,12 +25,11 @@ from .polyalg import (
     buchberger,
     ideal_equal,
     intersect,
-    membership,
     normal_form,
     parse_polynomial,
 )
 from .rootsys import build_root_system
-from .weyl import from_word, identity, left_descents, multiply, perm_from_string, perm_string, simple_reflection
+from .weyl import _mat_mul, identity, perm_from_string, perm_string, reduced_word
 
 __all__ = [
     "Chart",
@@ -48,20 +48,6 @@ __all__ = [
 ]
 
 
-def _lex_smallest_word(rs, w) -> tuple[int, ...]:
-    # greedy smallest left descent gives the lexicographically first reduced word
-    word = []
-    cur = w
-    while True:
-        ds = left_descents(cur)
-        if not ds:
-            break
-        i = min(ds)
-        word.append(i)
-        cur = multiply(simple_reflection(rs, i), cur)
-    return tuple(word)
-
-
 def _embedded_s(n1: int, i: int) -> tuple:
     m = [[1 if a == b else 0 for b in range(n1)] for a in range(n1)]
     m[i - 1][i - 1] = 0
@@ -69,13 +55,6 @@ def _embedded_s(n1: int, i: int) -> tuple:
     m[i - 1][i] = 1
     m[i][i - 1] = -1
     return tuple(tuple(r) for r in m)
-
-
-def _int_mat_mul(a, b) -> tuple:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -104,10 +83,10 @@ def build_chart(n: int, v: Optional[str] = None) -> Chart:
         w = identity(rs)
     else:
         w = perm_from_string(rs, v)
-    word = _lex_smallest_word(rs, w)
+    word = reduced_word(w)
     rep = tuple(tuple(1 if a == b else 0 for b in range(n + 1)) for a in range(n + 1))
     for i in word:
-        rep = _int_mat_mul(rep, _embedded_s(n + 1, i))
+        rep = _mat_mul(rep, _embedded_s(n + 1, i))
     names = tuple(f"x{i}{j}" for i in range(2, n + 2) for j in range(1, i))
     ring = PolyRing(names)
     return Chart(n, perm_string(w), word, ring, rep)
@@ -179,7 +158,7 @@ def vector_field(chart: Chart, X: Sequence[Sequence]) -> list[Polynomial]:
     ring = chart.ring
     rep = chart.representative
     rep_t = tuple(tuple(rep[b][a] for b in range(m)) for a in range(m))  # orthogonal lift
-    conj = _int_mat_mul(_int_mat_mul(rep_t, tuple(tuple(r) for r in X)), rep)
+    conj = _mat_mul(_mat_mul(rep_t, tuple(tuple(r) for r in X)), rep)
     a_const = [[ring.const(conj[a][b]) for b in range(m)] for a in range(m)]
     u = _poly_matrix_u(chart)
     uinv = _u_inverse(chart, u)
@@ -197,11 +176,16 @@ class PoissonMatrix:
 
     def __post_init__(self):
         k = len(self.chart.ring.variables)
-        assert len(self.entries) == k
+        if len(self.entries) != k:
+            raise ValueError(
+                f"bracket matrix has {len(self.entries)} rows, chart has {k} variables"
+            )
         for a in range(k):
-            assert self.entries[a][a].is_zero()
+            if not self.entries[a][a].is_zero():
+                raise ValueError(f"bracket matrix has a nonzero diagonal entry at {a}")
             for b in range(a):
-                assert self.entries[a][b] == -self.entries[b][a]
+                if self.entries[a][b] != -self.entries[b][a]:
+                    raise ValueError(f"bracket matrix is not antisymmetric at ({a}, {b})")
 
     def bracket(self, name_a: str, name_b: str) -> Polynomial:
         va = self.chart.ring.variables.index(name_a)
@@ -302,13 +286,17 @@ def _scan_one(args) -> dict:
 
 
 def scan_cells(n: int, timeout_secs: float = 60.0, workers: int = 1) -> dict:
-    """Witness scan over every chart of SL(n+1)/B+, n in {2, 3}."""
+    """Witness scan over every chart of SL(n+1)/B+, n in {2, 3}, on at most
+    ``workers`` processes (never more than the CPUs or the charts)."""
     if n not in (2, 3):
         raise ValueError("scan supports n = 2 and n = 3 only")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     perms = ["".join(map(str, p)) for p in itertools.permutations(range(1, n + 2))]
     jobs = [(n, v, timeout_secs) for v in perms]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    size = min(workers, os.cpu_count() or 1, len(jobs))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             charts = list(pool.map(_scan_one, jobs))
     else:
         charts = [_scan_one(job) for job in jobs]

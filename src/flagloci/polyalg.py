@@ -12,7 +12,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 __all__ = [
     "PolyRing",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Optional, Sequence
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "highest_roots",
     "orthogonal",
     "strongly_orthogonal",
+    "nonorthogonal_components",
     "classify_component",
     "dual_coxeter_number",
     "weyl_order",
@@ -130,10 +132,10 @@ _POSITIVE_COUNT = {
 }
 
 _WEYL_ORDER = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: (1 << n) * _factorial(n),
-    "C": lambda n: (1 << n) * _factorial(n),
-    "D": lambda n: (1 << (n - 1)) * _factorial(n),
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: (1 << n) * factorial(n),
+    "C": lambda n: (1 << n) * factorial(n),
+    "D": lambda n: (1 << (n - 1)) * factorial(n),
     "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
     "F": lambda n: 1152,
     "G": lambda n: 12,
@@ -148,13 +150,6 @@ _DUAL_COXETER = {
     "F": lambda n: 9,
     "G": lambda n: 4,
 }
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def dual_coxeter_number(letter: str, rank: int) -> int:
@@ -282,10 +277,6 @@ def pairing(rs: RootSystem, x: Sequence, y: Sequence):
     return total
 
 
-def norm_sq(rs: RootSystem, b: Coords):
-    return pairing(rs, b, b)
-
-
 def reflect(rs: RootSystem, b: Coords, x: Sequence) -> tuple:
     """Image of x under the reflection through root b: x - 2(x,b)/(b,b) * b."""
     if not is_root(rs, b):
@@ -321,6 +312,28 @@ def strongly_orthogonal(rs: RootSystem, b: Coords, g: Coords) -> bool:
         return False
     diff = tuple(b[i] - g[i] for i in range(rs.rank))
     return add_roots(rs, b, g) is None and not is_root(rs, diff)
+
+
+def nonorthogonal_components(rs: RootSystem, roots: Sequence) -> list[list[tuple]]:
+    """Classes of ``roots`` under the transitive closure of non-orthogonality,
+    in order of first appearance; each class in depth-first visiting order."""
+    comps: list[list[tuple]] = []
+    remaining = list(roots)
+    while remaining:
+        stack = [remaining.pop(0)]
+        comp = []
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            still = []
+            for y in remaining:
+                if pairing(rs, x, y) != 0:
+                    stack.append(y)
+                else:
+                    still.append(y)
+            remaining = still
+        comps.append(comp)
+    return comps
 
 
 def highest_roots(rs: RootSystem) -> list[Coords]:

@@ -10,7 +10,7 @@ exact integer/rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .rootsys import RootSystem, pairing, weyl_order
 
@@ -129,7 +129,8 @@ def reflection(rs: RootSystem, b: Sequence) -> WeylElement:
         e = tuple(int(j == k) for k in range(n))
         coeff = Fraction(2 * pairing(rs, e, b), nb)
         col = [e[k] - coeff * b[k] for k in range(n)]
-        assert all(Fraction(c).denominator == 1 for c in col)
+        if any(Fraction(c).denominator != 1 for c in col):
+            raise ValueError(f"{tuple(b)} does not give an integral reflection")
         cols.append([int(c) for c in col])
     rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     return WeylElement(rs, rows)
@@ -218,7 +219,8 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
                 break
             word.append(i)
             u = u * simple_reflection(w.rs, i)
-        assert u.is_identity()
+        if not u.is_identity():
+            raise RuntimeError("descent stripping did not reach the identity")
         w._rword = tuple(word)
     return w._rword
 
@@ -331,7 +333,8 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
         for w in lv:
             w._len = depth  # BFS depth over simple generators is the length
         out.extend(lv)
-    assert len(out) == order
+    if len(out) != order:
+        raise RuntimeError(f"enumerated {len(out)} elements, expected {order}")
     return out
 
 

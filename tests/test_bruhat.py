@@ -10,6 +10,7 @@ from flagloci.bruhat import (
     export_bruhat_graph,
     get_table,
     interval,
+    leq,
     subwords_with_value,
 )
 from flagloci.rootsys import build_root_system
@@ -148,3 +149,15 @@ def test_dot_export():
 def test_table_reuse_only_mode():
     rs = build_root_system("E8")
     assert get_table(rs, build_limit=0) is None
+
+
+def test_leq_routes_and_build_limit():
+    rs = build_root_system("B3")
+    els = enumerate_group(rs)
+    pairs = [(els[i], els[j]) for i in range(0, len(els), 7) for j in range(0, len(els), 5)]
+    # build_limit=0 must answer by recursion and leave no table behind
+    got = [leq(v, w, build_limit=0) for v, w in pairs]
+    assert get_table(rs, build_limit=0) is None
+    assert got == [bruhat_leq(v, w) for v, w in pairs]
+    assert [leq(v, w) for v, w in pairs] == got
+    assert get_table(rs, build_limit=0) is not None

@@ -6,7 +6,6 @@ import pytest
 from flagloci.cascade import (
     build_cascade,
     descendants,
-    heisenberg_pairs,
     iter_nodes,
     verify_kostant,
 )
@@ -42,7 +41,6 @@ def test_heisenberg_pairs_sum_to_gamma():
             assert len(node.pairs) * 2 + 1 == len(node.E_set)
             for a, b in node.pairs:
                 assert tuple(x + y for x, y in zip(a, b)) == node.gamma
-            assert heisenberg_pairs(node) == list(node.pairs)
 
 
 def test_verify_kostant_simple_types():

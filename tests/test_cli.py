@@ -180,3 +180,26 @@ def test_csv_pairs(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "v,w,d"
     assert len(lines) == 15
+
+
+def test_comma_separated_permutation(capsys):
+    ident = ",".join(str(k) for k in range(1, 11))
+    code, data = run_json(capsys, "gcr", "check", "A9", "--v", ident, "--w", ident)
+    assert code == 0
+    assert data["gcr"] is True
+    assert data["d"] == 0
+    _, digits = run_json(capsys, "gcr", "check", "A3", "--v", "1234", "--w", "2143")
+    _, commas = run_json(capsys, "gcr", "check", "A3", "--v", "1,2,3,4", "--w", "2,1,4,3")
+    assert commas == digits
+
+
+def test_bad_comma_permutation_exits_1(capsys):
+    assert main(["gcr", "check", "A3", "--v", "1,2,x,4", "--w", "2143"]) == 1
+    assert main(["gcr", "check", "A3", "--v", "1,2,2,4", "--w", "2143"]) == 1
+    capsys.readouterr()
+
+
+def test_workers_below_one_exits_1(capsys):
+    assert main(["poisson", "scan", "A2", "--workers", "0"]) == 1
+    assert main(["gcr", "enumerate", "A2", "--workers", "-3"]) == 1
+    capsys.readouterr()

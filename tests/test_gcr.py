@@ -1,6 +1,11 @@
 """Witnessed orthogonal-removal pairs: the three characterizations, the
 enumeration counts, and the boolean-interval structure."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from flagloci.gcr import (
     enumerate_gcr,
     is_gcr_cond3,
@@ -136,3 +141,28 @@ def test_witness_invariants():
 def test_reducible_type():
     poset = enumerate_gcr(build_root_system("A1xA1"))
     assert poset.counts_by_d() == {0: 4, 1: 4, 2: 1}
+
+
+def test_pair_validation_survives_optimize():
+    # under python -O every bare assert is gone; GcrPair must still refuse
+    # a gap that does not match its elements
+    code = (
+        "import sys\n"
+        "from flagloci.gcr import GcrPair\n"
+        "from flagloci.rootsys import build_root_system\n"
+        "from flagloci.weyl import from_word, identity\n"
+        "rs = build_root_system('A2')\n"
+        "assert False, 'asserts are live'\n"
+        "try:\n"
+        "    GcrPair(identity(rs), from_word(rs, (1, 2)), 5, (1, 2), (1, 2), ((1, 0), (1, 1)))\n"
+        "except ValueError:\n"
+        "    print('ValueError', sys.flags.optimize)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError", "1"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagloci import poissonlab
 from flagloci.poissonlab import (
     build_chart,
     degeneracy_ideal,
@@ -230,3 +231,38 @@ def test_chart_rejects_bad_oneline():
         build_chart(2, "331")
     with pytest.raises(ValueError):
         build_chart(2, "12")
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_scan_pool_size(monkeypatch):
+    monkeypatch.setattr(poissonlab, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(
+        poissonlab,
+        "_scan_one",
+        lambda job: {"v": job[1], "witness": None, "generators": 0, "timeout": False},
+    )
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    for cpus, workers in ((4, 64), (64, 64), (1, 64), (4, 1), (None, 8)):
+        monkeypatch.setattr(poissonlab.os, "cpu_count", lambda: cpus)
+        assert len(scan_cells(2, workers=workers)["charts"]) == 6
+    # min(workers, cpus, 6 charts); a size of 1 runs in-process
+    assert _RecordingPool.sizes == [4, 6]
+    with pytest.raises(ValueError):
+        scan_cells(2, workers=0)

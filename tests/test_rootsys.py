@@ -11,7 +11,6 @@ from flagloci.rootsys import (
     highest_roots,
     is_positive_root,
     is_root,
-    norm_sq,
     orthogonal,
     pairing,
     reflect,
