@@ -47,7 +47,6 @@ from .weyl import (
     length,
     perm_from_string,
     perm_string,
-    perm_to_element,
     reduced_word,
 )
 
@@ -81,13 +80,12 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
     text = text.strip()
     if text == "e":
         return identity(rs)
+    if _is_single_a(rs) and "," in text:
+        if not all(tok.strip().isdigit() for tok in text.split(",")):
+            raise InputError(f"cannot parse permutation {text!r}")
+        return perm_from_string(rs, text)
     if _is_single_a(rs) and text.isdigit():
         return perm_from_string(rs, text)
-    if _is_single_a(rs) and "," in text:
-        entries = [tok.strip() for tok in text.split(",")]
-        if not all(tok.isdigit() for tok in entries):
-            raise InputError(f"cannot parse permutation {text!r}")
-        return perm_to_element(rs, [int(tok) for tok in entries])
     try:
         word = [int(tok) for tok in text.split(".")]
     except ValueError:

@@ -111,13 +111,15 @@ def _poly_matrix_u(chart: Chart) -> list[list[Polynomial]]:
 
 def _pm_mul(a, b) -> list[list[Polynomial]]:
     m = len(a)
+    zero = a[0][0].ring.const(0)
     out = []
     for i in range(m):
         row = []
         for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, m):
-                acc = acc + a[i][k] * b[k][j]
+            acc = zero
+            for k in range(m):
+                if a[i][k].terms and b[k][j].terms:  # most entries are zero
+                    acc = acc + a[i][k] * b[k][j]
             row.append(acc)
         out.append(row)
     return out
@@ -143,6 +145,33 @@ def _u_inverse(chart: Chart, u) -> list[list[Polynomial]]:
     return out
 
 
+def _conjugate(chart: Chart, X: Sequence[Sequence]) -> list[list]:
+    """rep^T X rep for the chart's signed permutation representative: entry
+    (a, b) is X[p(a)][p(b)] times the signs of columns a and b of rep, where
+    p(b) is the row of the one nonzero entry in column b."""
+    m = chart.size
+    rep = chart.representative
+    col = [next((c, rep[c][b]) for c in range(m) if rep[c][b]) for b in range(m)]
+    return [[sa * sb * X[pa][pb] for pb, sb in col] for pa, sa in col]
+
+
+def _vector_field(chart: Chart, u, uinv, X: Sequence[Sequence]) -> list[Polynomial]:
+    """vector_field with the chart's u and u^-1 built by the caller."""
+    m = chart.size
+    if len(X) != m or any(len(r) != m for r in X):
+        raise ValueError("matrix has the wrong shape")
+    if sum(Fraction(X[a][a]) for a in range(m)) != 0:
+        raise ValueError("matrix must be traceless")
+    ring = chart.ring
+    conj = _conjugate(chart, X)
+    a_const = [[ring.const(conj[a][b]) for b in range(m)] for a in range(m)]
+    ad = _pm_mul(_pm_mul(uinv, a_const), u)
+    zero = ring.const(0)
+    lower = [[ad[a][b] if a > b else zero for b in range(m)] for a in range(m)]
+    delta = _pm_mul(u, lower)
+    return [delta[i - 1][j - 1] for i, j in chart.positions()]
+
+
 def vector_field(chart: Chart, X: Sequence[Sequence]) -> list[Polynomial]:
     """Infinitesimal action of a traceless matrix X on the chart.
 
@@ -150,23 +179,8 @@ def vector_field(chart: Chart, X: Sequence[Sequence]) -> list[Polynomial]:
     derivative of the lower-unitriangular factor is u times the strictly
     lower part of (vu)^-1 X (vu).  Returns one polynomial per coordinate,
     in row-major order."""
-    m = chart.size
-    if len(X) != m or any(len(r) != m for r in X):
-        raise ValueError("matrix has the wrong shape")
-    if sum(Fraction(X[a][a]) for a in range(m)) != 0:
-        raise ValueError("matrix must be traceless")
-    ring = chart.ring
-    rep = chart.representative
-    rep_t = tuple(tuple(rep[b][a] for b in range(m)) for a in range(m))  # orthogonal lift
-    conj = _mat_mul(_mat_mul(rep_t, tuple(tuple(r) for r in X)), rep)
-    a_const = [[ring.const(conj[a][b]) for b in range(m)] for a in range(m)]
     u = _poly_matrix_u(chart)
-    uinv = _u_inverse(chart, u)
-    ad = _pm_mul(_pm_mul(uinv, a_const), u)
-    zero = ring.const(0)
-    lower = [[ad[a][b] if a > b else zero for b in range(m)] for a in range(m)]
-    delta = _pm_mul(u, lower)
-    return [delta[i - 1][j - 1] for i, j in chart.positions()]
+    return _vector_field(chart, u, _u_inverse(chart, u), X)
 
 
 @dataclass(frozen=True)
@@ -217,14 +231,16 @@ def poisson_matrix(chart: Chart, scale: Fraction = Fraction(1)) -> PoissonMatrix
     zero = chart.ring.const(0)
     entries = [[zero] * k for _ in range(k)]
     inv = Fraction(1) / Fraction(scale)
+    u = _poly_matrix_u(chart)
+    uinv = _u_inverse(chart, u)
     for i in range(m):
         for j in range(i + 1, m):
             e = [[Fraction(0)] * m for _ in range(m)]
             f = [[Fraction(0)] * m for _ in range(m)]
             e[i][j] = Fraction(scale)
             f[j][i] = inv
-            chi_e = vector_field(chart, e)
-            chi_f = vector_field(chart, f)
+            chi_e = _vector_field(chart, u, uinv, e)
+            chi_f = _vector_field(chart, u, uinv, f)
             for a in range(k):
                 for b in range(a):
                     term = chi_e[a] * chi_f[b] - chi_e[b] * chi_f[a]
@@ -340,7 +356,7 @@ def partial_derivative(f: Polynomial, var_index: int) -> Polynomial:
 
 def variable_weight(chart: Chart, name: str) -> tuple[int, ...]:
     """Torus weight of x_ij: the j-th minus the i-th coordinate vector."""
-    i, j = int(name[1]), int(name[2])
+    i, j = chart.positions()[chart.ring.variables.index(name)]
     w = [0] * chart.size
     w[j - 1] += 1
     w[i - 1] -= 1

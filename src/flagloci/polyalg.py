@@ -4,10 +4,17 @@ via the extra-variable trick, and intersections via elimination.
 
 Everything is deterministic: fixed variable order, graded reverse
 lexicographic comparisons by default, normal pair selection, and reduced
-monic output sorted by leading monomial."""
+monic output sorted by leading monomial.
+
+`buchberger` caches the leading monomial of each basis member and keeps
+the pending S-pairs in a heap keyed by (degree of the lcm of the leads,
+pair).  The keys are unique, so the pairs come out in the same order as a
+scan for the smallest key would pick them: the heap changes the cost of
+the selection, not the basis sequence or the reduced output."""
 
 from __future__ import annotations
 
+import heapq
 import re
 import time
 from dataclasses import dataclass
@@ -88,7 +95,7 @@ class Polynomial:
         return not self.terms
 
     def _check(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -320,30 +327,33 @@ def buchberger(
     ideal: Ideal, deadline: Optional[float] = None
 ) -> GroebnerBasis:
     """Reduced basis; classic pair pruning (coprime leads and the chain
-    criterion), pairs processed smallest lcm degree first."""
+    criterion), pairs popped from a heap smallest lcm degree first, ties
+    broken by the pair's indices."""
     ring = ideal.ring
     basis = [g for g in ideal.generators if not g.is_zero()]
     if not basis:
         return GroebnerBasis(ring, ())
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    done: set[tuple[int, int]] = set()
+    leads = [g.leading()[0] for g in basis]
 
-    def lead(i: int) -> Expo:
-        return basis[i].leading()[0]
+    def entry(i: int, j: int) -> tuple:
+        return sum(_expo_lcm(leads[i], leads[j])), (i, j)
+
+    pairs = [entry(i, j) for i in range(len(basis)) for j in range(i)]
+    heapq.heapify(pairs)
+    done: set[tuple[int, int]] = set()
 
     while pairs:
         if deadline is not None and time.monotonic() > deadline:
             raise PolyTimeout("basis computation exceeded the deadline")
-        i, j = min(pairs, key=lambda p: (sum(_expo_lcm(lead(p[0]), lead(p[1]))), p))
-        pairs.discard((i, j))
+        _, (i, j) = heapq.heappop(pairs)
         done.add((i, j))
-        li, lj = lead(i), lead(j)
+        li, lj = leads[i], leads[j]
         l = _expo_lcm(li, lj)
         if l == tuple(a + b for a, b in zip(li, lj)):
             continue  # coprime leading monomials
         chain = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lead(k), l):
+        for k, lk in enumerate(leads):
+            if k in (i, j) or not _divides(lk, l):
                 continue
             p1 = (max(i, k), min(i, k))
             p2 = (max(j, k), min(j, k))
@@ -355,13 +365,13 @@ def buchberger(
         r = normal_form(_s_poly(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
+        k = len(basis)
         basis.append(r)
-        k = len(basis) - 1
+        leads.append(r.leading()[0])
         for t in range(k):
-            pairs.add((k, t))
+            heapq.heappush(pairs, entry(k, t))
     # minimalize: drop members whose lead is divisible by another lead
     keep: list[Polynomial] = []
-    leads = [g.leading()[0] for g in basis]
     for i, g in enumerate(basis):
         if any(
             j != i and _divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)

@@ -388,8 +388,14 @@ def element_to_perm(w: WeylElement) -> tuple[int, ...]:
 
 
 def perm_string(w: WeylElement) -> str:
-    return "".join(str(k) for k in element_to_perm(w))
+    """One-line notation: digits run together up to 9 entries, and
+    comma-separated from 10 entries on, where digits would be ambiguous."""
+    perm = element_to_perm(w)
+    return ("," if len(perm) >= 10 else "").join(str(k) for k in perm)
 
 
 def perm_from_string(rs: RootSystem, text: str) -> WeylElement:
-    return perm_to_element(rs, tuple(int(ch) for ch in text.strip()))
+    """Inverse of perm_string: run-together digits or comma-separated entries."""
+    text = text.strip()
+    entries = text.split(",") if "," in text else text
+    return perm_to_element(rs, tuple(int(tok) for tok in entries))

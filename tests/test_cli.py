@@ -193,6 +193,19 @@ def test_comma_separated_permutation(capsys):
     assert commas == digits
 
 
+def test_a9_names_read_back(capsys):
+    v = "1,2,3,4,5,6,7,8,9,10"
+    w = "2,1,3,4,5,6,7,8,10,9"
+    code, first = run_json(capsys, "gcr", "check", "A9", "--v", v, "--w", w)
+    assert code == 0
+    assert (first["v"], first["w"]) == (v, w)
+    again = run_json(capsys, "gcr", "check", "A9", "--v", first["v"], "--w", first["w"])
+    assert again == (code, first)
+    # up to A8 the entries still run together
+    _, a8 = run_json(capsys, "gcr", "check", "A8", "--v", "1,2,3,4,5,6,7,8,9", "--w", "213456789")
+    assert (a8["v"], a8["w"]) == ("123456789", "213456789")
+
+
 def test_bad_comma_permutation_exits_1(capsys):
     assert main(["gcr", "check", "A3", "--v", "1,2,x,4", "--w", "2143"]) == 1
     assert main(["gcr", "check", "A3", "--v", "1,2,2,4", "--w", "2143"]) == 1

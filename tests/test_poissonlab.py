@@ -76,6 +76,24 @@ def test_sl4_brackets_frozen():
     assert nonzero == 13
 
 
+def test_poisson_matrix_matches_vector_field():
+    charts = [build_chart(2, v) for v in ("123", "132", "213", "231", "312", "321")]
+    for ch in charts + [build_chart(3)]:
+        m, k = ch.size, len(ch.ring.variables)
+        expected = [[ch.ring.const(0)] * k for _ in range(k)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                e = [[Fraction(int((a, b) == (i, j))) for b in range(m)] for a in range(m)]
+                f = [[Fraction(int((a, b) == (j, i))) for b in range(m)] for a in range(m)]
+                chi_e, chi_f = vector_field(ch, e), vector_field(ch, f)
+                for a in range(k):
+                    for b in range(k):
+                        term = chi_e[a] * chi_f[b] - chi_e[b] * chi_f[a]
+                        expected[a][b] = expected[a][b] + term
+        pm = poisson_matrix(ch)
+        assert [list(row) for row in pm.entries] == expected, ch.v_oneline
+
+
 def test_bracket_antisymmetry():
     ch = build_chart(2)
     pm = poisson_matrix(ch)
@@ -179,6 +197,13 @@ def test_witnesses():
     assert nonreduced_witness(build_chart(3)) == "x31"
 
 
+def test_sl5_big_cell_witness():
+    ch = build_chart(4)
+    di = degeneracy_ideal(ch)
+    assert len(di.ideal.generators) == 35
+    assert nonreduced_witness(ch, di=di) == "x31"
+
+
 def test_sl3_decomposition():
     assert verify_sl3_decomposition() is True
 
@@ -216,6 +241,15 @@ def test_variable_weight():
     ch = build_chart(2)
     assert variable_weight(ch, "x21") == (1, -1, 0)
     assert variable_weight(ch, "x31") == (1, 0, -1)
+
+
+def test_variable_weight_two_digit_rows():
+    ch = build_chart(9)
+    e = lambda k: tuple(int(t == k - 1) for t in range(10))
+    minus = lambda a, b: tuple(x - y for x, y in zip(a, b))
+    assert variable_weight(ch, "x101") == minus(e(1), e(10))
+    assert variable_weight(ch, "x109") == minus(e(9), e(10))
+    assert variable_weight(ch, "x21") == minus(e(1), e(2))
 
 
 def test_partial_derivative():

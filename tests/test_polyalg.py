@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from flagloci.poissonlab import build_chart, degeneracy_ideal
 from flagloci.polyalg import (
     Ideal,
     PolyRing,
@@ -151,6 +152,11 @@ def test_groebner_matches_sympy():
         (("x21", "x31", "x32"), ("x21*x31", "x21*x32 - 2*x31", "x31*x32"), "grevlex"),
         (("x", "y", "z"), ("x*y - z", "y*z - x", "x*z - y"), "grevlex"),
     ]
+    # the three SL4 degeneracy ideals with the longest Buchberger runs
+    for v in ("1234", "1423", "4132"):
+        ideal = degeneracy_ideal(build_chart(3, v)).ideal
+        texts = tuple(str(g) for g in ideal.generators)
+        cases.append((ideal.ring.variables, texts, "grevlex"))
     for names, texts, order in cases:
         r = ring(*names, order=order)
         gb = buchberger(Ideal(r, tuple(parse_polynomial(r, t) for t in texts)))
