@@ -13,6 +13,11 @@ behind ``leq`` and are kept deliberately:
 ``leq`` reads the table when one exists (or may be built) and falls back
 to the recursion otherwise.  The two routes are cross-checked against each
 other and against the raw subword definition in the test suite.
+
+``closure`` is the one routine that turns a covering relation into
+down-set and up-set bitmasks: the table runs it on all covers, the
+parabolic order on the covers that change coset.  ``require_table`` is the
+one "table within the cap, else ``GroupTooLargeError``" lookup.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .weyl import (
     identity,
     inverse,
     is_reduced,
+    is_type_a,
     length,
     perm_string,
     reduced_word,
@@ -46,7 +52,9 @@ __all__ = [
     "subwords_with_value",
     "export_bruhat_graph",
     "BruhatTable",
+    "closure",
     "get_table",
+    "require_table",
 ]
 
 _TABLE_BUILD_LIMIT = 10000  # don't auto-build reachability tables beyond this
@@ -70,13 +78,36 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
         w = s * w
 
 
+def closure(
+    covers_down: list[list[int]], covers_up: list[list[int]]
+) -> tuple[list[int], list[int]]:
+    """Down-set and up-set bitmasks of the reflexive transitive closure of a
+    covering relation on elements indexed in length order (covers_down[k]
+    lists the elements k covers, covers_up[k] those covering k): one
+    forward and one backward pass."""
+    n = len(covers_down)
+    down = [0] * n
+    for k in range(n):
+        mask = 1 << k
+        for j in covers_down[k]:
+            mask |= down[j]
+        down[k] = mask
+    up = [0] * n
+    for k in range(n - 1, -1, -1):
+        mask = 1 << k
+        for j in covers_up[k]:
+            mask |= up[j]
+        up[k] = mask
+    return down, up
+
+
 class BruhatTable:
     """Reachability over the covering graph of a fully enumerated group."""
 
     def __init__(self, rs: RootSystem, cap: int = 60000):
         self.rs = rs
         self.elements = enumerate_group(rs, cap)
-        self.index = {w.matrix: k for k, w in enumerate(self.elements)}
+        self.index = {w: k for k, w in enumerate(self.elements)}
         n = len(self.elements)
         refls = [reflection(rs, b) for b in rs.positive_roots]
         # covers_down[k] = indices of elements covered by element k
@@ -87,30 +118,17 @@ class BruhatTable:
             for t in refls:
                 tw = t * w
                 if length(tw) == lw - 1:
-                    j = self.index[tw.matrix]
+                    j = self.index[tw]
                     self.covers_down[k].append(j)
                     self.covers_up[j].append(k)
         for lst in self.covers_down:
             lst.sort()
         for lst in self.covers_up:
             lst.sort()
-        # elements arrive sorted by length, so one forward/backward pass fills
-        # the down-set / up-set bitmasks
-        self.down = [0] * n
-        for k in range(n):
-            mask = 1 << k
-            for j in self.covers_down[k]:
-                mask |= self.down[j]
-            self.down[k] = mask
-        self.up = [0] * n
-        for k in range(n - 1, -1, -1):
-            mask = 1 << k
-            for j in self.covers_up[k]:
-                mask |= self.up[j]
-            self.up[k] = mask
+        self.down, self.up = closure(self.covers_down, self.covers_up)
 
     def idx(self, w: WeylElement) -> int:
-        return self.index[w.matrix]
+        return self.index[w]
 
     def leq(self, v: WeylElement, w: WeylElement) -> bool:
         return bool(self.down[self.idx(w)] >> self.idx(v) & 1)
@@ -130,8 +148,16 @@ class BruhatTable:
 def get_table(rs: RootSystem, build_limit: int = _TABLE_BUILD_LIMIT) -> Optional[BruhatTable]:
     table = getattr(rs, "_bruhat_table", None)
     if table is None and weyl_order(rs.cartan_type) <= build_limit:
-        table = BruhatTable(rs)
+        table = BruhatTable(rs, cap=build_limit)
         rs._bruhat_table = table
+    return table
+
+
+def require_table(rs: RootSystem, cap: int = 60000) -> BruhatTable:
+    """The table of rs, built if |W| <= cap; GroupTooLargeError otherwise."""
+    table = get_table(rs, build_limit=cap)
+    if table is None:
+        raise GroupTooLargeError(weyl_order(rs.cartan_type), cap)
     return table
 
 
@@ -149,9 +175,7 @@ def covers(v: WeylElement, w: WeylElement) -> bool:
 
 
 def covering_pairs(rs: RootSystem, cap: int = 60000) -> list[tuple[WeylElement, WeylElement]]:
-    table = get_table(rs, build_limit=cap)
-    if table is None:
-        raise GroupTooLargeError(weyl_order(rs.cartan_type), cap)
+    table = require_table(rs, cap)
     out = []
     for k, w in enumerate(table.elements):
         for j in table.covers_down[k]:
@@ -164,10 +188,7 @@ def interval(
     v: WeylElement, w: WeylElement
 ) -> tuple[list[WeylElement], list[tuple[WeylElement, WeylElement]]]:
     """Elements and Hasse edges of [v, w].  Requires v <= w."""
-    rs = v.rs
-    table = get_table(rs)
-    if table is None:
-        raise GroupTooLargeError(weyl_order(rs.cartan_type), _TABLE_BUILD_LIMIT)
+    table = require_table(v.rs, _TABLE_BUILD_LIMIT)
     if not table.leq(v, w):
         raise ValueError("lower element is not below upper element in Bruhat order")
     idxs = table.interval_indices(v, w)
@@ -275,8 +296,7 @@ def subwords_with_value(
 
 
 def _vertex_name(w: WeylElement) -> str:
-    t = w.rs.cartan_type
-    if len(t.components) == 1 and t.components[0][0] == "A":
+    if is_type_a(w.rs):
         return perm_string(w)
     word = reduced_word(w)
     return "e" if not word else "s" + ".".join(str(i) for i in word)
@@ -288,21 +308,13 @@ def export_bruhat_graph(
     cap: int = 60000,
 ) -> str:
     """Graphviz DOT text of the Hasse diagram; edges in ``highlight`` (pairs
-    of elements or matrix pairs) are flagged."""
-    flagged = set()
-    for pair in highlight or ():
-        a, b = pair
-        ma = a.matrix if isinstance(a, WeylElement) else a
-        mb = b.matrix if isinstance(b, WeylElement) else b
-        flagged.add((ma, mb))
+    of elements) are flagged."""
+    flagged = highlight or set()
     lines = ["digraph bruhat {", "  rankdir=BT;"]
-    table = get_table(rs, build_limit=cap)
-    if table is None:
-        raise GroupTooLargeError(weyl_order(rs.cartan_type), cap)
-    for w in table.elements:
+    for w in require_table(rs, cap).elements:
         lines.append(f'  "{_vertex_name(w)}";')
     for v, w in covering_pairs(rs, cap):
-        attr = ' [color=red, penwidth=2]' if (v.matrix, w.matrix) in flagged else ""
+        attr = ' [color=red, penwidth=2]' if (v, w) in flagged else ""
         lines.append(f'  "{_vertex_name(v)}" -> "{_vertex_name(w)}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -44,6 +44,7 @@ from .weyl import (
     enumerate_group,
     from_word,
     identity,
+    is_type_a,
     length,
     perm_from_string,
     perm_string,
@@ -61,13 +62,8 @@ class VerificationFailure(Exception):
     pass
 
 
-def _is_single_a(rs: RootSystem) -> bool:
-    t = rs.cartan_type.components
-    return len(t) == 1 and t[0][0] == "A"
-
-
 def element_name(w: WeylElement) -> str:
-    if _is_single_a(w.rs):
+    if is_type_a(w.rs):
         return perm_string(w)
     word = reduced_word(w)
     return "e" if not word else ".".join(str(i) for i in word)
@@ -80,11 +76,11 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
     text = text.strip()
     if text == "e":
         return identity(rs)
-    if _is_single_a(rs) and "," in text:
+    if is_type_a(rs) and "," in text:
         if not all(tok.strip().isdigit() for tok in text.split(",")):
             raise InputError(f"cannot parse permutation {text!r}")
         return perm_from_string(rs, text)
-    if _is_single_a(rs) and text.isdigit():
+    if is_type_a(rs) and text.isdigit():
         return perm_from_string(rs, text)
     try:
         word = [int(tok) for tok in text.split(".")]
@@ -351,7 +347,7 @@ def cmd_construct(args) -> Report:
 
 def cmd_poisson(args) -> Report:
     rs = build_root_system(args.type)
-    if not _is_single_a(rs):
+    if not is_type_a(rs):
         raise InputError("poisson subcommands support single type-A systems only")
     if args.action == "scan":
         report = scan_cells(rs.rank, timeout_secs=args.timeout_secs, workers=args.workers)
@@ -493,10 +489,7 @@ def main(argv=None) -> int:
     try:
         report = args.handler(args)
         out = _emit(report, args.format)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (GroupTooLargeError, PolyTimeout) as exc:

@@ -197,7 +197,7 @@ def r_polynomial_recurrence(v: WeylElement, w: WeylElement) -> LaurentFreePolyno
             return ONE
         if not leq(a, b):
             return ZERO
-        key = (a.matrix, b.matrix)
+        key = (a, b)
         got = memo.get(key)
         if got is not None:
             return got

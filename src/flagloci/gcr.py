@@ -14,15 +14,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bruhat import get_table, interval, leq, subwords_with_value
-from .rootsys import RootSystem, orthogonal, weyl_order
+from .bruhat import get_table, interval, leq, require_table, subwords_with_value
+from .rootsys import RootSystem, orthogonal
 from .weyl import (
-    GroupTooLargeError,
     WeylElement,
+    eigenspace_dim,
     from_word,
     inverse,
     is_involution,
-    kernel_dim,
     length,
     longest_element,
     multiply,
@@ -52,12 +51,7 @@ def is_gcr_cond3(v: WeylElement, w: WeylElement) -> bool:
     # build_limit=0: a single membership test never justifies building a table
     if d < 0 or not leq(v, w, build_limit=0):
         return False
-    x = multiply(v, inverse(w))
-    n = len(x.matrix)
-    shifted = [
-        [x.matrix[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    return kernel_dim(shifted) == d
+    return eigenspace_dim(multiply(v, inverse(w)), -1) == d
 
 
 def is_gcr_cond4(v: WeylElement, w: WeylElement) -> bool:
@@ -189,9 +183,7 @@ class GcrPoset:
 
 
 def enumerate_gcr(rs: RootSystem, cap: int = 60000) -> GcrPoset:
-    table = get_table(rs, build_limit=cap)
-    if table is None:
-        raise GroupTooLargeError(weyl_order(rs.cartan_type), cap)
+    table = require_table(rs, cap)
     els = table.elements
     bound = reflection_length(longest_element(rs))
     by_length: dict[int, list[int]] = {}
@@ -248,12 +240,12 @@ def verify_powerset_interval(pair: GcrPair) -> bool:
             for k in K:
                 x = multiply(refls[k - 1], x)
             w_by_set[frozenset(K)] = x
-    if len({x.matrix for x in w_by_set.values()}) != 2**pair.d:
+    if len(set(w_by_set.values())) != 2**pair.d:
         return False
     elements, edges = interval(pair.v, pair.w)
-    if {x.matrix for x in elements} != {x.matrix for x in w_by_set.values()}:
+    if set(elements) != set(w_by_set.values()):
         return False
-    mat_to_set = {x.matrix: K for K, x in w_by_set.items()}
+    elt_to_set = {x: K for K, x in w_by_set.items()}
     # order must be containment-reversing
     table = get_table(rs)
     for K, xk in w_by_set.items():
@@ -264,5 +256,5 @@ def verify_powerset_interval(pair: GcrPair) -> bool:
     for K in w_by_set:
         for k in K:
             expected_edges.add((K, K - {k}))  # lower has the larger set
-    got_edges = {(mat_to_set[a.matrix], mat_to_set[b.matrix]) for a, b in edges}
+    got_edges = {(elt_to_set[a], elt_to_set[b]) for a, b in edges}
     return got_edges == expected_edges

@@ -7,11 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bruhat import get_table
+from .bruhat import BruhatTable, closure, require_table
 from .gcr import GcrPair, sub_pairs, verify_powerset_interval
-from .rootsys import RootSystem, weyl_order
+from .rootsys import RootSystem
 from .weyl import (
-    GroupTooLargeError,
     WeylElement,
     act,
     from_word,
@@ -76,43 +75,27 @@ def levi_contains(rs: RootSystem, root: Sequence, J: Iterable[int]) -> bool:
     return supp <= js
 
 
-def _p_masks(rs: RootSystem, J: tuple[int, ...], cap: int) -> tuple[list[int], list[int]]:
+def _p_masks(table: BruhatTable, J: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Down-set and up-set bitmasks of the parabolic order (reflexive
     transitive closure of Bruhat covers that change J-coset)."""
-    cache = getattr(rs, "_p_mask_cache", None)
+    cache = getattr(table.rs, "_p_mask_cache", None)
     if cache is None:
         cache = {}
-        rs._p_mask_cache = cache
-    if J in cache:
-        return cache[J]
-    table = get_table(rs, build_limit=cap)
-    if table is None:
-        raise GroupTooLargeError(weyl_order(rs.cartan_type), cap)
-    coset = [min_coset_rep(x, J)[0].matrix for x in table.elements]
-    n = len(table.elements)
-    down = [0] * n
-    for k in range(n):  # elements sorted by length
-        mask = 1 << k
-        for j in table.covers_down[k]:
-            if coset[j] != coset[k]:
-                mask |= down[j]
-        down[k] = mask
-    up = [0] * n
-    for k in range(n - 1, -1, -1):
-        mask = 1 << k
-        for j in table.covers_up[k]:
-            if coset[j] != coset[k]:
-                mask |= up[j]
-        up[k] = mask
-    cache[J] = (down, up)
-    return down, up
+        table.rs._p_mask_cache = cache
+    if J not in cache:
+        coset = [min_coset_rep(x, J)[0] for x in table.elements]
+
+        def changing(covers: list[list[int]]) -> list[list[int]]:
+            return [[j for j in js if coset[j] != coset[k]] for k, js in enumerate(covers)]
+
+        cache[J] = closure(changing(table.covers_down), changing(table.covers_up))
+    return cache[J]
 
 
-def p_bruhat_leq(v: WeylElement, w: WeylElement, J: Iterable[int], cap: int = 60000) -> bool:
-    rs = v.rs
-    js = _norm_j(rs, J)
-    down, _ = _p_masks(rs, js, cap)
-    table = get_table(rs)
+def p_bruhat_leq(v: WeylElement, w: WeylElement, J: Iterable[int]) -> bool:
+    js = _norm_j(v.rs, J)
+    table = require_table(v.rs)
+    down, _ = _p_masks(table, js)
     return bool(down[table.idx(w)] >> table.idx(v) & 1)
 
 
@@ -148,8 +131,8 @@ def verify_p_interval(pair: GcrPair, J: Iterable[int]) -> bool:
     interval, which in turn must be the reverse power set."""
     rs = pair.w.rs
     js = _norm_j(rs, J)
-    table = get_table(rs)
-    down, up = _p_masks(rs, js, 60000)
+    table = require_table(rs)
+    down, up = _p_masks(table, js)
     iv, iw = table.idx(pair.v), table.idx(pair.w)
     p_mask = up[iv] & down[iw]
     b_mask = table.up[iv] & table.down[iw]

@@ -29,7 +29,7 @@ from .polyalg import (
     parse_polynomial,
 )
 from .rootsys import build_root_system
-from .weyl import _mat_mul, identity, perm_from_string, perm_string, reduced_word
+from .weyl import identity, perm_from_string, perm_string, reduced_word
 
 __all__ = [
     "Chart",
@@ -48,24 +48,16 @@ __all__ = [
 ]
 
 
-def _embedded_s(n1: int, i: int) -> tuple:
-    m = [[1 if a == b else 0 for b in range(n1)] for a in range(n1)]
-    m[i - 1][i - 1] = 0
-    m[i][i] = 0
-    m[i - 1][i] = 1
-    m[i][i - 1] = -1
-    return tuple(tuple(r) for r in m)
-
-
 @dataclass(frozen=True)
 class Chart:
     """Affine chart v.U_-B+/B+ with row-major coordinates x_ij, i > j."""
 
     n: int
     v_oneline: str
-    v_word: tuple[int, ...]
     ring: PolyRing
-    representative: tuple  # integer matrix for the chosen lift of v
+    # the chosen lift of v, a signed permutation matrix: column b is
+    # sign * e_row, stored as representative[b] = (row, sign), 0-based rows
+    representative: tuple[tuple[int, int], ...]
 
     @property
     def size(self) -> int:
@@ -83,17 +75,14 @@ def build_chart(n: int, v: Optional[str] = None) -> Chart:
         w = identity(rs)
     else:
         w = perm_from_string(rs, v)
-    word = reduced_word(w)
-    rep = tuple(tuple(1 if a == b else 0 for b in range(n + 1)) for a in range(n + 1))
-    for i in word:
-        rep = _mat_mul(rep, _embedded_s(n + 1, i))
+    # right-multiply by the lift of s_i for each letter of a reduced word:
+    # column i-1 becomes minus column i, column i becomes column i-1
+    rep = [(b, 1) for b in range(n + 1)]
+    for i in reduced_word(w):
+        rep[i - 1], rep[i] = (rep[i][0], -rep[i][1]), rep[i - 1]
     names = tuple(f"x{i}{j}" for i in range(2, n + 2) for j in range(1, i))
     ring = PolyRing(names)
-    return Chart(n, perm_string(w), word, ring, rep)
-
-
-def _var_index(chart: Chart, i: int, j: int) -> int:
-    return chart.ring.variables.index(f"x{i}{j}")
+    return Chart(n, perm_string(w), ring, tuple(rep))
 
 
 def _poly_matrix_u(chart: Chart) -> list[list[Polynomial]]:
@@ -148,10 +137,8 @@ def _u_inverse(chart: Chart, u) -> list[list[Polynomial]]:
 def _conjugate(chart: Chart, X: Sequence[Sequence]) -> list[list]:
     """rep^T X rep for the chart's signed permutation representative: entry
     (a, b) is X[p(a)][p(b)] times the signs of columns a and b of rep, where
-    p(b) is the row of the one nonzero entry in column b."""
-    m = chart.size
-    rep = chart.representative
-    col = [next((c, rep[c][b]) for c in range(m) if rep[c][b]) for b in range(m)]
+    (p(b), sign) is column b."""
+    col = chart.representative
     return [[sa * sb * X[pa][pb] for pb, sb in col] for pa, sa in col]
 
 

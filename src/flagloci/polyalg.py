@@ -6,8 +6,9 @@ Everything is deterministic: fixed variable order, graded reverse
 lexicographic comparisons by default, normal pair selection, and reduced
 monic output sorted by leading monomial.
 
-`buchberger` caches the leading monomial of each basis member and keeps
-the pending S-pairs in a heap keyed by (degree of the lcm of the leads,
+A polynomial computes its leading term once, on first use, and keeps it
+(nothing mutates ``terms`` after construction).  `buchberger` keeps the
+pending S-pairs in a heap keyed by (degree of the lcm of the leads,
 pair).  The keys are unique, so the pairs come out in the same order as a
 scan for the smallest key would pick them: the heap changes the cost of
 the selection, not the basis sequence or the reduced output."""
@@ -85,11 +86,12 @@ class PolyRing:
 class Polynomial:
     """Exact polynomial: map from exponent vector to nonzero Fraction."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
+        self._lead: Optional[tuple[Expo, Fraction]] = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -139,17 +141,16 @@ class Polynomial:
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def leading(self) -> tuple[Expo, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=self.ring.key)
-        return e, self.terms[e]
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            e = max(self.terms, key=self.ring.key)
+            self._lead = (e, self.terms[e])
+        return self._lead
 
     def monic(self) -> "Polynomial":
         _, c = self.leading()
         return self.scale(Fraction(1) / c)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -333,10 +334,12 @@ def buchberger(
     basis = [g for g in ideal.generators if not g.is_zero()]
     if not basis:
         return GroebnerBasis(ring, ())
-    leads = [g.leading()[0] for g in basis]
+
+    def lead(k: int) -> Expo:
+        return basis[k].leading()[0]
 
     def entry(i: int, j: int) -> tuple:
-        return sum(_expo_lcm(leads[i], leads[j])), (i, j)
+        return sum(_expo_lcm(lead(i), lead(j))), (i, j)
 
     pairs = [entry(i, j) for i in range(len(basis)) for j in range(i)]
     heapq.heapify(pairs)
@@ -347,13 +350,13 @@ def buchberger(
             raise PolyTimeout("basis computation exceeded the deadline")
         _, (i, j) = heapq.heappop(pairs)
         done.add((i, j))
-        li, lj = leads[i], leads[j]
+        li, lj = lead(i), lead(j)
         l = _expo_lcm(li, lj)
         if l == tuple(a + b for a, b in zip(li, lj)):
             continue  # coprime leading monomials
         chain = False
-        for k, lk in enumerate(leads):
-            if k in (i, j) or not _divides(lk, l):
+        for k in range(len(basis)):
+            if k in (i, j) or not _divides(lead(k), l):
                 continue
             p1 = (max(i, k), min(i, k))
             p2 = (max(j, k), min(j, k))
@@ -367,14 +370,13 @@ def buchberger(
             continue
         k = len(basis)
         basis.append(r)
-        leads.append(r.leading()[0])
         for t in range(k):
             heapq.heappush(pairs, entry(k, t))
     # minimalize: drop members whose lead is divisible by another lead
     keep: list[Polynomial] = []
     for i, g in enumerate(basis):
         if any(
-            j != i and _divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
+            j != i and _divides(lead(j), lead(i)) and (lead(j) != lead(i) or j < i)
             for j in range(len(basis))
         ):
             continue

@@ -3,14 +3,19 @@
 An element is the n x n integer matrix whose columns are the images of the
 simple roots.  Matrix equality is element equality, so no word-problem
 normalization is ever needed.  Lengths, inversion sets, descents, reduced
-words, reflection length and capped breadth-first enumeration all run on
-exact integer/rational arithmetic.
+words, eigenspace dimensions (hence reflection length) and capped
+breadth-first enumeration all run on exact integer/rational arithmetic.
+
+The matrix is private to this module: other modules see only the
+functions below, and they key dicts and sets on the elements themselves
+(an element hashes its matrix once and compares by it).  Changing the
+representation touches this file only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .rootsys import RootSystem, pairing, weyl_order
 
@@ -33,6 +38,8 @@ __all__ = [
     "longest_element",
     "enumerate_group",
     "kernel_dim",
+    "eigenspace_dim",
+    "is_type_a",
     "perm_to_element",
     "element_to_perm",
     "perm_string",
@@ -140,6 +147,25 @@ def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
     return a * b
 
 
+def _row_reduce(rows: list[list[Fraction]], n: int) -> int:
+    """Gauss-Jordan elimination, in place, on the first n columns of the n
+    rows (which may carry further columns along); returns the rank."""
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv_p = 1 / rows[rank][col]
+        rows[rank] = [x * inv_p for x in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def inverse(a: WeylElement) -> WeylElement:
     if a._inv is None:
         n = len(a.matrix)
@@ -148,15 +174,7 @@ def inverse(a: WeylElement) -> WeylElement:
             + [Fraction(int(i == j)) for j in range(n)]
             for i in range(n)
         ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = 1 / aug[col][col]
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        _row_reduce(aug, n)  # [M | I] -> [I | M^-1]
         rows = tuple(tuple(int(aug[i][n + j]) for j in range(n)) for i in range(n))
         a._inv = WeylElement(a.rs, rows)
         a._inv._inv = a
@@ -187,10 +205,17 @@ def inversion_set(w: WeylElement) -> frozenset:
     return frozenset(out)
 
 
+def _scan_simple_images(w: WeylElement, negative: bool = True) -> Iterator[int]:
+    """1-based indices i, ascending, for which w sends a_i to a negative
+    root (``negative=False``: to a positive one).  Lazy, so ``next`` stops
+    at the first hit."""
+    for i, col in enumerate(zip(*w.matrix), 1):
+        if _is_negative(col) == negative:
+            yield i
+
+
 def right_descents(w: WeylElement) -> list[int]:
-    n = w.rs.rank
-    cols = tuple(zip(*w.matrix))
-    return [i + 1 for i in range(n) if _is_negative(cols[i])]
+    return list(_scan_simple_images(w))
 
 
 def left_descents(w: WeylElement) -> list[int]:
@@ -198,12 +223,7 @@ def left_descents(w: WeylElement) -> list[int]:
 
 
 def smallest_left_descent(w: WeylElement) -> Optional[int]:
-    inv = inverse(w)
-    cols = tuple(zip(*inv.matrix))
-    for i in range(w.rs.rank):
-        if _is_negative(cols[i]):
-            return i + 1
-    return None
+    return next(_scan_simple_images(inverse(w)), None)
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
@@ -211,12 +231,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     if w._rword is None:
         word = []
         u = inverse(w)  # strip right descents of w^{-1} = left descents of w
-        n = w.rs.rank
-        while True:
-            cols = tuple(zip(*u.matrix))
-            i = next((k + 1 for k in range(n) if _is_negative(cols[k])), None)
-            if i is None:
-                break
+        while (i := next(_scan_simple_images(u), None)) is not None:
             word.append(i)
             u = u * simple_reflection(w.rs, i)
         if not u.is_identity():
@@ -261,33 +276,19 @@ def roots_of_word(rs: RootSystem, word: Sequence[int]) -> list[tuple]:
 def kernel_dim(matrix: Sequence[Sequence]) -> int:
     """Exact nullity of a square matrix over the rationals."""
     n = len(matrix)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    rank = 0
-    col = 0
-    while rank < n and col < n:
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_p = 1 / rows[rank][col]
-        rows[rank] = [x * inv_p for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return n - rank
+    return n - _row_reduce([[Fraction(x) for x in row] for row in matrix], n)
+
+
+def eigenspace_dim(w: WeylElement, sign: int) -> int:
+    """dim Ker(w - sign): the fixed space of w for sign 1, its (-1)-eigenspace
+    for sign -1."""
+    n = w.rs.rank
+    return kernel_dim([[w.matrix[i][j] - sign * (i == j) for j in range(n)] for i in range(n)])
 
 
 def reflection_length(w: WeylElement) -> int:
     """Minimal number of reflections multiplying to w: n - dim Ker(w - 1)."""
-    n = w.rs.rank
-    shifted = [
-        [w.matrix[i][j] - int(i == j) for j in range(n)] for i in range(n)
-    ]
-    return n - kernel_dim(shifted)
+    return w.rs.rank - eigenspace_dim(w, 1)
 
 
 def is_involution(w: WeylElement) -> bool:
@@ -298,13 +299,9 @@ def longest_element(rs: RootSystem) -> WeylElement:
     """Greedy ascent: right-multiply by the smallest non-descent until all
     simple roots map to negatives."""
     w = identity(rs)
-    n = rs.rank
-    while True:
-        cols = tuple(zip(*w.matrix))
-        i = next((k + 1 for k in range(n) if not _is_negative(cols[k])), None)
-        if i is None:
-            return w
+    while (i := next(_scan_simple_images(w, negative=False), None)) is not None:
         w = w * simple_reflection(rs, i)
+    return w
 
 
 def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
@@ -342,11 +339,17 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
 # One-line notation for type A_n (permutations of 1..n+1).
 
 
+def is_type_a(rs: RootSystem) -> bool:
+    """Whether rs is a single type-A component, the systems with one-line
+    notation."""
+    comps = rs.cartan_type.components
+    return len(comps) == 1 and comps[0][0] == "A"
+
+
 def _check_type_a(rs: RootSystem) -> int:
-    t = rs.cartan_type
-    if len(t.components) != 1 or t.components[0][0] != "A":
+    if not is_type_a(rs):
         raise ValueError("one-line notation requires a single type-A component")
-    return t.components[0][1]
+    return rs.rank
 
 
 def _eps_coords(c: Sequence) -> list:

@@ -3,6 +3,7 @@ subword search itself."""
 
 import itertools
 
+from flagloci import bruhat
 from flagloci.bruhat import (
     bruhat_leq,
     covering_pairs,
@@ -161,3 +162,16 @@ def test_leq_routes_and_build_limit():
     assert got == [bruhat_leq(v, w) for v, w in pairs]
     assert [leq(v, w) for v, w in pairs] == got
     assert get_table(rs, build_limit=0) is not None
+
+
+def test_get_table_passes_build_limit_as_cap(monkeypatch):
+    caps = []
+    real = bruhat.enumerate_group
+
+    def recording(rs, cap=60000):
+        caps.append(cap)
+        return real(rs, cap)
+
+    monkeypatch.setattr(bruhat, "enumerate_group", recording)
+    assert get_table(build_root_system("A3"), build_limit=70000) is not None
+    assert caps == [70000]

@@ -1,6 +1,8 @@
 """Weyl group elements as integer matrices: lengths, words, codecs."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from flagloci.rootsys import build_root_system
 from flagloci.weyl import (
     GroupTooLargeError,
     all_reduced_words,
+    eigenspace_dim,
     element_to_perm,
     enumerate_group,
     from_word,
@@ -137,6 +140,17 @@ def test_kernel_dim():
     assert kernel_dim(((1, 0), (0, 1))) == 0
     assert kernel_dim(((0, 0), (0, 0))) == 2
     assert kernel_dim(((1, 1), (1, 1))) == 1
+    # eigenspace_dim against the explicitly shifted matrix, both signs
+    for t in ("A3", "B3"):
+        rs = build_root_system(t)
+        n = rs.rank
+        for w in enumerate_group(rs):
+            for sign in (1, -1):
+                shifted = [
+                    [w.matrix[i][j] - (sign if i == j else 0) for j in range(n)]
+                    for i in range(n)
+                ]
+                assert eigenspace_dim(w, sign) == kernel_dim(shifted)
 
 
 def test_reflection_matrices_are_involutions():
@@ -177,3 +191,26 @@ def test_simple_reflection_as_transposition():
     rs = build_root_system("A3")
     assert element_to_perm(simple_reflection(rs, 1)) == (2, 1, 3, 4)
     assert element_to_perm(simple_reflection(rs, 3)) == (1, 2, 4, 3)
+
+
+def test_matrix_is_private_to_weyl():
+    # only weyl.py may read an element's matrix or import weyl's private names
+    src = Path(__file__).resolve().parents[1] / "src" / "flagloci"
+    offences = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "weyl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "matrix":
+                offences.append(f"{path.name}:{node.lineno} reads .matrix")
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 1
+                and node.module == "weyl"
+            ):
+                offences += [
+                    f"{path.name}:{node.lineno} imports weyl.{a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    assert offences == []
