@@ -146,10 +146,9 @@ class BruhatTable:
 
 
 def get_table(rs: RootSystem, build_limit: int = _TABLE_BUILD_LIMIT) -> Optional[BruhatTable]:
-    table = getattr(rs, "_bruhat_table", None)
+    table = rs.cache.get("bruhat_table")
     if table is None and weyl_order(rs.cartan_type) <= build_limit:
-        table = BruhatTable(rs, cap=build_limit)
-        rs._bruhat_table = table
+        table = rs.cache["bruhat_table"] = BruhatTable(rs, cap=build_limit)
     return table
 
 

@@ -7,6 +7,7 @@ E-sets partition the positive roots, |E| = 2 h-dual - 3)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .rootsys import (
@@ -89,8 +90,12 @@ class CascadeNode:
 @dataclass(frozen=True)
 class Cascade:
     rs: RootSystem
-    roots: tuple[tuple, ...]  # preorder
     forest: tuple[CascadeNode, ...]
+
+    @cached_property
+    def roots(self) -> tuple[tuple, ...]:
+        """The roots gamma of the nodes, in preorder."""
+        return tuple(node.gamma for node in iter_nodes(self))
 
 
 def _e_set(rs: RootSystem, gamma: tuple) -> tuple[tuple, ...]:
@@ -127,17 +132,7 @@ def _build_node(rs: RootSystem, gamma: tuple) -> CascadeNode:
 
 
 def build_cascade(rs: RootSystem) -> Cascade:
-    forest = tuple(_build_node(rs, th) for th in highest_roots(rs))
-    roots: list[tuple] = []
-
-    def walk(node: CascadeNode):
-        roots.append(node.gamma)
-        for c in node.children:
-            walk(c)
-
-    for node in forest:
-        walk(node)
-    return Cascade(rs, tuple(roots), forest)
+    return Cascade(rs, tuple(_build_node(rs, th) for th in highest_roots(rs)))
 
 
 def iter_nodes(c: Cascade) -> list[CascadeNode]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cascade import build_cascade, iter_nodes
-from .gcr import is_gcr_cond3
+from .gcr import enumerate_gcr, is_gcr_cond3
 from .rootsys import (
     RootSystem,
     build_root_system,
@@ -257,8 +257,6 @@ def build_top_pair(rs: RootSystem) -> TopPair:
     if not is_gcr_cond3(v, w):
         raise ConstructError("(v, w0 v) fails the eigenvalue membership test")
     if weyl_order(rs.cartan_type) <= _ENUM_CROSSCHECK_LIMIT:
-        from .gcr import enumerate_gcr
-
         poset = enumerate_gcr(rs)
         top = max(p.d for p in poset.maximal_pairs())
         if d != top:

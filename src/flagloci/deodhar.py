@@ -189,8 +189,7 @@ def r_polynomial_deodhar(v: WeylElement, w: WeylElement) -> LaurentFreePolynomia
 def r_polynomial_recurrence(v: WeylElement, w: WeylElement) -> LaurentFreePolynomial:
     """Independent route: descent recurrence with memoization."""
     rs = w.rs
-    memo: dict = getattr(rs, "_rpoly_memo", None) or {}
-    rs._rpoly_memo = memo
+    memo: dict = rs.cache.setdefault("rpoly", {})
 
     def rec(a: WeylElement, b: WeylElement) -> LaurentFreePolynomial:
         if a == b:

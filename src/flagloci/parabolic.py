@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bruhat import BruhatTable, closure, require_table
-from .gcr import GcrPair, sub_pairs, verify_powerset_interval
+from .gcr import GcrPair, enumerate_gcr, sub_pairs, verify_powerset_interval
 from .rootsys import RootSystem
 from .weyl import (
     WeylElement,
@@ -78,10 +78,7 @@ def levi_contains(rs: RootSystem, root: Sequence, J: Iterable[int]) -> bool:
 def _p_masks(table: BruhatTable, J: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Down-set and up-set bitmasks of the parabolic order (reflexive
     transitive closure of Bruhat covers that change J-coset)."""
-    cache = getattr(table.rs, "_p_mask_cache", None)
-    if cache is None:
-        cache = {}
-        table.rs._p_mask_cache = cache
+    cache = table.rs.cache.setdefault("p_masks", {})
     if J not in cache:
         coset = [min_coset_rep(x, J)[0] for x in table.elements]
 
@@ -119,8 +116,6 @@ def canonicalize_pair(v: WeylElement, w: WeylElement, J: Iterable[int]) -> PairC
 
 def gcr_p(rs: RootSystem, J: Iterable[int], cap: int = 60000) -> list[GcrPair]:
     """Witnessed pairs whose upper element is a minimal coset representative."""
-    from .gcr import enumerate_gcr
-
     js = _norm_j(rs, J)
     poset = enumerate_gcr(rs, cap)
     return [p for p in poset.pairs if is_min_rep(p.w, js)]

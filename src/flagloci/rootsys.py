@@ -164,7 +164,8 @@ def weyl_order(t: CartanType) -> int:
 
 
 class RootSystem:
-    """Immutable root system: Cartan data plus the enumerated set of roots."""
+    """Root system: Cartan data plus the enumerated roots, immutable apart
+    from ``cache``."""
 
     def __init__(self, cartan_type: CartanType):
         self.cartan_type = cartan_type
@@ -192,9 +193,15 @@ class RootSystem:
                     raise ValueError("symmetrizers do not symmetrize the Cartan matrix")
         self.form = tuple(tuple(row) for row in form)
         self.positive_roots = self._enumerate_positive()
-        self._pos_set = frozenset(self.positive_roots)
-        self._neg_set = frozenset(tuple(-c for c in b) for b in self.positive_roots)
-        self.root_index = {b: k for k, b in enumerate(self.positive_roots)}
+        # all 2N roots, positives first: root k + N is -(root k)
+        self.roots = self.positive_roots + tuple(
+            tuple(-c for c in b) for b in self.positive_roots
+        )
+        self.root_index = {b: k for k, b in enumerate(self.roots)}
+        # memo for tables derived from the root system (Bruhat table,
+        # parabolic masks, R-polynomials, reflection permutations), one
+        # entry per name, living as long as the root system
+        self.cache: dict = {}
         expected = sum(
             _POSITIVE_COUNT[letter](r) for letter, r in cartan_type.components
         )
@@ -289,12 +296,12 @@ def reflect(rs: RootSystem, b: Coords, x: Sequence) -> tuple:
 
 
 def is_root(rs: RootSystem, v: Sequence) -> bool:
-    t = tuple(v)
-    return t in rs._pos_set or t in rs._neg_set
+    return tuple(v) in rs.root_index
 
 
 def is_positive_root(rs: RootSystem, v: Sequence) -> bool:
-    return tuple(v) in rs._pos_set
+    k = rs.root_index.get(tuple(v))
+    return k is not None and k < len(rs.positive_roots)
 
 
 def add_roots(rs: RootSystem, b: Coords, g: Coords) -> Optional[Coords]:

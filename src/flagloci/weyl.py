@@ -1,14 +1,20 @@
-"""Exact Weyl group elements as integer matrices on root-lattice coordinates.
+"""Exact Weyl group elements as permutations of the roots.
 
-An element is the n x n integer matrix whose columns are the images of the
-simple roots.  Matrix equality is element equality, so no word-problem
-normalization is ever needed.  Lengths, inversion sets, descents, reduced
-words, eigenspace dimensions (hence reflection length) and capped
-breadth-first enumeration all run on exact integer/rational arithmetic.
+The 2N roots are numbered as in ``RootSystem.roots`` (positives first, so
+root k + N is -(root k)), and an element is the tuple ``perm`` with
+``perm[k]`` the index of its image of root k (Bjorner-Brenti, *Combinatorics
+of Coxeter Groups*, ch. 4).  Permutation equality is element equality, so no
+word-problem normalization is ever needed; products, inverses, lengths,
+inversion sets and descents are index lookups.
 
-The matrix is private to this module: other modules see only the
+The integer matrix whose columns are the images of the simple roots is a
+derived view, built and cached where behaviour depends on it: the ordering
+``sort_key`` (length, then matrix), eigenspace dimensions (hence reflection
+length) and the action on a vector that is not a root.
+
+The representation is private to this module: other modules see only the
 functions below, and they key dicts and sets on the elements themselves
-(an element hashes its matrix once and compares by it).  Changing the
+(an element hashes its permutation once and compares by it).  Changing the
 representation touches this file only.
 """
 
@@ -17,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .rootsys import RootSystem, pairing, weyl_order
+from .rootsys import RootSystem, is_positive_root, is_root, weyl_order
 
 __all__ = [
     "WeylElement",
@@ -46,6 +52,7 @@ __all__ = [
 ]
 
 Matrix = tuple  # tuple of row tuples, ints
+Perm = tuple  # perm[k] = index of the image of root k
 
 
 class GroupTooLargeError(RuntimeError):
@@ -55,16 +62,32 @@ class GroupTooLargeError(RuntimeError):
         self.cap = cap
 
 
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def _reflection_perm(rs: RootSystem, b: tuple) -> Perm:
+    """r -> r - 2(r, b)/(b, b) b on the root indices, for a root b; built
+    once per root and kept in the root system's cache."""
+    perms = rs.cache.setdefault("reflections", {})
+    perm = perms.get(b)
+    if perm is None:
+        fb = [sum(f * c for f, c in zip(row, b)) for row in rs.form]  # (e_i, b)
+        bb = sum(c * f for c, f in zip(b, fb))
+        images = []
+        for r in rs.roots:
+            k = 2 * sum(c * f for c, f in zip(r, fb)) // bb  # exact for roots
+            images.append(rs.root_index[tuple(c - k * x for c, x in zip(r, b))])
+        perm = perms[b] = tuple(images)
+    return perm
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(row[k] * col[k] for k in range(n)) for col in bt) for row in a
-    )
+def _simple(rs: RootSystem) -> tuple[tuple[Perm, ...], tuple[int, ...]]:
+    """The permutations of s_1..s_n and the root indices of a_1..a_n."""
+    got = rs.cache.get("simple_reflections")
+    if got is None:
+        simple = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
+        got = rs.cache["simple_reflections"] = (
+            tuple(_reflection_perm(rs, a) for a in simple),
+            tuple(rs.root_index[a] for a in simple),
+        )
+    return got
 
 
 def _mat_vec(m: Matrix, v: Sequence) -> tuple:
@@ -73,18 +96,18 @@ def _mat_vec(m: Matrix, v: Sequence) -> tuple:
 
 
 class WeylElement:
-    __slots__ = ("rs", "matrix", "_hash", "_len", "_inv", "_rword")
+    __slots__ = ("rs", "perm", "_hash", "_len", "_rword", "_matrix")
 
-    def __init__(self, rs: RootSystem, matrix: Matrix):
+    def __init__(self, rs: RootSystem, perm: Perm):
         self.rs = rs
-        self.matrix = matrix
-        self._hash = hash(matrix)
+        self.perm = perm
+        self._hash = hash(perm)
         self._len: Optional[int] = None
-        self._inv: Optional["WeylElement"] = None
         self._rword: Optional[tuple[int, ...]] = None
+        self._matrix: Optional[Matrix] = None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and self.perm == other.perm
 
     def __hash__(self) -> int:
         return self._hash
@@ -92,13 +115,27 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise ValueError("elements of different groups")
-        return WeylElement(self.rs, _mat_mul(self.matrix, other.matrix))
+        a = self.perm
+        return WeylElement(self.rs, tuple([a[k] for k in other.perm]))
+
+    @property
+    def matrix(self) -> Matrix:
+        """Rows of the matrix whose column j is the image of a_{j+1}."""
+        if self._matrix is None:
+            roots = self.rs.roots
+            _, simple_index = _simple(self.rs)
+            cols = [roots[self.perm[k]] for k in simple_index]
+            self._matrix = tuple(zip(*cols))
+        return self._matrix
 
     def act(self, v: Sequence) -> tuple:
-        return _mat_vec(self.matrix, v)
+        k = self.rs.root_index.get(tuple(v))
+        if k is None:
+            return _mat_vec(self.matrix, v)
+        return self.rs.roots[self.perm[k]]
 
     def is_identity(self) -> bool:
-        return self.matrix == _identity_matrix(self.rs.rank)
+        return length(self) == 0
 
     def sort_key(self):
         return (length(self), self.matrix)
@@ -109,108 +146,63 @@ class WeylElement:
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, _identity_matrix(rs.rank))
+    return WeylElement(rs, tuple(range(len(rs.roots))))
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    """s_i for a 1-based simple index: row i gets delta_ij - c_ij."""
+    """s_i for a 1-based simple index: it changes only coordinate i of a
+    root, b_i -> b_i - sum_j c_ij b_j."""
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple index {i} out of range")
-    n = rs.rank
-    k = i - 1
-    rows = []
-    for r in range(n):
-        if r != k:
-            rows.append(tuple(int(r == j) for j in range(n)))
-        else:
-            rows.append(tuple(int(k == j) - rs.cartan[k][j] for j in range(n)))
-    return WeylElement(rs, tuple(rows))
+    perms, _ = _simple(rs)
+    return WeylElement(rs, perms[i - 1])
 
 
 def reflection(rs: RootSystem, b: Sequence) -> WeylElement:
-    """The reflection s_b through an arbitrary root b."""
-    nb = pairing(rs, b, b)
-    n = rs.rank
-    cols = []
-    for j in range(n):
-        e = tuple(int(j == k) for k in range(n))
-        coeff = Fraction(2 * pairing(rs, e, b), nb)
-        col = [e[k] - coeff * b[k] for k in range(n)]
-        if any(Fraction(c).denominator != 1 for c in col):
-            raise ValueError(f"{tuple(b)} does not give an integral reflection")
-        cols.append([int(c) for c in col])
-    rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return WeylElement(rs, rows)
+    """The reflection s_b through a root b; ValueError for a non-root."""
+    b = tuple(b)
+    if not is_root(rs, b):
+        raise ValueError(f"{b} is not a root")
+    return WeylElement(rs, _reflection_perm(rs, b))
 
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
     return a * b
 
 
-def _row_reduce(rows: list[list[Fraction]], n: int) -> int:
-    """Gauss-Jordan elimination, in place, on the first n columns of the n
-    rows (which may carry further columns along); returns the rank."""
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_p = 1 / rows[rank][col]
-        rows[rank] = [x * inv_p for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def inverse(a: WeylElement) -> WeylElement:
-    if a._inv is None:
-        n = len(a.matrix)
-        aug = [
-            [Fraction(a.matrix[i][j]) for j in range(n)]
-            + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)
-        ]
-        _row_reduce(aug, n)  # [M | I] -> [I | M^-1]
-        rows = tuple(tuple(int(aug[i][n + j]) for j in range(n)) for i in range(n))
-        a._inv = WeylElement(a.rs, rows)
-        a._inv._inv = a
-    return a._inv
+    inv = [0] * len(a.perm)
+    for k, j in enumerate(a.perm):
+        inv[j] = k
+    return WeylElement(a.rs, tuple(inv))
 
 
 def act(a: WeylElement, v: Sequence) -> tuple:
     return a.act(v)
 
 
-def _is_negative(v: Sequence) -> bool:
-    return all(c <= 0 for c in v)
-
-
 def length(w: WeylElement) -> int:
+    """The number of positive roots that w sends to negative ones."""
     if w._len is None:
-        w._len = sum(1 for b in w.rs.positive_roots if _is_negative(w.act(b)))
+        n_pos = len(w.perm) // 2
+        w._len = sum(1 for j in w.perm[:n_pos] if j >= n_pos)
     return w._len
 
 
 def inversion_set(w: WeylElement) -> frozenset:
     """The set of positive roots sent negative by w^{-1}."""
-    out = []
-    for b in w.rs.positive_roots:
-        img = w.act(b)
-        if _is_negative(img):
-            out.append(tuple(-c for c in img))
-    return frozenset(out)
+    n_pos = len(w.perm) // 2
+    return frozenset(w.rs.roots[j - n_pos] for j in w.perm[:n_pos] if j >= n_pos)
 
 
 def _scan_simple_images(w: WeylElement, negative: bool = True) -> Iterator[int]:
     """1-based indices i, ascending, for which w sends a_i to a negative
     root (``negative=False``: to a positive one).  Lazy, so ``next`` stops
     at the first hit."""
-    for i, col in enumerate(zip(*w.matrix), 1):
-        if _is_negative(col) == negative:
+    n_pos = len(w.perm) // 2
+    _, simple_index = _simple(w.rs)
+    for i, k in enumerate(simple_index, 1):
+        if (w.perm[k] >= n_pos) == negative:
             yield i
 
 
@@ -262,28 +254,45 @@ def is_reduced(rs: RootSystem, word: Sequence[int]) -> bool:
 
 
 def roots_of_word(rs: RootSystem, word: Sequence[int]) -> list[tuple]:
-    """The roots b_k = (s_{i_1}...s_{i_{k-1}})(a_{i_k}) of a reduced word."""
-    if not is_reduced(rs, word):
-        raise ValueError(f"word {tuple(word)} is not reduced")
+    """The roots b_k = (s_{i_1}...s_{i_{k-1}})(a_{i_k}) of a reduced word;
+    the word is reduced iff every b_k is positive."""
     out = []
     prefix = identity(rs)
     for i in word:
-        out.append(prefix.act(rs.simple_root(i)))
-        prefix = prefix * simple_reflection(rs, i)
+        s = simple_reflection(rs, i)
+        b = prefix.act(rs.simple_root(i))
+        if not is_positive_root(rs, b):
+            raise ValueError(f"word {tuple(word)} is not reduced")
+        out.append(b)
+        prefix = prefix * s
     return out
 
 
 def kernel_dim(matrix: Sequence[Sequence]) -> int:
-    """Exact nullity of a square matrix over the rationals."""
-    n = len(matrix)
-    return n - _row_reduce([[Fraction(x) for x in row] for row in matrix], n)
+    """Exact nullity of a square matrix over the rationals (Gaussian
+    elimination on Fractions)."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n = len(rows)
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, n):
+            f = rows[r][col] / top[col]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+        rank += 1
+    return n - rank
 
 
 def eigenspace_dim(w: WeylElement, sign: int) -> int:
     """dim Ker(w - sign): the fixed space of w for sign 1, its (-1)-eigenspace
     for sign -1."""
-    n = w.rs.rank
-    return kernel_dim([[w.matrix[i][j] - sign * (i == j) for j in range(n)] for i in range(n)])
+    m = w.matrix
+    return kernel_dim([[x - sign * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)])
 
 
 def reflection_length(w: WeylElement) -> int:
@@ -310,26 +319,18 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
     if order > cap:
         raise GroupTooLargeError(order, cap)
     gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    e = identity(rs)
-    seen = {e.matrix: e}
-    layer = [e]
-    layers = [layer]
-    while layer:
-        nxt = {}
-        for w in layer:
-            for s in gens:
-                ws = w * s
-                if ws.matrix not in seen and ws.matrix not in nxt:
-                    nxt[ws.matrix] = ws
-        layer = [nxt[m] for m in sorted(nxt)]
-        seen.update(nxt)
-        if layer:
-            layers.append(layer)
+    layer = [identity(rs)]
+    seen = set(layer)
     out = []
-    for depth, lv in enumerate(layers):
-        for w in lv:
+    depth = 0
+    while layer:
+        for w in layer:
             w._len = depth  # BFS depth over simple generators is the length
-        out.extend(lv)
+        out.extend(layer)
+        nxt = {w * s for w in layer for s in gens} - seen
+        seen |= nxt
+        layer = sorted(nxt, key=lambda x: x.matrix)
+        depth += 1
     if len(out) != order:
         raise RuntimeError(f"enumerated {len(out)} elements, expected {order}")
     return out
@@ -362,19 +363,15 @@ def perm_to_element(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
     n = _check_type_a(rs)
     if sorted(perm) != list(range(1, n + 2)):
         raise ValueError(f"{perm} is not a permutation of 1..{n + 1}")
-    cols = []
-    for j in range(n):
-        a, b = perm[j], perm[j + 1]
-        col = [0] * n
-        sign = 1
-        if a > b:
-            a, b = b, a
-            sign = -1
-        for k in range(a - 1, b - 1):
-            col[k] = sign
-        cols.append(col)
-    rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return WeylElement(rs, rows)
+    # right multiplication by s_j swaps entries j and j+1, so bubble-sorting
+    # p by the swaps j_1, ..., j_m gives p = s_{j_m} ... s_{j_1}
+    p, swaps = list(perm), []
+    for _ in range(n):
+        for j in range(n):
+            if p[j] > p[j + 1]:
+                p[j], p[j + 1] = p[j + 1], p[j]
+                swaps.append(j + 1)
+    return from_word(rs, swaps[::-1])
 
 
 def element_to_perm(w: WeylElement) -> tuple[int, ...]:

@@ -1,14 +1,19 @@
-"""Weyl group elements as integer matrices: lengths, words, codecs."""
+"""Weyl group elements as root permutations: lengths, words, codecs, and
+the integer-matrix view checked against matrix arithmetic."""
 
 import ast
+import gc
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from flagloci.rootsys import build_root_system
+from flagloci.rootsys import build_root_system, is_positive_root, pairing
 from flagloci.weyl import (
     GroupTooLargeError,
+    WeylElement,
+    act,
     all_reduced_words,
     eigenspace_dim,
     element_to_perm,
@@ -83,7 +88,7 @@ def test_inversion_set_size_is_length():
     for w in enumerate_group(rs):
         inv = inversion_set(w)
         assert len(inv) == length(w)
-        assert all(r in rs._pos_set for r in inv)
+        assert all(is_positive_root(rs, r) for r in inv)
 
 
 def test_roots_of_word():
@@ -159,6 +164,8 @@ def test_reflection_matrices_are_involutions():
         r = reflection(rs, b)
         assert is_involution(r)
         assert reflection_length(r) == 1
+    with pytest.raises(ValueError):
+        reflection(rs, (2, 0))  # 2 a_1 is integral but not a root
 
 
 def test_perm_codec_round_trip():
@@ -194,15 +201,16 @@ def test_simple_reflection_as_transposition():
 
 
 def test_matrix_is_private_to_weyl():
-    # only weyl.py may read an element's matrix or import weyl's private names
+    # only weyl.py may read an element's permutation or matrix, or import
+    # weyl's private names
     src = Path(__file__).resolve().parents[1] / "src" / "flagloci"
     offences = []
     for path in sorted(src.glob("*.py")):
         if path.name == "weyl.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "matrix":
-                offences.append(f"{path.name}:{node.lineno} reads .matrix")
+            if isinstance(node, ast.Attribute) and node.attr in ("matrix", "perm"):
+                offences.append(f"{path.name}:{node.lineno} reads .{node.attr}")
             if (
                 isinstance(node, ast.ImportFrom)
                 and node.level == 1
@@ -214,3 +222,68 @@ def test_matrix_is_private_to_weyl():
                     if a.name.startswith("_")
                 ]
     assert offences == []
+
+
+def test_inverse_leaves_no_cyclic_garbage():
+    # elements hold no references to each other, so reference counting
+    # alone frees an inverted element
+    rs = build_root_system("A3")
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        w = inverse(from_word(rs, (1, 2, 3)))
+        w0 = inverse(longest_element(rs))
+        del w, w0
+        gc.collect()
+        leaked = [x for x in gc.garbage if isinstance(x, WeylElement)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _mat_vec(m, v):
+    return tuple(sum(x * c for x, c in zip(row, v)) for row in m)
+
+
+def test_permutation_core_matches_matrix_oracle():
+    # every element of A3, B3 and G2xA1 and a seeded sample of F4 pairs,
+    # against integer matrix arithmetic on the simple-root coordinates
+    rng = random.Random(6)
+    for t in ("A3", "B3", "G2xA1", "F4"):
+        rs = build_root_system(t)
+        n = rs.rank
+        els = enumerate_group(rs)
+        if t == "F4":
+            pairs = [(rng.choice(els), rng.choice(els)) for _ in range(300)]
+            singles = rng.sample(els, 300)
+        else:
+            pairs = [(a, b) for a in els for b in els]
+            singles = els
+        for a, b in pairs:
+            assert multiply(a, b).matrix == _mat_mul(a.matrix, b.matrix)
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        for w in singles:
+            assert _mat_mul(inverse(w).matrix, w.matrix) == eye
+            images = [_mat_vec(w.matrix, b) for b in rs.positive_roots]
+            assert [act(w, b) for b in rs.positive_roots] == images
+            v = tuple(range(1, n + 1))  # not a root in these types
+            assert act(w, v) == _mat_vec(w.matrix, v)
+            negative = [x for x in images if all(c <= 0 for c in x)]
+            assert length(w) == len(negative)
+            assert inversion_set(w) == {tuple(-c for c in x) for x in negative}
+            cols = list(zip(*w.matrix))
+            assert right_descents(w) == [i + 1 for i in range(n) if all(c <= 0 for c in cols[i])]
+        for b in rs.positive_roots:
+            want = []
+            for j in range(n):
+                e = tuple(int(j == k) for k in range(n))
+                coeff = Fraction(2 * pairing(rs, e, b), pairing(rs, b, b))
+                want.append([e[k] - coeff * b[k] for k in range(n)])
+            assert reflection(rs, b).matrix == tuple(zip(*want))
