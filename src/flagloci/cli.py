@@ -363,7 +363,11 @@ def cmd_poisson(args) -> Report:
             [c["v"], c["witness"] or "", c["generators"], c["timeout"]]
             for c in report["charts"]
         ]
-        return Report(payload, text, csv=(["v", "witness", "generators", "timeout"], rows))
+        # a chart that ran out of time is a budget overrun, not "no witness"
+        code = 2 if any(c["timeout"] for c in report["charts"]) else 0
+        return Report(
+            payload, text, csv=(["v", "witness", "generators", "timeout"], rows), code=code
+        )
     chart = build_chart(rs.rank, args.cell)
     pm = poisson_matrix(chart)
     if args.action == "matrix":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .bruhat import get_table, interval, leq, require_table, subwords_with_value
 from .rootsys import RootSystem, orthogonal
@@ -20,6 +20,7 @@ from .weyl import (
     WeylElement,
     eigenspace_dim,
     from_word,
+    identity,
     inverse,
     is_involution,
     length,
@@ -44,6 +45,9 @@ __all__ = [
     "verify_powerset_interval",
 ]
 
+# (host_word, removed_positions, removed_roots)
+Witness = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple, ...]]
+
 
 def is_gcr_cond3(v: WeylElement, w: WeylElement) -> bool:
     """v <= w and the (-1)-eigenspace of v w^{-1} has dim = length difference."""
@@ -65,21 +69,24 @@ def is_gcr_cond4(v: WeylElement, w: WeylElement) -> bool:
     return is_involution(x) and reflection_length(x) == d
 
 
-def is_gcr_cond6(
-    v: WeylElement, w: WeylElement
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[tuple, ...]]]:
+def is_gcr_cond6(v: WeylElement, w: WeylElement) -> Optional[Witness]:
     """Search a reduced word of w for a reduced subword equal to v whose
     removed inversion roots are pairwise orthogonal.
 
     Returns (host_word, removed_positions, removed_roots) for the
     lexicographically first removal set, or None.
     """
-    rs = w.rs
-    d = length(w) - length(v)
-    if d < 0:
+    if length(w) < length(v):
         return None
     host = reduced_word(w)
-    betas = roots_of_word(rs, host)
+    return _witness(w.rs, host, roots_of_word(w.rs, host), v)
+
+
+def _witness(
+    rs: RootSystem, host: tuple[int, ...], betas: list[tuple], v: WeylElement
+) -> Optional[Witness]:
+    """The witness of ``is_gcr_cond6`` inside the reduced word ``host`` of
+    w, whose inversion roots are ``betas``."""
 
     def filt(removed: list[int], k: int) -> bool:
         return all(orthogonal(rs, betas[k], betas[p - 1]) for p in removed)
@@ -141,7 +148,10 @@ class GcrPair:
 
 
 def make_gcr_pair(v: WeylElement, w: WeylElement) -> GcrPair:
-    witness = is_gcr_cond6(v, w)
+    return _pair(v, w, is_gcr_cond6(v, w))
+
+
+def _pair(v: WeylElement, w: WeylElement, witness: Optional[Witness]) -> GcrPair:
     if witness is None:
         raise ValueError("pair admits no orthogonal removal witness")
     host, positions, roots = witness
@@ -154,11 +164,12 @@ def pair_encloses(outer: GcrPair, inner: GcrPair) -> bool:
 
 
 class GcrPoset:
-    """All witnessed pairs of a finite group, ordered by interval enclosure."""
+    """All witnessed pairs of a finite group, ordered by interval enclosure;
+    ``pairs`` is a list of its own, in ``GcrPair.key`` order."""
 
-    def __init__(self, rs: RootSystem, pairs: list[GcrPair]):
+    def __init__(self, rs: RootSystem, pairs: Iterable[GcrPair]):
         self.rs = rs
-        self.pairs = sorted(pairs, key=lambda p: p.key())
+        self.pairs = list(pairs)
 
     def counts_by_d(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -183,8 +194,23 @@ class GcrPoset:
 
 
 def enumerate_gcr(rs: RootSystem, cap: int = 60000) -> GcrPoset:
+    """Every witnessed pair of rs, found once per root system and kept in
+    ``rs.cache["gcr_pairs"]``; each call returns a fresh poset over them."""
     table = require_table(rs, cap)
+    pairs = rs.cache.get("gcr_pairs")
+    if pairs is None:
+        pairs = rs.cache["gcr_pairs"] = _search(rs, table)
+    return GcrPoset(rs, pairs)
+
+
+def _search(rs: RootSystem, table) -> tuple[GcrPair, ...]:
+    """Test every v <= w (read from the table) within the reflection length
+    of w0: v w^{-1} must be an involution (a cheap necessary condition)
+    whose (-1)-eigenspace has dimension l(w) - l(v), as in
+    ``is_gcr_cond3``; the witness comes from one reduced word of w.
+    The pairs come back in ``GcrPair.key`` order."""
     els = table.elements
+    one = identity(rs)
     bound = reflection_length(longest_element(rs))
     by_length: dict[int, list[int]] = {}
     for k, x in enumerate(els):
@@ -193,14 +219,21 @@ def enumerate_gcr(rs: RootSystem, cap: int = 60000) -> GcrPoset:
     for kw, w in enumerate(els):
         lw = length(w)
         down = table.down[kw]
+        w_inv = inverse(w)
+        host = betas = None
         for lv in range(max(0, lw - bound), lw + 1):
             for kv in by_length.get(lv, ()):
                 if not down >> kv & 1:
                     continue
                 v = els[kv]
-                if is_gcr_cond3(v, w):
-                    pairs.append(make_gcr_pair(v, w))
-    return GcrPoset(rs, pairs)
+                x = v * w_inv
+                if x * x != one or eigenspace_dim(x, -1) != lw - lv:
+                    continue
+                if host is None:
+                    host = reduced_word(w)
+                    betas = roots_of_word(rs, host)
+                pairs.append(_pair(v, w, _witness(rs, host, betas, v)))
+    return tuple(sorted(pairs, key=lambda p: p.key()))
 
 
 def sub_pairs(

@@ -199,8 +199,8 @@ class RootSystem:
         )
         self.root_index = {b: k for k, b in enumerate(self.roots)}
         # memo for tables derived from the root system (Bruhat table,
-        # parabolic masks, R-polynomials, reflection permutations), one
-        # entry per name, living as long as the root system
+        # witnessed pairs, parabolic masks, R-polynomials, reflection
+        # permutations), one entry per name, living as long as the root system
         self.cache: dict = {}
         expected = sum(
             _POSITIVE_COUNT[letter](r) for letter, r in cartan_type.components

@@ -20,7 +20,6 @@ representation touches this file only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .rootsys import RootSystem, is_positive_root, is_root, weyl_order
@@ -269,9 +268,12 @@ def roots_of_word(rs: RootSystem, word: Sequence[int]) -> list[tuple]:
 
 
 def kernel_dim(matrix: Sequence[Sequence]) -> int:
-    """Exact nullity of a square matrix over the rationals (Gaussian
-    elimination on Fractions)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    """Exact nullity over the rationals of a square integer matrix, by
+    fraction-free Gaussian elimination: below the pivot p of ``top``,
+    row <- p * row - f * top with f the row's entry in the pivot column.
+    Scaling a row by the nonzero p keeps the rank over Q, and no division
+    is made, so the entries stay integers."""
+    rows = [list(row) for row in matrix]
     n = len(rows)
     rank = 0
     for col in range(n):
@@ -280,10 +282,11 @@ def kernel_dim(matrix: Sequence[Sequence]) -> int:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         top = rows[rank]
+        p = top[col]
         for r in range(rank + 1, n):
-            f = rows[r][col] / top[col]
+            f = rows[r][col]
             if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+                rows[r] = [p * x - f * y for x, y in zip(rows[r], top)]
         rank += 1
     return n - rank
 

@@ -2,6 +2,7 @@
 
 import json
 
+from flagloci import cli
 from flagloci.cli import main
 
 
@@ -160,6 +161,24 @@ def test_poisson_scan(capsys):
     assert code == 0
     assert data["witness_charts"] == ["123", "321"]
     assert len(data["charts"]) == 6
+
+
+def test_poisson_scan_timeout_exits_2(capsys, monkeypatch):
+    def fake_scan(n, timeout_secs, workers):
+        charts = [
+            {"v": "123", "witness": "x31", "generators": 3, "timeout": False},
+            {"v": "132", "witness": None, "generators": 0, "timeout": True},
+        ]
+        return {"n": n, "charts": charts, "witness_charts": ["123"]}
+
+    monkeypatch.setattr(cli, "scan_cells", fake_scan)
+    code, out = run(capsys, "poisson", "scan", "A2")
+    assert code == 2
+    assert out.splitlines() == [
+        "scan A2: witnesses on 1 charts",
+        "  123: witness=x31 generators=3",
+        "  132: witness=None generators=0 TIMEOUT",
+    ]
 
 
 def test_poisson_rejects_non_type_a(capsys):

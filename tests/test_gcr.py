@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from flagloci.bruhat import get_table
 from flagloci.gcr import (
     enumerate_gcr,
     is_gcr_cond3,
@@ -20,10 +21,12 @@ from flagloci.rootsys import build_root_system, orthogonal
 from flagloci.weyl import (
     enumerate_group,
     length,
+    longest_element,
     multiply,
     perm_from_string,
     perm_string,
     reflection,
+    reflection_length,
 )
 
 S4_D2_PAIRS = {
@@ -76,6 +79,33 @@ def test_characterizations_agree():
                 c4 = is_gcr_cond4(v, w)
                 c6 = is_gcr_cond6(v, w) is not None
                 assert c3 == c4 == c6
+
+
+def test_enumeration_matches_characterizations():
+    # every candidate the enumeration considers: v <= w with a gap of at
+    # most the reflection length of w0
+    for t in ("A3", "B3", "C3", "G2xA1", "A2xA2"):
+        rs = build_root_system(t)
+        found = {(p.v, p.w): p for p in enumerate_gcr(rs).pairs}
+        table = get_table(rs)
+        bound = reflection_length(longest_element(rs))
+        candidates = 0
+        for w in table.elements:
+            for v in table.elements:
+                if not table.leq(v, w) or length(w) - length(v) > bound:
+                    continue
+                candidates += 1
+                c6 = is_gcr_cond6(v, w)
+                assert (
+                    ((v, w) in found)
+                    == is_gcr_cond3(v, w)
+                    == is_gcr_cond4(v, w)
+                    == (c6 is not None)
+                ), (t, v, w)
+                if c6 is not None:
+                    p = found[v, w]
+                    assert (p.host_word, p.removed_positions, p.removed_roots) == c6
+        assert candidates > len(found)
 
 
 def test_incomparable_pair_rejected():

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from flagloci import gcr
 from flagloci.bruhat import covering_pairs
 from flagloci.parabolic import (
     canonicalize_pair,
@@ -164,3 +165,26 @@ def test_gcr_p_counts_a3():
         for K in all_subsets(rs.rank):
             if set(J) <= set(K):
                 assert counts[K] <= counts[J]
+
+
+def test_gcr_p_reuses_the_enumeration(monkeypatch):
+    calls = []
+    real = gcr._witness
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gcr, "_witness", recording)
+    rs = build_root_system("B3")
+    poset = gcr.enumerate_gcr(rs)
+    assert len(calls) == len(poset.pairs)  # one witness search per pair
+    fresh = gcr.enumerate_gcr(build_root_system("B3")).pairs
+    calls.clear()
+    for J in all_subsets(rs.rank):
+        assert gcr_p(rs, J) == [p for p in fresh if is_min_rep(p.w, J)]
+    assert calls == []
+    # the returned list is the caller's own: the cached pairs stay
+    poset.pairs.clear()
+    assert gcr.enumerate_gcr(rs).pairs == fresh
+    assert calls == []

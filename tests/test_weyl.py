@@ -158,6 +158,45 @@ def test_kernel_dim():
                 assert eigenspace_dim(w, sign) == kernel_dim(shifted)
 
 
+def _fraction_nullity(matrix):
+    """Gauss-Jordan on Fractions: the oracle for the fraction-free route."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n = len(rows)
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for r in range(n):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / top[col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+        rank += 1
+    return n - rank
+
+
+def test_kernel_dim_matches_fraction_oracle():
+    rng = random.Random(20240607)
+    seen = set()
+    for n in range(1, 9):
+        for _ in range(40):
+            # n - k random rows with entries up to +-50, then k rows that
+            # repeat or combine them (zero rows included), in shuffled order
+            k = rng.randrange(n)
+            rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n - k)]
+            for _ in range(k):
+                a, b = rng.choice(rows), rng.choice(rows)
+                ca, cb = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows.append([ca * x + cb * y for x, y in zip(a, b)])
+            rng.shuffle(rows)
+            want = _fraction_nullity(rows)
+            assert kernel_dim(rows) == want, rows
+            seen.add((n, want))
+    assert {d for n, d in seen if n == 8} >= {0, 1, 2, 3}
+
+
 def test_reflection_matrices_are_involutions():
     rs = build_root_system("G2")
     for b in rs.positive_roots:
