@@ -1,9 +1,10 @@
 """Bruhat order, covering relation, intervals, subwords, and DOT export.
 
 Every comparison in the package goes through ``leq`` and every walk over
-the subwords of a reduced word goes through ``walk_subwords``; the other
-modules only supply policies.  Two independent routes to the order sit
-behind ``leq`` and are kept deliberately:
+the subwords of a reduced word goes through ``ReducedWord.walk`` (behind
+``walk_subwords``); the other modules only supply policies.  Two
+independent routes to the order sit behind ``leq`` and are kept
+deliberately:
 
 * ``bruhat_leq`` runs the classical descent recursion (iteratively), which
   works in any group without enumeration;
@@ -48,6 +49,7 @@ __all__ = [
     "covers",
     "covering_pairs",
     "interval",
+    "ReducedWord",
     "walk_subwords",
     "subwords_with_value",
     "export_bruhat_graph",
@@ -206,6 +208,86 @@ def interval(
 Step = Callable[[int, WeylElement, list[int]], tuple[bool, bool]]
 
 
+class ReducedWord:
+    """A reduced word, checked once, with the reflections of its letters
+    and its suffix products built once, so that walks towards any number of
+    targets share them (the witness search walks one host word of w for
+    every candidate v)."""
+
+    __slots__ = ("rs", "word", "_gens", "_suffix")
+
+    def __init__(self, rs: RootSystem, word: Sequence[int]):
+        word = tuple(word)
+        if not is_reduced(rs, word):
+            raise ValueError(f"word {word} is not reduced")
+        self.rs = rs
+        self.word = word
+        self._gens = [simple_reflection(rs, i) for i in word]
+        suffix = [identity(rs)] * (len(word) + 1)  # suffix[k] = value of word[k:]
+        for k in range(len(word) - 1, -1, -1):
+            suffix[k] = self._gens[k] * suffix[k + 1]
+        self._suffix = suffix
+
+    def walk(
+        self, target: WeylElement, step: Step
+    ) -> Iterator[tuple[tuple[int, ...], tuple[WeylElement, ...]]]:
+        """The walk of ``walk_subwords`` over this word."""
+        l, gens, suffix = len(self.word), self._gens, self._suffix
+        removed: list[int] = []
+        trace = [identity(self.rs)]
+
+        def walk(k: int):
+            sigma = trace[-1]
+            if k == l:
+                if sigma == target:
+                    yield tuple(removed), tuple(trace)
+                return
+            if not leq(inverse(sigma) * target, suffix[k]):
+                return
+            may_remove, may_keep = step(k, sigma, removed)
+            if may_remove:
+                removed.append(k + 1)
+                trace.append(sigma)
+                yield from walk(k + 1)
+                trace.pop()
+                removed.pop()
+            if may_keep:
+                trace.append(sigma * gens[k])
+                yield from walk(k + 1)
+                trace.pop()
+
+        return walk(0)
+
+    def subwords(
+        self,
+        target: WeylElement,
+        reduced_only: bool = False,
+        removal_filter: Optional[Callable[[list[int], int], bool]] = None,
+        first_only: bool = False,
+    ) -> list[tuple[int, ...]]:
+        """The removal sets of ``subwords_with_value`` in this word."""
+        word = self.word
+        lt = length(target)
+        d_total = len(word) - lt  # removals needed in reduced mode
+
+        def step(k, sigma, removed):
+            may_remove = not (reduced_only and len(removed) >= d_total) and (
+                removal_filter is None or removal_filter(removed, k)
+            )
+            # in reduced mode a kept letter must ascend and fit the target length
+            may_keep = not reduced_only or (
+                word[k] not in right_descents(sigma) and k - len(removed) < lt
+            )
+            return may_remove, may_keep
+
+        results = []
+        for removed, _ in self.walk(target, step):
+            results.append(removed)
+            if first_only:
+                break
+        return results
+
+
 def walk_subwords(
     rs: RootSystem, word: Sequence[int], target: WeylElement, step: Step
 ) -> Iterator[tuple[tuple[int, ...], tuple[WeylElement, ...]]]:
@@ -219,40 +301,11 @@ def walk_subwords(
     and the l + 1 partial products from the identity on.  A branch is
     pruned as soon as ``sigma^{-1} target`` is no longer below the value of
     the remaining suffix (subword property).  Validation and the suffix
-    products happen at the call; the walk runs as the result is iterated.
+    products happen at the call (in `ReducedWord`, which a caller walking
+    one word many times builds once); the walk runs as the result is
+    iterated.
     """
-    word = tuple(word)
-    if not is_reduced(rs, word):
-        raise ValueError(f"word {word} is not reduced")
-    l = len(word)
-    gens = [simple_reflection(rs, i) for i in word]
-    suffix = [identity(rs)] * (l + 1)  # suffix[k] = value of word[k:]
-    for k in range(l - 1, -1, -1):
-        suffix[k] = gens[k] * suffix[k + 1]
-    removed: list[int] = []
-    trace = [identity(rs)]
-
-    def walk(k: int):
-        sigma = trace[-1]
-        if k == l:
-            if sigma == target:
-                yield tuple(removed), tuple(trace)
-            return
-        if not leq(inverse(sigma) * target, suffix[k]):
-            return
-        may_remove, may_keep = step(k, sigma, removed)
-        if may_remove:
-            removed.append(k + 1)
-            trace.append(sigma)
-            yield from walk(k + 1)
-            trace.pop()
-            removed.pop()
-        if may_keep:
-            trace.append(sigma * gens[k])
-            yield from walk(k + 1)
-            trace.pop()
-
-    return walk(0)
+    return ReducedWord(rs, word).walk(target, step)
 
 
 def subwords_with_value(
@@ -272,26 +325,7 @@ def subwords_with_value(
     sense that a vetoed prefix cannot become acceptable later.  Results come
     in lexicographic order of removal sets; ``first_only`` stops at one.
     """
-    word = tuple(word)
-    lt = length(target)
-    d_total = len(word) - lt  # removals needed in reduced mode
-
-    def step(k, sigma, removed):
-        may_remove = not (reduced_only and len(removed) >= d_total) and (
-            removal_filter is None or removal_filter(removed, k)
-        )
-        # in reduced mode a kept letter must ascend and fit the target length
-        may_keep = not reduced_only or (
-            word[k] not in right_descents(sigma) and k - len(removed) < lt
-        )
-        return may_remove, may_keep
-
-    results = []
-    for removed, _ in walk_subwords(rs, word, target, step):
-        results.append(removed)
-        if first_only:
-            break
-    return results
+    return ReducedWord(rs, word).subwords(target, reduced_only, removal_filter, first_only)
 
 
 def _vertex_name(w: WeylElement) -> str:

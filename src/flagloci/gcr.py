@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bruhat import get_table, interval, leq, require_table, subwords_with_value
+from .bruhat import ReducedWord, get_table, interval, leq, require_table
 from .rootsys import RootSystem, orthogonal
 from .weyl import (
     WeylElement,
@@ -78,27 +78,24 @@ def is_gcr_cond6(v: WeylElement, w: WeylElement) -> Optional[Witness]:
     """
     if length(w) < length(v):
         return None
-    host = reduced_word(w)
-    return _witness(w.rs, host, roots_of_word(w.rs, host), v)
+    host = ReducedWord(w.rs, reduced_word(w))
+    return _witness(host, roots_of_word(w.rs, host.word), v)
 
 
-def _witness(
-    rs: RootSystem, host: tuple[int, ...], betas: list[tuple], v: WeylElement
-) -> Optional[Witness]:
+def _witness(host: ReducedWord, betas: list[tuple], v: WeylElement) -> Optional[Witness]:
     """The witness of ``is_gcr_cond6`` inside the reduced word ``host`` of
     w, whose inversion roots are ``betas``."""
+    rs = host.rs
 
     def filt(removed: list[int], k: int) -> bool:
         return all(orthogonal(rs, betas[k], betas[p - 1]) for p in removed)
 
-    hits = subwords_with_value(
-        rs, host, v, reduced_only=True, removal_filter=filt, first_only=True
-    )
+    hits = host.subwords(v, reduced_only=True, removal_filter=filt, first_only=True)
     if not hits:
         return None
     positions = hits[0]
     roots = tuple(betas[p - 1] for p in positions)
-    return host, positions, roots
+    return host.word, positions, roots
 
 
 @dataclass(frozen=True)
@@ -230,9 +227,9 @@ def _search(rs: RootSystem, table) -> tuple[GcrPair, ...]:
                 if x * x != one or eigenspace_dim(x, -1) != lw - lv:
                     continue
                 if host is None:
-                    host = reduced_word(w)
-                    betas = roots_of_word(rs, host)
-                pairs.append(_pair(v, w, _witness(rs, host, betas, v)))
+                    host = ReducedWord(rs, reduced_word(w))
+                    betas = roots_of_word(rs, host.word)
+                pairs.append(_pair(v, w, _witness(host, betas, v)))
     return tuple(sorted(pairs, key=lambda p: p.key()))
 
 

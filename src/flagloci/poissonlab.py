@@ -134,40 +134,58 @@ def _u_inverse(chart: Chart, u) -> list[list[Polynomial]]:
     return out
 
 
-def _conjugate(chart: Chart, X: Sequence[Sequence]) -> list[list]:
-    """rep^T X rep for the chart's signed permutation representative: entry
-    (a, b) is X[p(a)][p(b)] times the signs of columns a and b of rep, where
-    (p(b), sign) is column b."""
-    col = chart.representative
-    return [[sa * sb * X[pa][pb] for pb, sb in col] for pa, sa in col]
-
-
-def _vector_field(chart: Chart, u, uinv, X: Sequence[Sequence]) -> list[Polynomial]:
-    """vector_field with the chart's u and u^-1 built by the caller."""
-    m = chart.size
-    if len(X) != m or any(len(r) != m for r in X):
-        raise ValueError("matrix has the wrong shape")
-    if sum(Fraction(X[a][a]) for a in range(m)) != 0:
-        raise ValueError("matrix must be traceless")
-    ring = chart.ring
-    conj = _conjugate(chart, X)
-    a_const = [[ring.const(conj[a][b]) for b in range(m)] for a in range(m)]
-    ad = _pm_mul(_pm_mul(uinv, a_const), u)
-    zero = ring.const(0)
-    lower = [[ad[a][b] if a > b else zero for b in range(m)] for a in range(m)]
-    delta = _pm_mul(u, lower)
-    return [delta[i - 1][j - 1] for i, j in chart.positions()]
-
-
 def vector_field(chart: Chart, X: Sequence[Sequence]) -> list[Polynomial]:
     """Infinitesimal action of a traceless matrix X on the chart.
 
     The curve exp(tX).v(u)B+ stays in the chart to first order, and the
     derivative of the lower-unitriangular factor is u times the strictly
     lower part of (vu)^-1 X (vu).  Returns one polynomial per coordinate,
-    in row-major order."""
+    in row-major order.  This is the generic route, for any X;
+    `poisson_matrix` takes a shortcut for root vectors and is tested
+    against it."""
+    m = chart.size
+    if len(X) != m or any(len(r) != m for r in X):
+        raise ValueError("matrix has the wrong shape")
+    if sum(X[a][a] for a in range(m)) != 0:
+        raise ValueError("matrix must be traceless")
+    ring = chart.ring
     u = _poly_matrix_u(chart)
-    return _vector_field(chart, u, _u_inverse(chart, u), X)
+    uinv = _u_inverse(chart, u)
+    # rep^T X rep: entry (a, b) is X[p(a)][p(b)] times the signs of
+    # columns a and b of rep, where (p(b), sign) is column b
+    col = chart.representative
+    conj = [[ring.const(sa * sb * X[pa][pb]) for pb, sb in col] for pa, sa in col]
+    ad = _pm_mul(_pm_mul(uinv, conj), u)
+    zero = ring.const(0)
+    lower = [[ad[a][b] if a > b else zero for b in range(m)] for a in range(m)]
+    delta = _pm_mul(u, lower)
+    return [delta[i - 1][j - 1] for i, j in chart.positions()]
+
+
+def _root_field(chart: Chart, u, uinv, i: int, j: int) -> list[Polynomial]:
+    """`vector_field` of the root vector E_ij (0-based i != j), with u and
+    u^-1 built by the caller.
+
+    rep^T E_ij rep is s * E_ab for the one column a of rep on row i and the
+    one column b on row j, with s the product of their signs.  So
+    u^-1 (rep^T E_ij rep) u is the rank-one matrix s u^-1[:, a] u[b, :],
+    and coordinate (r, q), r > q, of the field is
+    s u[b][q] * sum_{q < t <= r} u[r][t] u^-1[t][a]: O(m^2) products in
+    place of three dense m x m matrix products."""
+    where = {p: (k, s) for k, (p, s) in enumerate(chart.representative)}
+    (a, sa), (b, sb) = where[i], where[j]
+    out = []
+    for r, q in chart.positions():
+        r, q = r - 1, q - 1
+        if not u[b][q].terms:
+            out.append(u[b][q])
+            continue
+        acc = chart.ring.const(0)
+        for t in range(q + 1, r + 1):
+            if uinv[t][a].terms:
+                acc = acc + u[r][t] * uinv[t][a]
+        out.append((acc * u[b][q]).scale(sa * sb))
+    return out
 
 
 @dataclass(frozen=True)
@@ -222,16 +240,14 @@ def poisson_matrix(chart: Chart, scale: Fraction = Fraction(1)) -> PoissonMatrix
     uinv = _u_inverse(chart, u)
     for i in range(m):
         for j in range(i + 1, m):
-            e = [[Fraction(0)] * m for _ in range(m)]
-            f = [[Fraction(0)] * m for _ in range(m)]
-            e[i][j] = Fraction(scale)
-            f[j][i] = inv
-            chi_e = _vector_field(chart, u, uinv, e)
-            chi_f = _vector_field(chart, u, uinv, f)
+            chi_e = [p.scale(scale) for p in _root_field(chart, u, uinv, i, j)]
+            chi_f = [p.scale(inv) for p in _root_field(chart, u, uinv, j, i)]
             for a in range(k):
                 for b in range(a):
-                    term = chi_e[a] * chi_f[b] - chi_e[b] * chi_f[a]
-                    entries[a][b] = entries[a][b] + term
+                    if chi_e[a].terms and chi_f[b].terms:
+                        entries[a][b] = entries[a][b] + chi_e[a] * chi_f[b]
+                    if chi_e[b].terms and chi_f[a].terms:
+                        entries[a][b] = entries[a][b] - chi_e[b] * chi_f[a]
     for a in range(k):
         for b in range(a):
             entries[b][a] = -entries[a][b]
@@ -289,10 +305,10 @@ def _scan_one(args) -> dict:
 
 
 def scan_cells(n: int, timeout_secs: float = 60.0, workers: int = 1) -> dict:
-    """Witness scan over every chart of SL(n+1)/B+, n in {2, 3}, on at most
+    """Witness scan over every chart of SL(n+1)/B+, 2 <= n <= 5, on at most
     ``workers`` processes (never more than the CPUs or the charts)."""
-    if n not in (2, 3):
-        raise ValueError("scan supports n = 2 and n = 3 only")
+    if not 2 <= n <= 5:
+        raise ValueError("scan supports 2 <= n <= 5 only")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     perms = ["".join(map(str, p)) for p in itertools.permutations(range(1, n + 2))]
@@ -337,7 +353,7 @@ def partial_derivative(f: Polynomial, var_index: int) -> Polynomial:
         if k == 0:
             continue
         e2 = tuple(x - 1 if t == var_index else x for t, x in enumerate(e))
-        out[e2] = out.get(e2, Fraction(0)) + c * k
+        out[e2] = out.get(e2, 0) + c * k
     return Polynomial(f.ring, out)
 
 

@@ -2,6 +2,10 @@
 engine: normal forms, reduced bases, ideal membership, radical membership
 via the extra-variable trick, and intersections via elimination.
 
+A coefficient is an int or a Fraction: arithmetic on ints stays in ints,
+and a division (`_div`) makes a Fraction only when the quotient is not
+integral.
+
 Everything is deterministic: fixed variable order, graded reverse
 lexicographic comparisons by default, normal pair selection, and reduced
 monic output sorted by leading monomial.
@@ -11,7 +15,10 @@ A polynomial computes its leading term once, on first use, and keeps it
 pending S-pairs in a heap keyed by (degree of the lcm of the leads,
 pair).  The keys are unique, so the pairs come out in the same order as a
 scan for the smallest key would pick them: the heap changes the cost of
-the selection, not the basis sequence or the reduced output."""
+the selection, not the basis sequence or the reduced output.  Next to each
+basis member it keeps the support mask of its leading monomial (bit t set
+iff variable t occurs), which decides the coprime test and rules out most
+divisibility tests with one ``&``."""
 
 from __future__ import annotations
 
@@ -20,6 +27,9 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import compress
+from operator import add, le, sub
 from typing import Optional, Sequence, Union
 
 __all__ = [
@@ -38,11 +48,29 @@ __all__ = [
 ]
 
 Expo = tuple  # exponent vector
+Coef = Union[int, Fraction]  # see Polynomial
 OrderTag = Union[str, tuple]  # "grevlex" | "lex" | ("block", k)
 
 
 class PolyTimeout(Exception):
     """A Groebner computation exceeded its deadline."""
+
+
+def _coef(c) -> Coef:
+    """c as an exact coefficient: an int when it is integral."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a: Coef, b: Coef) -> Coef:
+    """The exact quotient a / b: an int when b divides a, else a Fraction
+    (never ``/`` on two ints, which would give a float)."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _coef(Fraction(a, b))
 
 
 def _grevlex_key(e: Expo):
@@ -76,22 +104,31 @@ class PolyRing:
     def var(self, name: str) -> "Polynomial":
         i = self.variables.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(self.variables)))
-        return Polynomial(self, {e: Fraction(1)})
+        return Polynomial(self, {e: 1})
 
     def const(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _coef(c)
         return Polynomial(self, {} if c == 0 else {(0,) * len(self.variables): c})
 
 
 class Polynomial:
-    """Exact polynomial: map from exponent vector to nonzero Fraction."""
+    """Exact polynomial: map from exponent vector to nonzero coefficient.
+
+    A coefficient is an int or a Fraction.  Sums, differences and products
+    of ints stay ints, and `PolyRing.const` and `scale` turn an integral
+    argument into an int.  The divisions (`_div`: normal-form steps,
+    S-polynomials, `monic`) return an int when the quotient is integral
+    and a Fraction otherwise; arithmetic on Fractions may still leave an
+    integral Fraction.  Since ``Fraction(n) == n`` and
+    ``hash(Fraction(n)) == hash(n)``, the type of an integral coefficient
+    changes neither ``==``, ``hash`` nor ``str``."""
 
     __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
-        self._lead: Optional[tuple[Expo, Fraction]] = None
+        self._lead: Optional[tuple[Expo, Coef]] = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -104,14 +141,14 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return Polynomial(self.ring, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
+            out[e] = out.get(e, 0) - c
         return Polynomial(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
@@ -122,12 +159,12 @@ class Polynomial:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(self.ring, out)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _coef(c)
         return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -140,7 +177,7 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
-    def leading(self) -> tuple[Expo, Fraction]:
+    def leading(self) -> tuple[Expo, Coef]:
         if self._lead is None:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
@@ -150,7 +187,7 @@ class Polynomial:
 
     def monic(self) -> "Polynomial":
         _, c = self.leading()
-        return self.scale(Fraction(1) / c)
+        return Polynomial(self.ring, {e: _div(v, c) for e, v in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -276,42 +313,58 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
 
 
 def _divides(a: Expo, b: Expo) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _expo_sub(a: Expo, b: Expo) -> Expo:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _expo_lcm(a: Expo, b: Expo) -> Expo:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _mono_times(p: Polynomial, e: Expo, c: Fraction) -> Polynomial:
-    return Polynomial(
-        p.ring, {tuple(a + b for a, b in zip(e, t)): c * v for t, v in p.terms.items()}
-    )
+def _mono_times(p: Polynomial, e: Expo, c: Coef) -> Polynomial:
+    return Polynomial(p.ring, {tuple(map(add, e, t)): c * v for t, v in p.terms.items()})
+
+
+@cache
+def _bits(n: int) -> tuple[int, ...]:
+    return tuple(1 << t for t in range(n))
+
+
+def _support(e: Expo) -> int:
+    """Support mask of a monomial: bit t is set iff variable t occurs."""
+    return sum(compress(_bits(len(e)), e))
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of f by the basis, in list order."""
+    leads = [g.leading()[0] for g in basis]
+    return _reduce(f, basis, leads, [_support(e) for e in leads])
+
+
+def _reduce(
+    f: Polynomial, basis: Sequence[Polynomial], leads: list, sevs: list
+) -> Polynomial:
+    """`normal_form`, given the leading monomials of the basis and their
+    support masks: a lead with a variable outside the support of the
+    current term cannot divide it, so `_divides` runs only on the rest."""
     ring = f.ring
-    leads = [g.leading() for g in basis]
     rem: dict = {}
     p = f
     while not p.is_zero():
         e, c = p.leading()
-        hit = None
-        for k, (le, lc) in enumerate(leads):
-            if _divides(le, e):
-                hit = k
+        outside = ~_support(e)
+        for k, le in enumerate(leads):
+            if not sevs[k] & outside and _divides(le, e):
+                g = basis[k]
+                p = p - _mono_times(g, _expo_sub(e, le), _div(c, g.leading()[1]))
                 break
-        if hit is None:
-            rem[e] = rem.get(e, Fraction(0)) + c
-            p = p - Polynomial(ring, {e: c})
         else:
-            le, lc = leads[hit]
-            p = p - _mono_times(basis[hit], _expo_sub(e, le), c / lc)
+            # the leading monomial strictly drops at every step
+            rem[e] = c
+            p = p - Polynomial(ring, {e: c})
     return Polynomial(ring, rem)
 
 
@@ -319,8 +372,8 @@ def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     ef, cf = f.leading()
     eg, cg = g.leading()
     l = _expo_lcm(ef, eg)
-    return _mono_times(f, _expo_sub(l, ef), Fraction(1) / cf) - _mono_times(
-        g, _expo_sub(l, eg), Fraction(1) / cg
+    return _mono_times(f, _expo_sub(l, ef), _div(1, cf)) - _mono_times(
+        g, _expo_sub(l, eg), _div(1, cg)
     )
 
 
@@ -329,17 +382,21 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced basis; classic pair pruning (coprime leads and the chain
     criterion), pairs popped from a heap smallest lcm degree first, ties
-    broken by the pair's indices."""
+    broken by the pair's indices.
+
+    ``leads`` and the support masks ``sevs`` run parallel to ``basis``.
+    Two leads are coprime iff their masks are disjoint, and a lead whose
+    mask has a bit outside the mask of a monomial cannot divide it, so
+    the masks settle most tests before `_divides` runs."""
     ring = ideal.ring
     basis = [g for g in ideal.generators if not g.is_zero()]
     if not basis:
         return GroebnerBasis(ring, ())
-
-    def lead(k: int) -> Expo:
-        return basis[k].leading()[0]
+    leads = [g.leading()[0] for g in basis]
+    sevs = [_support(e) for e in leads]
 
     def entry(i: int, j: int) -> tuple:
-        return sum(_expo_lcm(lead(i), lead(j))), (i, j)
+        return sum(map(max, leads[i], leads[j])), (i, j)
 
     pairs = [entry(i, j) for i in range(len(basis)) for j in range(i)]
     heapq.heapify(pairs)
@@ -350,13 +407,13 @@ def buchberger(
             raise PolyTimeout("basis computation exceeded the deadline")
         _, (i, j) = heapq.heappop(pairs)
         done.add((i, j))
-        li, lj = lead(i), lead(j)
-        l = _expo_lcm(li, lj)
-        if l == tuple(a + b for a, b in zip(li, lj)):
+        if not sevs[i] & sevs[j]:
             continue  # coprime leading monomials
+        l = _expo_lcm(leads[i], leads[j])
+        outside = ~(sevs[i] | sevs[j])
         chain = False
         for k in range(len(basis)):
-            if k in (i, j) or not _divides(lead(k), l):
+            if k in (i, j) or sevs[k] & outside or not _divides(leads[k], l):
                 continue
             p1 = (max(i, k), min(i, k))
             p2 = (max(j, k), min(j, k))
@@ -365,18 +422,24 @@ def buchberger(
                 break
         if chain:
             continue
-        r = normal_form(_s_poly(basis[i], basis[j]), basis)
+        r = _reduce(_s_poly(basis[i], basis[j]), basis, leads, sevs)
         if r.is_zero():
             continue
         k = len(basis)
         basis.append(r)
+        leads.append(r.leading()[0])
+        sevs.append(_support(leads[k]))
         for t in range(k):
             heapq.heappush(pairs, entry(k, t))
     # minimalize: drop members whose lead is divisible by another lead
     keep: list[Polynomial] = []
     for i, g in enumerate(basis):
+        outside = ~sevs[i]
         if any(
-            j != i and _divides(lead(j), lead(i)) and (lead(j) != lead(i) or j < i)
+            j != i
+            and not sevs[j] & outside
+            and _divides(leads[j], leads[i])
+            and (leads[j] != leads[i] or j < i)
             for j in range(len(basis))
         ):
             continue
@@ -430,7 +493,7 @@ def radical_membership(
     y = big.var(fresh)
     gens.append(big.const(1) - y * _lift(big, f, 0))
     gb = buchberger(Ideal(big, tuple(gens)), deadline)
-    return len(gb.polys) == 1 and gb.polys[0].terms == {(0,) * len(big.variables): Fraction(1)}
+    return len(gb.polys) == 1 and gb.polys[0].terms == {(0,) * len(big.variables): 1}
 
 
 def intersect(

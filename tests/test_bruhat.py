@@ -3,8 +3,11 @@ subword search itself."""
 
 import itertools
 
+import pytest
+
 from flagloci import bruhat
 from flagloci.bruhat import (
+    ReducedWord,
     bruhat_leq,
     covering_pairs,
     covers,
@@ -131,10 +134,22 @@ def test_subword_positions_partition():
     rs = build_root_system("B2")
     w0 = longest_element(rs)
     word = reduced_word(w0)
+    host = ReducedWord(rs, word)  # one host, walked towards every v
     for v in enumerate_group(rs):
-        for removed in subwords_with_value(rs, word, v):
+        hits = host.subwords(v)
+        assert hits == subwords_with_value(rs, word, v)
+        assert len(hits) >= 1
+        for removed in hits:
             kept = [word[i] for i in range(len(word)) if i + 1 not in removed]
             assert from_word(rs, kept).matrix == v.matrix
+
+
+def test_reduced_word_rejects_non_reduced():
+    rs = build_root_system("A2")
+    with pytest.raises(ValueError, match="not reduced"):
+        ReducedWord(rs, (1, 2, 2))
+    with pytest.raises(ValueError, match="not reduced"):
+        bruhat.walk_subwords(rs, (1, 1), identity(rs), lambda k, sigma, removed: (True, True))
 
 
 def test_dot_export():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from flagloci import gcr
 from flagloci.bruhat import get_table
 from flagloci.gcr import (
     enumerate_gcr,
@@ -196,3 +197,19 @@ def test_pair_validation_survives_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["ValueError", "1"]
+
+
+def test_enumeration_builds_one_host_per_w(monkeypatch):
+    # the host word of w is validated and its suffix products built once,
+    # however many v it is searched for
+    built = []
+
+    class Recording(gcr.ReducedWord):
+        def __init__(self, rs, word):
+            built.append(tuple(word))
+            super().__init__(rs, word)
+
+    monkeypatch.setattr(gcr, "ReducedWord", Recording)
+    pairs = gcr.enumerate_gcr(build_root_system("B3")).pairs
+    assert len(built) == len(set(built)) == len({p.w for p in pairs})
+    assert set(built) == {p.host_word for p in pairs}

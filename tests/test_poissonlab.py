@@ -1,6 +1,9 @@
 """Symbolic Poisson structure on the open cells of the complete flag
 variety of SL(n+1), its degeneracy ideal, and the non-reducedness scan."""
 
+import hashlib
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,7 @@ from flagloci.poissonlab import (
     vector_field,
     verify_sl3_decomposition,
 )
-from flagloci.polyalg import membership, parse_polynomial
+from flagloci.polyalg import buchberger, membership, parse_polynomial
 
 SL4_BRACKETS = [
     ("x21", "x31", "x21*x31"),
@@ -76,22 +79,43 @@ def test_sl4_brackets_frozen():
     assert nonzero == 13
 
 
+def all_charts(n):
+    return [build_chart(n, "".join(p)) for p in itertools.permutations("1234"[: n + 1])]
+
+
 def test_poisson_matrix_matches_vector_field():
-    charts = [build_chart(2, v) for v in ("123", "132", "213", "231", "312", "321")]
-    for ch in charts + [build_chart(3)]:
+    # poisson_matrix takes the rank-one route for root vectors; the oracle
+    # sums wedges of the generic vector_field of scale*E_ij and E_ji/scale
+    for ch in all_charts(2) + all_charts(3):
         m, k = ch.size, len(ch.ring.variables)
-        expected = [[ch.ring.const(0)] * k for _ in range(k)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                e = [[Fraction(int((a, b) == (i, j))) for b in range(m)] for a in range(m)]
-                f = [[Fraction(int((a, b) == (j, i))) for b in range(m)] for a in range(m)]
-                chi_e, chi_f = vector_field(ch, e), vector_field(ch, f)
-                for a in range(k):
-                    for b in range(k):
-                        term = chi_e[a] * chi_f[b] - chi_e[b] * chi_f[a]
-                        expected[a][b] = expected[a][b] + term
+        for scale in (Fraction(1), Fraction(3, 2)):
+            expected = [[ch.ring.const(0)] * k for _ in range(k)]
+            for i in range(m):
+                for j in range(i + 1, m):
+                    e = [[scale * ((a, b) == (i, j)) for b in range(m)] for a in range(m)]
+                    f = [[((a, b) == (j, i)) / scale for b in range(m)] for a in range(m)]
+                    chi_e, chi_f = vector_field(ch, e), vector_field(ch, f)
+                    for a in range(k):
+                        for b in range(k):
+                            term = chi_e[a] * chi_f[b] - chi_e[b] * chi_f[a]
+                            expected[a][b] = expected[a][b] + term
+            pm = poisson_matrix(ch, scale=scale)
+            assert [list(row) for row in pm.entries] == expected, (ch.v_oneline, scale)
+
+
+def test_sl4_output_digest():
+    # every bracket and every reduced-basis polynomial of the 24 SL4 charts,
+    # frozen as one SHA-256 over their str(); the literal was computed with
+    # Fraction coefficients and dense root-vector fields
+    h = hashlib.sha256()
+    for ch in all_charts(3):
         pm = poisson_matrix(ch)
-        assert [list(row) for row in pm.entries] == expected, ch.v_oneline
+        gb = buchberger(degeneracy_ideal(ch, pm).ideal)
+        lines = [ch.v_oneline]
+        lines += [str(p) for row in pm.entries for p in row]
+        lines += ["--"] + [str(g) for g in gb.polys]
+        h.update(("\n".join(lines) + "\n").encode())
+    assert h.hexdigest() == "a00864a63443b75532946862f73f38467e6f07cd0023ea78cd7d2035587ef22b"
 
 
 def test_bracket_antisymmetry():
@@ -228,6 +252,26 @@ def test_scan_cells_n2():
             assert rec["witness"] == "x31"
         else:
             assert rec["witness"] is None
+
+
+def test_scan_cells_sl5_witness_counts():
+    # every one of the 120 SL5 charts has a witness
+    result = scan_cells(4)
+    assert not any(rec["timeout"] for rec in result["charts"])
+    assert Counter(rec["witness"] for rec in result["charts"]) == {
+        "x31": 40,
+        "x41": 40,
+        "x42": 20,
+        "x51": 12,
+        "x52": 4,
+        "x53": 4,
+    }
+
+
+def test_scan_cells_range():
+    for n in (1, 6):
+        with pytest.raises(ValueError, match="2 <= n <= 5"):
+            scan_cells(n)
 
 
 def test_identity_cell_has_full_ideal():

@@ -12,10 +12,12 @@ from flagloci.polyalg import (
     Ideal,
     PolyRing,
     PolyTimeout,
+    Polynomial,
     buchberger,
     ideal_equal,
     intersect,
     membership,
+    normal_form,
     parse_polynomial,
     radical_membership,
 )
@@ -68,6 +70,29 @@ def test_parse_rejects_garbage():
         parse_polynomial(r, "x + ")
     with pytest.raises(ValueError):
         parse_polynomial(r, "x y")
+
+
+def test_int_and_fraction_coefficients_agree():
+    r = ring("x", "y")
+    e = (1, 2)
+    a, b = Polynomial(r, {e: 1}), Polynomial(r, {e: Fraction(1)})
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "x*y^2"
+    c, d = Polynomial(r, {e: -3, (0, 0): 2}), Polynomial(r, {e: Fraction(-3), (0, 0): Fraction(2)})
+    assert c == d and hash(c) == hash(d) and str(c) == str(d) == "-3*x*y^2 + 2"
+
+
+def test_coefficients_stay_int_until_a_division():
+    r = ring("x", "y")
+    x, y = r.var("x"), r.var("y")
+    p = (x.scale(3) + y) * (x - r.const(Fraction(4, 2)))
+    assert all(type(c) is int for c in p.terms.values())
+    assert all(type(c) is int for c in (p.scale(Fraction(6, 3)) - y).terms.values())
+    half = x.scale(2).monic()
+    assert half.terms == {(1, 0): 1} and type(half.terms[(1, 0)]) is int
+    third = (x.scale(3) + y).monic()
+    assert third.terms == {(1, 0): 1, (0, 1): Fraction(1, 3)}
+    assert type(third.terms[(0, 1)]) is Fraction
+    assert str(normal_form(x * y.scale(2), (y.scale(4) + r.const(2),))) == "-x"
 
 
 def test_lex_groebner_frozen():
@@ -151,6 +176,10 @@ def test_groebner_matches_sympy():
         (("x", "y"), ("x^2 + y^2 - 1", "x - y"), "lex"),
         (("x21", "x31", "x32"), ("x21*x31", "x21*x32 - 2*x31", "x31*x32"), "grevlex"),
         (("x", "y", "z"), ("x*y - z", "y*z - x", "x*z - y"), "grevlex"),
+        # non-unit leading and rational input coefficients: int -> Fraction
+        (("x", "y"), ("3*x^2 - 1/2*y", "2*x*y + 5/3"), "grevlex"),
+        (("x", "y"), ("3*x^2 - 1/2*y", "2*x*y + 5/3"), "lex"),
+        (("x", "y", "z"), ("2*x*y - 3*z", "5*y*z + 1/4*x", "7*x*z - 2/3*y^2"), "grevlex"),
     ]
     # the three SL4 degeneracy ideals with the longest Buchberger runs
     for v in ("1234", "1423", "4132"):
