@@ -1,8 +1,10 @@
 """Bruhat order, covering relation, intervals, subwords, and DOT export.
 
 Every comparison in the package goes through ``leq`` and every walk over
-the subwords of a reduced word goes through ``ReducedWord.walk`` (behind
-``walk_subwords``); the other modules only supply policies.  Two
+the subwords of a reduced word towards a target goes through
+``ReducedWord.walk`` (behind ``walk_subwords``); the other modules only
+supply policies.  The one walk without a target is the enumeration's
+(``gcr._removal_walk``), which collects every v it reaches at once.  Two
 independent routes to the order sit behind ``leq`` and are kept
 deliberately:
 
@@ -211,8 +213,7 @@ Step = Callable[[int, WeylElement, list[int]], tuple[bool, bool]]
 class ReducedWord:
     """A reduced word, checked once, with the reflections of its letters
     and its suffix products built once, so that walks towards any number of
-    targets share them (the witness search walks one host word of w for
-    every candidate v)."""
+    targets share them."""
 
     __slots__ = ("rs", "word", "_gens", "_suffix")
 

@@ -5,7 +5,11 @@ Bruhat intervals.
 Three equivalent membership tests are implemented separately so they can be
 cross-checked: a matrix eigenvalue count (``is_gcr_cond3``), an involution
 plus reflection-length test (``is_gcr_cond4``), and an explicit witness
-search inside a reduced word (``is_gcr_cond6``).
+search inside a reduced word (``is_gcr_cond6``).  The enumeration generates
+the pairs by the witness condition itself: one walk over a reduced word of
+each w yields every v with its witness (``_removal_walk``), and cond3 and
+cond4 stay the independent oracles.  Maximality is decided from the pairs
+one gap up that share v or w (``GcrPoset.maximal_pairs``).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bruhat import ReducedWord, get_table, interval, leq, require_table
+from .bruhat import get_table, interval, leq, require_table, subwords_with_value
 from .rootsys import RootSystem, orthogonal
 from .weyl import (
     WeylElement,
@@ -24,12 +28,13 @@ from .weyl import (
     inverse,
     is_involution,
     length,
-    longest_element,
     multiply,
     reduced_word,
     reflection,
     reflection_length,
+    right_descents,
     roots_of_word,
+    simple_reflection,
 )
 
 __all__ = [
@@ -78,24 +83,60 @@ def is_gcr_cond6(v: WeylElement, w: WeylElement) -> Optional[Witness]:
     """
     if length(w) < length(v):
         return None
-    host = ReducedWord(w.rs, reduced_word(w))
-    return _witness(host, roots_of_word(w.rs, host.word), v)
-
-
-def _witness(host: ReducedWord, betas: list[tuple], v: WeylElement) -> Optional[Witness]:
-    """The witness of ``is_gcr_cond6`` inside the reduced word ``host`` of
-    w, whose inversion roots are ``betas``."""
-    rs = host.rs
+    rs = w.rs
+    word = reduced_word(w)
+    betas = roots_of_word(rs, word)
 
     def filt(removed: list[int], k: int) -> bool:
         return all(orthogonal(rs, betas[k], betas[p - 1]) for p in removed)
 
-    hits = host.subwords(v, reduced_only=True, removal_filter=filt, first_only=True)
+    hits = subwords_with_value(
+        rs, word, v, reduced_only=True, removal_filter=filt, first_only=True
+    )
     if not hits:
         return None
     positions = hits[0]
-    roots = tuple(betas[p - 1] for p in positions)
-    return host.word, positions, roots
+    return word, positions, tuple(betas[p - 1] for p in positions)
+
+
+def _removal_walk(w: WeylElement) -> dict[WeylElement, Witness]:
+    """Every v that ``is_gcr_cond6`` accepts below w, with its witness,
+    from one depth-first walk over the host word ``reduced_word(w)``.
+
+    Removal is tried before keeping, as in ``ReducedWord.walk``: a letter
+    may be removed only if its inversion root is orthogonal to every root
+    removed so far, and kept only if it is not a right descent of the
+    partial product, so the kept letters stay a reduced word.  Leaves come
+    in lexicographic order of their removal sets and pruning never
+    reorders them, so the first leaf reaching v carries exactly the
+    witness ``is_gcr_cond6(v, w)`` returns."""
+    rs = w.rs
+    word = reduced_word(w)
+    betas = roots_of_word(rs, word)
+    n = len(word)
+    # orth[k]: bitmask of the positions whose roots are orthogonal to betas[k]
+    orth = [
+        sum(1 << j for j in range(n) if orthogonal(rs, betas[k], betas[j]))
+        for k in range(n)
+    ]
+    gens = [simple_reflection(rs, i) for i in word]
+    first: dict[WeylElement, int] = {}  # v -> mask of its first removal set
+    stack = [(0, identity(rs), 0)]
+    while stack:
+        k, sigma, mask = stack.pop()
+        if k == n:
+            first.setdefault(sigma, mask)
+            continue
+        # keep is pushed first, so the removal branch is walked first
+        if word[k] not in right_descents(sigma):
+            stack.append((k + 1, sigma * gens[k], mask))
+        if not mask & ~orth[k]:
+            stack.append((k + 1, sigma, mask | 1 << k))
+    out = {}
+    for v, mask in first.items():
+        positions = tuple(k + 1 for k in range(n) if mask >> k & 1)
+        out[v] = (word, positions, tuple(betas[p - 1] for p in positions))
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,19 +216,28 @@ class GcrPoset:
         return dict(sorted(out.items()))
 
     def maximal_pairs(self) -> list[GcrPair]:
-        """Pairs whose interval is not strictly contained in another pair's."""
-        out = []
+        """Pairs whose interval is not strictly contained in another pair's.
+
+        ``pairs`` must be all witnessed pairs of the group, as
+        ``enumerate_gcr`` gives them.  Each interval is Boolean and each of
+        its sub-intervals is again witnessed (``sub_pairs``); a d-cube
+        strictly inside a larger cube lies in a (d+1)-face of it that
+        shares its bottom or its top (Bjorner-Brenti, ch. 2 and 5).  So a
+        pair is enclosed iff a pair of gap d + 1 with the same v lies above
+        its w, or one with the same w lies below its v."""
+        table = require_table(self.rs)
+        index = table.index
+        ups: dict[tuple[WeylElement, int], int] = {}  # (v, d) -> mask of the w
+        downs: dict[tuple[WeylElement, int], int] = {}  # (w, d) -> mask of the v
         for p in self.pairs:
-            dominated = False
-            for q in self.pairs:
-                if q.d <= p.d:
-                    continue  # a strict enclosure forces a longer interval
-                if pair_encloses(q, p):
-                    dominated = True
-                    break
-            if not dominated:
-                out.append(p)
-        return out
+            ups[p.v, p.d] = ups.get((p.v, p.d), 0) | 1 << index[p.w]
+            downs[p.w, p.d] = downs.get((p.w, p.d), 0) | 1 << index[p.v]
+        return [
+            p
+            for p in self.pairs
+            if not table.up[index[p.w]] & ups.get((p.v, p.d + 1), 0)
+            and not table.down[index[p.v]] & downs.get((p.w, p.d + 1), 0)
+        ]
 
 
 def enumerate_gcr(rs: RootSystem, cap: int = 60000) -> GcrPoset:
@@ -196,40 +246,19 @@ def enumerate_gcr(rs: RootSystem, cap: int = 60000) -> GcrPoset:
     table = require_table(rs, cap)
     pairs = rs.cache.get("gcr_pairs")
     if pairs is None:
-        pairs = rs.cache["gcr_pairs"] = _search(rs, table)
+        pairs = rs.cache["gcr_pairs"] = _search(table)
     return GcrPoset(rs, pairs)
 
 
-def _search(rs: RootSystem, table) -> tuple[GcrPair, ...]:
-    """Test every v <= w (read from the table) within the reflection length
-    of w0: v w^{-1} must be an involution (a cheap necessary condition)
-    whose (-1)-eigenspace has dimension l(w) - l(v), as in
-    ``is_gcr_cond3``; the witness comes from one reduced word of w.
-    The pairs come back in ``GcrPair.key`` order."""
-    els = table.elements
-    one = identity(rs)
-    bound = reflection_length(longest_element(rs))
-    by_length: dict[int, list[int]] = {}
-    for k, x in enumerate(els):
-        by_length.setdefault(length(x), []).append(k)
-    pairs = []
-    for kw, w in enumerate(els):
-        lw = length(w)
-        down = table.down[kw]
-        w_inv = inverse(w)
-        host = betas = None
-        for lv in range(max(0, lw - bound), lw + 1):
-            for kv in by_length.get(lv, ()):
-                if not down >> kv & 1:
-                    continue
-                v = els[kv]
-                x = v * w_inv
-                if x * x != one or eigenspace_dim(x, -1) != lw - lv:
-                    continue
-                if host is None:
-                    host = ReducedWord(rs, reduced_word(w))
-                    betas = roots_of_word(rs, host.word)
-                pairs.append(_pair(v, w, _witness(host, betas, v)))
+def _search(table) -> tuple[GcrPair, ...]:
+    """The pairs of ``_removal_walk`` over every w of the table, with v
+    replaced by the table's own element, in ``GcrPair.key`` order."""
+    els, index = table.elements, table.index
+    pairs = [
+        _pair(els[index[v]], w, witness)
+        for w in els
+        for v, witness in _removal_walk(w).items()
+    ]
     return tuple(sorted(pairs, key=lambda p: p.key()))
 
 

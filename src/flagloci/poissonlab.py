@@ -22,6 +22,8 @@ from .polyalg import (
     PolyRing,
     Polynomial,
     PolyTimeout,
+    _reduce,
+    _support,
     buchberger,
     ideal_equal,
     intersect,
@@ -284,9 +286,16 @@ def nonreduced_witness(
     gb = buchberger(di.ideal, deadline)
     if not gb.polys:
         return None
+    # the leads and their support masks, once for every variable
+    leads = [g.leading()[0] for g in gb.polys]
+    sevs = [_support(e) for e in leads]
+
+    def is_zero_mod(f: Polynomial) -> bool:
+        return _reduce(f, gb.polys, leads, sevs).is_zero()
+
     for name in chart.ring.variables:
         f = chart.ring.var(name)
-        if normal_form(f * f, gb.polys).is_zero() and not normal_form(f, gb.polys).is_zero():
+        if is_zero_mod(f * f) and not is_zero_mod(f):
             return name
     return None
 

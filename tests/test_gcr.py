@@ -26,6 +26,7 @@ from flagloci.weyl import (
     multiply,
     perm_from_string,
     perm_string,
+    reduced_word,
     reflection,
     reflection_length,
 )
@@ -200,16 +201,19 @@ def test_pair_validation_survives_optimize():
 
 
 def test_enumeration_builds_one_host_per_w(monkeypatch):
-    # the host word of w is validated and its suffix products built once,
-    # however many v it is searched for
-    built = []
+    # one removal walk per element w, over its host word reduced_word(w),
+    # yields every v below it
+    walked = []
+    real = gcr._removal_walk
 
-    class Recording(gcr.ReducedWord):
-        def __init__(self, rs, word):
-            built.append(tuple(word))
-            super().__init__(rs, word)
+    def recording(w):
+        found = real(w)
+        walked.append((w, {host for host, _, _ in found.values()}))
+        return found
 
-    monkeypatch.setattr(gcr, "ReducedWord", Recording)
-    pairs = gcr.enumerate_gcr(build_root_system("B3")).pairs
-    assert len(built) == len(set(built)) == len({p.w for p in pairs})
-    assert set(built) == {p.host_word for p in pairs}
+    monkeypatch.setattr(gcr, "_removal_walk", recording)
+    rs = build_root_system("B3")
+    pairs = gcr.enumerate_gcr(rs).pairs
+    assert [w for w, _ in walked] == get_table(rs).elements
+    assert all(hosts == {reduced_word(w)} for w, hosts in walked)
+    assert {reduced_word(w) for w, _ in walked} == {p.host_word for p in pairs}

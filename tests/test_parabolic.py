@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from flagloci import gcr
-from flagloci.bruhat import covering_pairs
+from flagloci.bruhat import covering_pairs, get_table
 from flagloci.parabolic import (
     canonicalize_pair,
     gcr_p,
@@ -169,16 +169,16 @@ def test_gcr_p_counts_a3():
 
 def test_gcr_p_reuses_the_enumeration(monkeypatch):
     calls = []
-    real = gcr._witness
+    real = gcr._removal_walk
 
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
+    def recording(w):
+        calls.append(w)
+        return real(w)
 
-    monkeypatch.setattr(gcr, "_witness", recording)
+    monkeypatch.setattr(gcr, "_removal_walk", recording)
     rs = build_root_system("B3")
     poset = gcr.enumerate_gcr(rs)
-    assert len(calls) == len(poset.pairs)  # one witness search per pair
+    assert len(calls) == len(get_table(rs).elements)  # one walk per w
     fresh = gcr.enumerate_gcr(build_root_system("B3")).pairs
     calls.clear()
     for J in all_subsets(rs.rank):
