@@ -2,11 +2,14 @@
 
 Every comparison in the package goes through ``leq`` and every walk over
 the subwords of a reduced word towards a target goes through
-``ReducedWord.walk`` (behind ``walk_subwords``); the other modules only
-supply policies.  The one walk without a target is the enumeration's
-(``gcr._removal_walk``), which collects every v it reaches at once.  Two
-independent routes to the order sit behind ``leq`` and are kept
-deliberately:
+``walk_subwords``; the other modules only supply its ``step`` policy (the
+orthogonal-witness search ``gcr.is_gcr_cond6``, Deodhar's distinguished
+and positive subwords in ``deodhar``), and ``subwords_with_value`` is the
+policy that allows everything.  The one walk without a target is the
+enumeration's (``gcr._removal_walk``), which collects every v it reaches
+at once and is kept apart from ``walk_subwords`` so that ``is_gcr_cond6``
+stays an independent oracle for it.  Two independent routes to the order
+sit behind ``leq`` and are kept deliberately:
 
 * ``bruhat_leq`` runs the classical descent recursion (iteratively), which
   works in any group without enumeration;
@@ -31,16 +34,14 @@ from .rootsys import RootSystem, weyl_order
 from .weyl import (
     GroupTooLargeError,
     WeylElement,
+    element_name,
     enumerate_group,
     identity,
     inverse,
     is_reduced,
     is_type_a,
     length,
-    perm_string,
-    reduced_word,
     reflection,
-    right_descents,
     simple_reflection,
     smallest_left_descent,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "covers",
     "covering_pairs",
     "interval",
-    "ReducedWord",
     "walk_subwords",
     "subwords_with_value",
     "export_bruhat_graph",
@@ -131,14 +131,11 @@ class BruhatTable:
             lst.sort()
         self.down, self.up = closure(self.covers_down, self.covers_up)
 
-    def idx(self, w: WeylElement) -> int:
-        return self.index[w]
-
     def leq(self, v: WeylElement, w: WeylElement) -> bool:
-        return bool(self.down[self.idx(w)] >> self.idx(v) & 1)
+        return bool(self.down[self.index[w]] >> self.index[v] & 1)
 
     def interval_indices(self, v: WeylElement, w: WeylElement) -> list[int]:
-        mask = self.up[self.idx(v)] & self.down[self.idx(w)]
+        mask = self.up[self.index[v]] & self.down[self.index[w]]
         out = []
         k = 0
         while mask:
@@ -210,85 +207,6 @@ def interval(
 Step = Callable[[int, WeylElement, list[int]], tuple[bool, bool]]
 
 
-class ReducedWord:
-    """A reduced word, checked once, with the reflections of its letters
-    and its suffix products built once, so that walks towards any number of
-    targets share them."""
-
-    __slots__ = ("rs", "word", "_gens", "_suffix")
-
-    def __init__(self, rs: RootSystem, word: Sequence[int]):
-        word = tuple(word)
-        if not is_reduced(rs, word):
-            raise ValueError(f"word {word} is not reduced")
-        self.rs = rs
-        self.word = word
-        self._gens = [simple_reflection(rs, i) for i in word]
-        suffix = [identity(rs)] * (len(word) + 1)  # suffix[k] = value of word[k:]
-        for k in range(len(word) - 1, -1, -1):
-            suffix[k] = self._gens[k] * suffix[k + 1]
-        self._suffix = suffix
-
-    def walk(
-        self, target: WeylElement, step: Step
-    ) -> Iterator[tuple[tuple[int, ...], tuple[WeylElement, ...]]]:
-        """The walk of ``walk_subwords`` over this word."""
-        l, gens, suffix = len(self.word), self._gens, self._suffix
-        removed: list[int] = []
-        trace = [identity(self.rs)]
-
-        def walk(k: int):
-            sigma = trace[-1]
-            if k == l:
-                if sigma == target:
-                    yield tuple(removed), tuple(trace)
-                return
-            if not leq(inverse(sigma) * target, suffix[k]):
-                return
-            may_remove, may_keep = step(k, sigma, removed)
-            if may_remove:
-                removed.append(k + 1)
-                trace.append(sigma)
-                yield from walk(k + 1)
-                trace.pop()
-                removed.pop()
-            if may_keep:
-                trace.append(sigma * gens[k])
-                yield from walk(k + 1)
-                trace.pop()
-
-        return walk(0)
-
-    def subwords(
-        self,
-        target: WeylElement,
-        reduced_only: bool = False,
-        removal_filter: Optional[Callable[[list[int], int], bool]] = None,
-        first_only: bool = False,
-    ) -> list[tuple[int, ...]]:
-        """The removal sets of ``subwords_with_value`` in this word."""
-        word = self.word
-        lt = length(target)
-        d_total = len(word) - lt  # removals needed in reduced mode
-
-        def step(k, sigma, removed):
-            may_remove = not (reduced_only and len(removed) >= d_total) and (
-                removal_filter is None or removal_filter(removed, k)
-            )
-            # in reduced mode a kept letter must ascend and fit the target length
-            may_keep = not reduced_only or (
-                word[k] not in right_descents(sigma) and k - len(removed) < lt
-            )
-            return may_remove, may_keep
-
-        results = []
-        for removed, _ in self.walk(target, step):
-            results.append(removed)
-            if first_only:
-                break
-        return results
-
-
 def walk_subwords(
     rs: RootSystem, word: Sequence[int], target: WeylElement, step: Step
 ) -> Iterator[tuple[tuple[int, ...], tuple[WeylElement, ...]]]:
@@ -301,39 +219,51 @@ def walk_subwords(
     sets.  Each hit is ``(removed, trace)``: the 1-based removed positions
     and the l + 1 partial products from the identity on.  A branch is
     pruned as soon as ``sigma^{-1} target`` is no longer below the value of
-    the remaining suffix (subword property).  Validation and the suffix
-    products happen at the call (in `ReducedWord`, which a caller walking
-    one word many times builds once); the walk runs as the result is
+    the remaining suffix (subword property).  The word is validated and its
+    suffix products are built at the call; the walk runs as the result is
     iterated.
     """
-    return ReducedWord(rs, word).walk(target, step)
+    word = tuple(word)
+    if not is_reduced(rs, word):
+        raise ValueError(f"word {word} is not reduced")
+    l = len(word)
+    gens = [simple_reflection(rs, i) for i in word]
+    suffix = [identity(rs)] * (l + 1)  # suffix[k] = value of word[k:]
+    for k in range(l - 1, -1, -1):
+        suffix[k] = gens[k] * suffix[k + 1]
+    removed: list[int] = []
+    trace = [identity(rs)]
+
+    def walk(k: int):
+        sigma = trace[-1]
+        if k == l:
+            if sigma == target:
+                yield tuple(removed), tuple(trace)
+            return
+        if not leq(inverse(sigma) * target, suffix[k]):
+            return
+        may_remove, may_keep = step(k, sigma, removed)
+        if may_remove:
+            removed.append(k + 1)
+            trace.append(sigma)
+            yield from walk(k + 1)
+            trace.pop()
+            removed.pop()
+        if may_keep:
+            trace.append(sigma * gens[k])
+            yield from walk(k + 1)
+            trace.pop()
+
+    return walk(0)
 
 
 def subwords_with_value(
-    rs: RootSystem,
-    word: Sequence[int],
-    target: WeylElement,
-    reduced_only: bool = False,
-    removal_filter: Optional[Callable[[list[int], int], bool]] = None,
-    first_only: bool = False,
+    rs: RootSystem, word: Sequence[int], target: WeylElement
 ) -> list[tuple[int, ...]]:
     """All removal-position sets (1-based, ascending) whose complementary
-    subword multiplies to ``target``.
-
-    ``reduced_only`` keeps only subwords that are reduced words of the target.
-    ``removal_filter(removed_so_far, position)`` may veto growing a removal
-    set (used by the orthogonal-witness search); it must be monotone in the
-    sense that a vetoed prefix cannot become acceptable later.  Results come
-    in lexicographic order of removal sets; ``first_only`` stops at one.
-    """
-    return ReducedWord(rs, word).subwords(target, reduced_only, removal_filter, first_only)
-
-
-def _vertex_name(w: WeylElement) -> str:
-    if is_type_a(w.rs):
-        return perm_string(w)
-    word = reduced_word(w)
-    return "e" if not word else "s" + ".".join(str(i) for i in word)
+    subword multiplies to ``target``, in lexicographic order."""
+    hits = walk_subwords(rs, word, target, lambda k, sigma, removed: (True, True))
+    return [removed for removed, _ in hits]
 
 
 def export_bruhat_graph(
@@ -344,11 +274,18 @@ def export_bruhat_graph(
     """Graphviz DOT text of the Hasse diagram; edges in ``highlight`` (pairs
     of elements) are flagged."""
     flagged = highlight or set()
+    elements = require_table(rs, cap).elements
+    # the CLI's names, with an "s" before a reduced word
+    prefix = "" if is_type_a(rs) else "s"
+    name = {
+        w: element_name(w) if w.is_identity() else prefix + element_name(w)
+        for w in elements
+    }
     lines = ["digraph bruhat {", "  rankdir=BT;"]
-    for w in require_table(rs, cap).elements:
-        lines.append(f'  "{_vertex_name(w)}";')
+    for w in elements:
+        lines.append(f'  "{name[w]}";')
     for v, w in covering_pairs(rs, cap):
         attr = ' [color=red, penwidth=2]' if (v, w) in flagged else ""
-        lines.append(f'  "{_vertex_name(v)}" -> "{_vertex_name(w)}"{attr};')
+        lines.append(f'  "{name[v]}" -> "{name[w]}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"

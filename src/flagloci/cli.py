@@ -41,13 +41,13 @@ from .rootsys import RootSystem, build_root_system
 from .weyl import (
     GroupTooLargeError,
     WeylElement,
+    element_name,
     enumerate_group,
     from_word,
     identity,
     is_type_a,
     length,
     perm_from_string,
-    perm_string,
     reduced_word,
 )
 
@@ -56,17 +56,6 @@ __all__ = ["main"]
 
 class InputError(ValueError):
     pass
-
-
-class VerificationFailure(Exception):
-    pass
-
-
-def element_name(w: WeylElement) -> str:
-    if is_type_a(w.rs):
-        return perm_string(w)
-    word = reduced_word(w)
-    return "e" if not word else ".".join(str(i) for i in word)
 
 
 def parse_element(rs: RootSystem, text: str) -> WeylElement:
@@ -421,11 +410,16 @@ def cmd_graph(args) -> Report:
     return Report(payload, [dot], dot=dot)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=60000)
         p.add_argument("--timeout-secs", type=float, default=60.0)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_positive_int, default=1)
+        p.add_argument("--workers", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("gcr", help="enumerate or check witnessed pairs")
     p.add_argument("action", choices=["enumerate", "components", "check", "powerset"])
@@ -458,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--v")
     p.add_argument("--w")
-    p.add_argument("--sample", type=int, default=0)
+    p.add_argument("--sample", type=_int_at_least(0), default=0)
     p.set_defaults(handler=cmd_rpoly)
 
     p = sub.add_parser("parabolic", help="quotient-side pair tables and checks")

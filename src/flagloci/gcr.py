@@ -5,11 +5,13 @@ Bruhat intervals.
 Three equivalent membership tests are implemented separately so they can be
 cross-checked: a matrix eigenvalue count (``is_gcr_cond3``), an involution
 plus reflection-length test (``is_gcr_cond4``), and an explicit witness
-search inside a reduced word (``is_gcr_cond6``).  The enumeration generates
-the pairs by the witness condition itself: one walk over a reduced word of
-each w yields every v with its witness (``_removal_walk``), and cond3 and
-cond4 stay the independent oracles.  Maximality is decided from the pairs
-one gap up that share v or w (``GcrPoset.maximal_pairs``).
+search inside a reduced word (``is_gcr_cond6``, a ``step`` policy over
+``bruhat.walk_subwords``).  The enumeration generates the pairs by the
+witness condition itself: one walk over a reduced word of each w yields
+every v with its witness (``_removal_walk``, a walker of its own so that
+cond6 checks it independently), and cond3 and cond4 stay the independent
+oracles.  Maximality is decided from the pairs one gap up that share v or
+w (``GcrPoset.maximal_pairs``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bruhat import get_table, interval, leq, require_table, subwords_with_value
+from .bruhat import get_table, interval, leq, require_table, walk_subwords
 from .rootsys import RootSystem, orthogonal
 from .weyl import (
     WeylElement,
@@ -79,23 +81,33 @@ def is_gcr_cond6(v: WeylElement, w: WeylElement) -> Optional[Witness]:
     removed inversion roots are pairwise orthogonal.
 
     Returns (host_word, removed_positions, removed_roots) for the
-    lexicographically first removal set, or None.
+    lexicographically first removal set, or None.  The search is a policy
+    over ``bruhat.walk_subwords``; it is the independent oracle that the
+    enumeration (``_removal_walk``, a walker of its own) is tested against,
+    so the two share no walk.
     """
-    if length(w) < length(v):
+    lv = length(v)
+    if length(w) < lv:
         return None
     rs = w.rs
     word = reduced_word(w)
     betas = roots_of_word(rs, word)
+    d = len(word) - lv
 
-    def filt(removed: list[int], k: int) -> bool:
-        return all(orthogonal(rs, betas[k], betas[p - 1]) for p in removed)
+    def step(k, sigma, removed):
+        # remove while fewer than d letters are out and the root is
+        # orthogonal to every earlier removal; keep a letter only if it
+        # ascends and still fits in a reduced word of v
+        may_remove = len(removed) < d and all(
+            orthogonal(rs, betas[k], betas[p - 1]) for p in removed
+        )
+        may_keep = word[k] not in right_descents(sigma) and k - len(removed) < lv
+        return may_remove, may_keep
 
-    hits = subwords_with_value(
-        rs, word, v, reduced_only=True, removal_filter=filt, first_only=True
-    )
-    if not hits:
+    hit = next(walk_subwords(rs, word, v, step), None)
+    if hit is None:
         return None
-    positions = hits[0]
+    positions = hit[0]
     return word, positions, tuple(betas[p - 1] for p in positions)
 
 
@@ -103,13 +115,15 @@ def _removal_walk(w: WeylElement) -> dict[WeylElement, Witness]:
     """Every v that ``is_gcr_cond6`` accepts below w, with its witness,
     from one depth-first walk over the host word ``reduced_word(w)``.
 
-    Removal is tried before keeping, as in ``ReducedWord.walk``: a letter
-    may be removed only if its inversion root is orthogonal to every root
-    removed so far, and kept only if it is not a right descent of the
+    Removal is tried before keeping, as in ``bruhat.walk_subwords``: a
+    letter may be removed only if its inversion root is orthogonal to every
+    root removed so far, and kept only if it is not a right descent of the
     partial product, so the kept letters stay a reduced word.  Leaves come
     in lexicographic order of their removal sets and pruning never
     reorders them, so the first leaf reaching v carries exactly the
-    witness ``is_gcr_cond6(v, w)`` returns."""
+    witness ``is_gcr_cond6(v, w)`` returns.  This walk has no target and is
+    kept apart from ``walk_subwords`` on purpose: ``is_gcr_cond6`` is the
+    oracle the enumeration is tested against, so the two share no walk."""
     rs = w.rs
     word = reduced_word(w)
     betas = roots_of_word(rs, word)

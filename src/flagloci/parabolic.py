@@ -93,7 +93,7 @@ def p_bruhat_leq(v: WeylElement, w: WeylElement, J: Iterable[int]) -> bool:
     js = _norm_j(v.rs, J)
     table = require_table(v.rs)
     down, _ = _p_masks(table, js)
-    return bool(down[table.idx(w)] >> table.idx(v) & 1)
+    return bool(down[table.index[w]] >> table.index[v] & 1)
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def verify_p_interval(pair: GcrPair, J: Iterable[int]) -> bool:
     js = _norm_j(rs, J)
     table = require_table(rs)
     down, up = _p_masks(table, js)
-    iv, iw = table.idx(pair.v), table.idx(pair.w)
+    iv, iw = table.index[pair.v], table.index[pair.w]
     p_mask = up[iv] & down[iw]
     b_mask = table.up[iv] & table.down[iw]
     if p_mask != b_mask:

@@ -48,6 +48,7 @@ __all__ = [
     "perm_to_element",
     "element_to_perm",
     "perm_string",
+    "element_name",
 ]
 
 Matrix = tuple  # tuple of row tuples, ints
@@ -395,6 +396,15 @@ def perm_string(w: WeylElement) -> str:
     comma-separated from 10 entries on, where digits would be ambiguous."""
     perm = element_to_perm(w)
     return ("," if len(perm) >= 10 else "").join(str(k) for k in perm)
+
+
+def element_name(w: WeylElement) -> str:
+    """One-line notation in a single type-A system, else a dot-separated
+    reduced word; ``e`` for the identity outside type A."""
+    if is_type_a(w.rs):
+        return perm_string(w)
+    word = reduced_word(w)
+    return "e" if not word else ".".join(str(i) for i in word)
 
 
 def perm_from_string(rs: RootSystem, text: str) -> WeylElement:

@@ -9,11 +9,9 @@ per-criterion pass/fail lines.
 import itertools
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
-from flagloci.bruhat import interval
 from flagloci.cascade import build_cascade, verify_kostant
 from flagloci.construct import build_top_pair
 from flagloci.deodhar import (

@@ -7,7 +7,6 @@ import pytest
 
 from flagloci import bruhat
 from flagloci.bruhat import (
-    ReducedWord,
     bruhat_leq,
     covering_pairs,
     covers,
@@ -16,6 +15,7 @@ from flagloci.bruhat import (
     interval,
     leq,
     subwords_with_value,
+    walk_subwords,
 )
 from flagloci.rootsys import build_root_system
 from flagloci.weyl import (
@@ -24,8 +24,8 @@ from flagloci.weyl import (
     identity,
     length,
     longest_element,
-    perm_string,
     reduced_word,
+    right_descents,
     simple_reflection,
 )
 
@@ -98,19 +98,46 @@ def test_interval_full_group():
     assert len(edges) == 8
 
 
+def every(k, sigma, removed):
+    return True, True
+
+
+def reduced_only(word, target):
+    """The policy whose hits are the reduced words of the target inside
+    ``word``: remove while fewer than l(word) - l(target) letters are out,
+    keep a letter only if it ascends and still fits the target's length."""
+    lt = length(target)
+    d = len(word) - lt
+
+    def step(k, sigma, removed):
+        may_keep = word[k] not in right_descents(sigma) and k - len(removed) < lt
+        return len(removed) < d, may_keep
+
+    return step
+
+
+def removal_sets(rs, word, target, step):
+    return [removed for removed, _ in walk_subwords(rs, word, target, step)]
+
+
 def test_subwords_with_value_examples():
     rs = build_root_system("A2")
     s1 = from_word(rs, [1])
     e = identity(rs)
     assert subwords_with_value(rs, (1, 2, 1), s1) == [(1, 2), (2, 3)]
     assert subwords_with_value(rs, (1, 2, 1), e) == [(1, 2, 3), (2,)]
-    assert subwords_with_value(rs, (1, 2, 1), e, reduced_only=True) == [(1, 2, 3)]
+
+
+def test_walk_reduced_only_policy():
+    rs = build_root_system("A2")
+    e = identity(rs)
+    assert removal_sets(rs, (1, 2, 1), e, reduced_only((1, 2, 1), e)) == [(1, 2, 3)]
 
 
 def test_subwords_first_only():
     rs = build_root_system("A2")
     s1 = from_word(rs, [1])
-    assert subwords_with_value(rs, (1, 2, 1), s1, first_only=True) == [(1, 2)]
+    assert next(walk_subwords(rs, (1, 2, 1), s1, every))[0] == (1, 2)
 
 
 def test_subwords_whole_word():
@@ -124,32 +151,47 @@ def test_subwords_removal_filter():
     # veto any removal at the first letter (0-based position 0)
     rs = build_root_system("A2")
     e = identity(rs)
-    hits = subwords_with_value(
-        rs, (1, 2, 1), e, removal_filter=lambda removed, k: k != 0
-    )
-    assert hits == [(2,)]
+    assert removal_sets(rs, (1, 2, 1), e, lambda k, sigma, removed: (k != 0, True)) == [(2,)]
 
 
 def test_subword_positions_partition():
     rs = build_root_system("B2")
-    w0 = longest_element(rs)
-    word = reduced_word(w0)
-    host = ReducedWord(rs, word)  # one host, walked towards every v
+    word = reduced_word(longest_element(rs))
     for v in enumerate_group(rs):
-        hits = host.subwords(v)
-        assert hits == subwords_with_value(rs, word, v)
+        hits = list(walk_subwords(rs, word, v, every))
+        assert [removed for removed, _ in hits] == subwords_with_value(rs, word, v)
         assert len(hits) >= 1
-        for removed in hits:
+        for removed, trace in hits:
             kept = [word[i] for i in range(len(word)) if i + 1 not in removed]
-            assert from_word(rs, kept).matrix == v.matrix
+            assert from_word(rs, kept) == v
+            assert len(trace) == len(word) + 1 and trace[-1] == v
+
+
+@pytest.mark.parametrize("t", ["A3", "B3"])
+def test_walk_misses_no_subword(t):
+    # every subset of a reduced word of w0, sorted by target: the walk's
+    # hits are exactly these, in lexicographic order, with and without the
+    # reduced-only policy
+    rs = build_root_system(t)
+    word = reduced_word(longest_element(rs))
+    n = len(word)
+    expected = {v: [] for v in enumerate_group(rs)}
+    for size in range(n + 1):
+        for removed in itertools.combinations(range(1, n + 1), size):
+            kept = [word[i - 1] for i in range(1, n + 1) if i not in removed]
+            expected[from_word(rs, kept)].append(removed)
+    for v, sets in expected.items():
+        assert subwords_with_value(rs, word, v) == sorted(sets)
+        reduced = [r for r in sets if len(r) == n - length(v)]
+        assert removal_sets(rs, word, v, reduced_only(word, v)) == sorted(reduced)
 
 
 def test_reduced_word_rejects_non_reduced():
     rs = build_root_system("A2")
     with pytest.raises(ValueError, match="not reduced"):
-        ReducedWord(rs, (1, 2, 2))
+        walk_subwords(rs, (1, 2, 2), identity(rs), every)
     with pytest.raises(ValueError, match="not reduced"):
-        bruhat.walk_subwords(rs, (1, 1), identity(rs), lambda k, sigma, removed: (True, True))
+        walk_subwords(rs, (1, 1), identity(rs), every)
 
 
 def test_dot_export():
@@ -160,6 +202,23 @@ def test_dot_export():
     s1 = simple_reflection(rs, 1)
     flagged = export_bruhat_graph(rs, highlight={(identity(rs), s1)})
     assert flagged.count("[color=") == 1
+
+
+def test_dot_export_reduced_word_names():
+    # outside type A a vertex is "s" and a reduced word, the identity "e"
+    dot = export_bruhat_graph(build_root_system("B2"))
+    vertices = [line for line in dot.splitlines() if line.endswith('";') and '->' not in line]
+    assert vertices == [
+        '  "e";',
+        '  "s1";',
+        '  "s2";',
+        '  "s2.1";',
+        '  "s1.2";',
+        '  "s1.2.1";',
+        '  "s2.1.2";',
+        '  "s1.2.1.2";',
+    ]
+    assert '  "s2.1" -> "s1.2.1";' in dot.splitlines()
 
 
 def test_table_reuse_only_mode():

@@ -235,3 +235,9 @@ def test_workers_below_one_exits_1(capsys):
     assert main(["poisson", "scan", "A2", "--workers", "0"]) == 1
     assert main(["gcr", "enumerate", "A2", "--workers", "-3"]) == 1
     capsys.readouterr()
+
+
+def test_negative_sample_exits_1(capsys):
+    # a negative sample size is bad input, not a report over no pairs
+    assert main(["rpoly", "A2", "--sample", "-3"]) == 1
+    assert "agreement" not in capsys.readouterr().out

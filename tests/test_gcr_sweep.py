@@ -65,8 +65,8 @@ def test_maximal_pairs_match_the_enclosure_scan(t):
 def test_pairs_hold_the_tables_own_elements(t):
     _, table, poset, _ = sweep(t)
     for p in poset.pairs:
-        assert p.v is table.elements[table.idx(p.v)]
-        assert p.w is table.elements[table.idx(p.w)]
+        assert p.v is table.elements[table.index[p.v]]
+        assert p.w is table.elements[table.index[p.w]]
 
 
 def _components(masks: list[int]) -> int:
@@ -90,7 +90,7 @@ def _components(masks: list[int]) -> int:
 def test_locus_is_connected(t):
     # closed Richardsons meet iff their intervals share a T-fixed point
     _, table, _, maximal = sweep(t)
-    masks = [table.up[table.idx(p.v)] & table.down[table.idx(p.w)] for p in maximal]
+    masks = [table.up[table.index[p.v]] & table.down[table.index[p.w]] for p in maximal]
     assert _components(masks) == 1
 
 
