@@ -12,16 +12,27 @@ every v with its witness (``_removal_walk``, a walker of its own so that
 cond6 checks it independently), and cond3 and cond4 stay the independent
 oracles.  Maximality is decided from the pairs one gap up that share v or
 w (``GcrPoset.maximal_pairs``).
+
+Every ``GcrPair`` is validated in two parts (``_Host``).  The per-host
+part runs once per w in the enumeration: the host word is reduced, it
+multiplies to w, and it gives the inversion roots b_k.  The per-pair part
+runs for every pair: d equals l(w) - l(v) and the number of removals, the
+kept letters are a reduced word of v, each removed root is the b_k at its
+position, the removed roots are pairwise orthogonal, and the removed
+reflections carry w to v.  A directly built ``GcrPair`` runs both parts.
+Orthogonality of positive roots is read off one bitmask per root system
+(``rootsys.orthogonality_masks``); ``is_gcr_cond6`` calls ``orthogonal``
+itself, so that it stays an independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
 from .bruhat import get_table, interval, leq, require_table, walk_subwords
-from .rootsys import RootSystem, orthogonal
+from .rootsys import RootSystem, orthogonal, orthogonality_masks
 from .weyl import (
     WeylElement,
     eigenspace_dim,
@@ -128,11 +139,10 @@ def _removal_walk(w: WeylElement) -> dict[WeylElement, Witness]:
     word = reduced_word(w)
     betas = roots_of_word(rs, word)
     n = len(word)
-    # orth[k]: bitmask of the positions whose roots are orthogonal to betas[k]
-    orth = [
-        sum(1 << j for j in range(n) if orthogonal(rs, betas[k], betas[j]))
-        for k in range(n)
-    ]
+    # a removal set is held as a mask over the positive roots: the roots of
+    # a reduced word are distinct, so it names the positions as well
+    orth = orthogonality_masks(rs)
+    ids = [rs.root_index[b] for b in betas]
     gens = [simple_reflection(rs, i) for i in word]
     first: dict[WeylElement, int] = {}  # v -> mask of its first removal set
     stack = [(0, identity(rs), 0)]
@@ -144,11 +154,11 @@ def _removal_walk(w: WeylElement) -> dict[WeylElement, Witness]:
         # keep is pushed first, so the removal branch is walked first
         if word[k] not in right_descents(sigma):
             stack.append((k + 1, sigma * gens[k], mask))
-        if not mask & ~orth[k]:
-            stack.append((k + 1, sigma, mask | 1 << k))
+        if not mask & ~orth[ids[k]]:
+            stack.append((k + 1, sigma, mask | 1 << ids[k]))
     out = {}
     for v, mask in first.items():
-        positions = tuple(k + 1 for k in range(n) if mask >> k & 1)
+        positions = tuple(k + 1 for k in range(n) if mask >> ids[k] & 1)
         out[v] = (word, positions, tuple(betas[p - 1] for p in positions))
     return out
 
@@ -167,36 +177,70 @@ class GcrPair:
     removed_roots: tuple[tuple, ...]
 
     def __post_init__(self):
-        rs = self.w.rs
-        if not self.d == length(self.w) - length(self.v) == len(self.removed_positions):
-            raise ValueError(
-                f"gap d={self.d} must equal l(w) - l(v) and the number of removals"
-            )
-        if from_word(rs, self.host_word) != self.w:
-            raise ValueError("host word does not multiply to w")
-        kept = tuple(
-            s
-            for k, s in enumerate(self.host_word, start=1)
-            if k not in self.removed_positions
-        )
-        if from_word(rs, kept) != self.v or len(kept) != length(self.v):
-            raise ValueError("kept letters are not a reduced word of v")
-        betas = roots_of_word(rs, self.host_word)  # also validates reducedness
-        for k, p in enumerate(self.removed_positions):
-            if betas[p - 1] != self.removed_roots[k]:
-                raise ValueError(f"removed root {k + 1} is not the inversion root at {p}")
-        for a, b in itertools.combinations(self.removed_roots, 2):
-            if not orthogonal(rs, a, b):
-                raise ValueError(f"removed roots {a} and {b} are not orthogonal")
-        # the removed reflections carry w back to v
-        x = self.w
-        for g in self.removed_roots:
-            x = multiply(reflection(rs, g), x)
-        if x != self.v:
-            raise ValueError("removed reflections do not carry w to v")
+        _Host(self.w, self.host_word).check(self)
 
     def key(self):
         return (self.w.sort_key(), self.v.sort_key())
+
+
+_FIELDS = tuple(f.name for f in fields(GcrPair))
+
+
+class _Host:
+    """A host word of w that passed the per-host checks of ``GcrPair``: it
+    is reduced (``roots_of_word`` gives its inversion roots b_k) and it
+    multiplies to w.  ``check`` runs the per-pair checks on it, so the
+    enumeration checks each host word once and each pair once, and a
+    directly built ``GcrPair`` runs both parts."""
+
+    __slots__ = ("w", "word", "betas")
+
+    def __init__(self, w: WeylElement, word: tuple[int, ...]):
+        self.betas = roots_of_word(w.rs, word)  # ValueError unless reduced
+        if from_word(w.rs, word) != w:
+            raise ValueError("host word does not multiply to w")
+        self.w = w
+        self.word = word
+
+    def check(self, pair: GcrPair) -> None:
+        rs, w, v = self.w.rs, self.w, pair.v
+        positions, roots = pair.removed_positions, pair.removed_roots
+        if not pair.d == length(w) - length(v) == len(positions):
+            raise ValueError(
+                f"gap d={pair.d} must equal l(w) - l(v) and the number of removals"
+            )
+        kept = tuple(s for k, s in enumerate(self.word, start=1) if k not in positions)
+        if from_word(rs, kept) != v or len(kept) != length(v):
+            raise ValueError("kept letters are not a reduced word of v")
+        for k, p in enumerate(positions):
+            if self.betas[p - 1] != roots[k]:
+                raise ValueError(f"removed root {k + 1} is not the inversion root at {p}")
+        if len(roots) != len(positions):
+            raise ValueError("more removed roots than removed positions")
+        # from here on the removed roots are inversion roots, hence positive
+        orth, index = orthogonality_masks(rs), rs.root_index
+        for a, b in itertools.combinations(roots, 2):
+            if not orth[index[a]] >> index[b] & 1:
+                raise ValueError(f"removed roots {a} and {b} are not orthogonal")
+        # the removed reflections carry w back to v
+        x = w
+        for g in roots:
+            x = multiply(reflection(rs, g), x)
+        if x != v:
+            raise ValueError("removed reflections do not carry w to v")
+
+    def pair(
+        self, v: WeylElement, positions: tuple[int, ...], roots: tuple[tuple, ...]
+    ) -> GcrPair:
+        """The pair on this host word, after its per-pair checks alone."""
+        # fill the frozen fields as the dataclass __init__ does, without
+        # the per-host part of __post_init__
+        pair = object.__new__(GcrPair)
+        values = (v, self.w, len(positions), self.word, positions, roots)
+        for name, value in zip(_FIELDS, values):
+            object.__setattr__(pair, name, value)
+        self.check(pair)
+        return pair
 
 
 def make_gcr_pair(v: WeylElement, w: WeylElement) -> GcrPair:
@@ -266,13 +310,18 @@ def enumerate_gcr(rs: RootSystem, cap: int = 60000) -> GcrPoset:
 
 def _search(table) -> tuple[GcrPair, ...]:
     """The pairs of ``_removal_walk`` over every w of the table, with v
-    replaced by the table's own element, in ``GcrPair.key`` order."""
+    replaced by the table's own element, in ``GcrPair.key`` order.  The
+    host word reduced_word(w) passes its checks once per w, and each pair
+    its own checks on it."""
     els, index = table.elements, table.index
-    pairs = [
-        _pair(els[index[v]], w, witness)
-        for w in els
-        for v, witness in _removal_walk(w).items()
-    ]
+    pairs = []
+    for w in els:
+        found = _removal_walk(w)
+        host = _Host(w, reduced_word(w))
+        pairs.extend(
+            host.pair(els[index[v]], positions, roots)
+            for v, (_, positions, roots) in found.items()
+        )
     return tuple(sorted(pairs, key=lambda p: p.key()))
 
 

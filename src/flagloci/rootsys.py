@@ -28,6 +28,7 @@ __all__ = [
     "add_roots",
     "highest_roots",
     "orthogonal",
+    "orthogonality_masks",
     "strongly_orthogonal",
     "nonorthogonal_components",
     "classify_component",
@@ -200,7 +201,8 @@ class RootSystem:
         self.root_index = {b: k for k, b in enumerate(self.roots)}
         # memo for tables derived from the root system (Bruhat table,
         # witnessed pairs, parabolic masks, R-polynomials, reflection
-        # permutations), one entry per name, living as long as the root system
+        # permutations, orthogonality masks), one entry per name, living as
+        # long as the root system
         self.cache: dict = {}
         expected = sum(
             _POSITIVE_COUNT[letter](r) for letter, r in cartan_type.components
@@ -311,6 +313,21 @@ def add_roots(rs: RootSystem, b: Coords, g: Coords) -> Optional[Coords]:
 
 def orthogonal(rs: RootSystem, b: Coords, g: Coords) -> bool:
     return pairing(rs, b, g) == 0
+
+
+def orthogonality_masks(rs: RootSystem) -> tuple[int, ...]:
+    """Bit j of ``masks[k]`` is set iff positive roots k and j (numbered as
+    in ``rs.positive_roots``) are orthogonal; built once per root system and
+    kept in its cache."""
+    masks = rs.cache.get("orthogonality_masks")
+    if masks is None:
+        pos = rs.positive_roots
+        forms = [[sum(f * c for f, c in zip(row, b)) for row in rs.form] for b in pos]
+        masks = rs.cache["orthogonality_masks"] = tuple(
+            sum(1 << j for j, g in enumerate(pos) if not sum(x * c for x, c in zip(fb, g)))
+            for fb in forms
+        )
+    return masks
 
 
 def strongly_orthogonal(rs: RootSystem, b: Coords, g: Coords) -> bool:

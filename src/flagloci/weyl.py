@@ -20,9 +20,10 @@ representation touches this file only.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .rootsys import RootSystem, is_positive_root, is_root, weyl_order
+from .rootsys import RootSystem, is_root, weyl_order
 
 __all__ = [
     "WeylElement",
@@ -78,14 +79,17 @@ def _reflection_perm(rs: RootSystem, b: tuple) -> Perm:
     return perm
 
 
-def _simple(rs: RootSystem) -> tuple[tuple[Perm, ...], tuple[int, ...]]:
-    """The permutations of s_1..s_n and the root indices of a_1..a_n."""
+def _simple(rs: RootSystem) -> tuple[tuple[Perm, ...], tuple[int, ...], tuple]:
+    """The permutations of s_1..s_n, the root indices of a_1..a_n, and for
+    each s_i an ``itemgetter`` that right-multiplies a permutation by it."""
     got = rs.cache.get("simple_reflections")
     if got is None:
         simple = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
+        perms = tuple(_reflection_perm(rs, a) for a in simple)
         got = rs.cache["simple_reflections"] = (
-            tuple(_reflection_perm(rs, a) for a in simple),
+            perms,
             tuple(rs.root_index[a] for a in simple),
+            tuple(itemgetter(*perm) for perm in perms),
         )
     return got
 
@@ -115,15 +119,14 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise ValueError("elements of different groups")
-        a = self.perm
-        return WeylElement(self.rs, tuple([a[k] for k in other.perm]))
+        return WeylElement(self.rs, itemgetter(*other.perm)(self.perm))
 
     @property
     def matrix(self) -> Matrix:
         """Rows of the matrix whose column j is the image of a_{j+1}."""
         if self._matrix is None:
             roots = self.rs.roots
-            _, simple_index = _simple(self.rs)
+            simple_index = _simple(self.rs)[1]
             cols = [roots[self.perm[k]] for k in simple_index]
             self._matrix = tuple(zip(*cols))
         return self._matrix
@@ -149,13 +152,16 @@ def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, tuple(range(len(rs.roots))))
 
 
+def _check_letter(rs: RootSystem, i: int) -> None:
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"simple index {i} out of range")
+
+
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """s_i for a 1-based simple index: it changes only coordinate i of a
     root, b_i -> b_i - sum_j c_ij b_j."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple index {i} out of range")
-    perms, _ = _simple(rs)
-    return WeylElement(rs, perms[i - 1])
+    _check_letter(rs, i)
+    return WeylElement(rs, _simple(rs)[0][i - 1])
 
 
 def reflection(rs: RootSystem, b: Sequence) -> WeylElement:
@@ -200,7 +206,7 @@ def _scan_simple_images(w: WeylElement, negative: bool = True) -> Iterator[int]:
     root (``negative=False``: to a positive one).  Lazy, so ``next`` stops
     at the first hit."""
     n_pos = len(w.perm) // 2
-    _, simple_index = _simple(w.rs)
+    simple_index = _simple(w.rs)[1]
     for i, k in enumerate(simple_index, 1):
         if (w.perm[k] >= n_pos) == negative:
             yield i
@@ -243,10 +249,13 @@ def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
 
 
 def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
-    w = identity(rs)
+    """The product s_{i_1}...s_{i_m}, composed on the permutations."""
+    times = _simple(rs)[2]
+    w = range(len(rs.roots))
     for i in word:
-        w = w * simple_reflection(rs, i)
-    return w
+        _check_letter(rs, i)
+        w = times[i - 1](w)
+    return WeylElement(rs, tuple(w))
 
 
 def is_reduced(rs: RootSystem, word: Sequence[int]) -> bool:
@@ -256,15 +265,17 @@ def is_reduced(rs: RootSystem, word: Sequence[int]) -> bool:
 def roots_of_word(rs: RootSystem, word: Sequence[int]) -> list[tuple]:
     """The roots b_k = (s_{i_1}...s_{i_{k-1}})(a_{i_k}) of a reduced word;
     the word is reduced iff every b_k is positive."""
+    _, simple_index, times = _simple(rs)
+    n_pos = len(rs.positive_roots)
     out = []
-    prefix = identity(rs)
+    prefix = range(len(rs.roots))
     for i in word:
-        s = simple_reflection(rs, i)
-        b = prefix.act(rs.simple_root(i))
-        if not is_positive_root(rs, b):
+        _check_letter(rs, i)
+        k = prefix[simple_index[i - 1]]
+        if k >= n_pos:
             raise ValueError(f"word {tuple(word)} is not reduced")
-        out.append(b)
-        prefix = prefix * s
+        out.append(rs.roots[k])
+        prefix = times[i - 1](prefix)
     return out
 
 

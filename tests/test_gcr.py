@@ -4,11 +4,15 @@ enumeration counts, and the boolean-interval structure."""
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
+
+import pytest
 
 from flagloci import gcr
 from flagloci.bruhat import get_table
 from flagloci.gcr import (
+    GcrPair,
     enumerate_gcr,
     is_gcr_cond3,
     is_gcr_cond4,
@@ -21,6 +25,7 @@ from flagloci.gcr import (
 from flagloci.rootsys import build_root_system, orthogonal
 from flagloci.weyl import (
     enumerate_group,
+    from_word,
     length,
     longest_element,
     multiply,
@@ -173,6 +178,92 @@ def test_witness_invariants():
 def test_reducible_type():
     poset = enumerate_gcr(build_root_system("A1xA1"))
     assert poset.counts_by_d() == {0: 4, 1: 4, 2: 1}
+
+
+def _b3_pair() -> GcrPair:
+    # removing positions 1, 5, 6 of 1.2.3.2.1.3 leaves 2.3.2; the removed
+    # roots a1, a1 + 2a2 + 2a3 and a3 are pairwise orthogonal
+    rs = build_root_system("B3")
+    return make_gcr_pair(from_word(rs, (2, 3, 2)), from_word(rs, (1, 2, 3, 2, 1, 3)))
+
+
+def test_b3_pair_is_the_expected_witness():
+    p = _b3_pair()
+    assert (p.d, p.host_word, p.removed_positions, p.removed_roots) == (
+        3,
+        (1, 2, 3, 2, 1, 3),
+        (1, 5, 6),
+        ((1, 0, 0), (1, 2, 2), (0, 0, 1)),
+    )
+    assert replace(p) == p  # a direct rebuild passes every check
+
+
+def _corruptions(p: GcrPair) -> dict[str, tuple[dict, str]]:
+    """One field changed at a time: the changed fields, and the message of
+    the one check of GcrPair that the corruption breaks."""
+    rs = p.w.rs
+    # non-orthogonal removal: positions 1 and 2 of the host carry a1 and
+    # a1 + a2, and the kept letters 3.2.1.3 are a reduced word of their v
+    v12 = from_word(rs, (3, 2, 1, 3))
+    return {
+        # 2.1.3.2.1.3 is reduced, but it is a word of another element
+        "host word does not multiply to w": (
+            dict(host_word=(2, 1, 3, 2, 1, 3)),
+            "host word does not multiply to w",
+        ),
+        "host word is not reduced": (
+            dict(
+                host_word=(1, 1) + p.host_word,
+                removed_positions=tuple(k + 2 for k in p.removed_positions),
+            ),
+            r"word \(1, 1, 1, 2, 3, 2, 1, 3\) is not reduced",
+        ),
+        "kept letters are not a reduced word of v": (
+            dict(removed_positions=(2, 5, 6)),
+            "kept letters are not a reduced word of v",
+        ),
+        "a removed root is not its inversion root": (
+            dict(removed_roots=((1, 1, 0),) + p.removed_roots[1:]),
+            "removed root 1 is not the inversion root at 1",
+        ),
+        # a negative root with no position of its own
+        "an extra removed root": (
+            dict(removed_roots=p.removed_roots + ((0, -1, 0),)),
+            "more removed roots than removed positions",
+        ),
+        "removed roots are not orthogonal": (
+            dict(v=v12, d=2, removed_positions=(1, 2), removed_roots=((1, 0, 0), (1, 1, 0))),
+            r"removed roots \(1, 0, 0\) and \(1, 1, 0\) are not orthogonal",
+        ),
+        "wrong gap": (dict(d=2), "gap d=2 must equal"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_corruptions(_b3_pair())))
+def test_pair_validation_refuses_each_corruption(case):
+    p = _b3_pair()
+    with pytest.raises(ValueError):
+        replace(p, **_corruptions(p)[case][0])
+
+
+@pytest.mark.parametrize("case", sorted(_corruptions(_b3_pair())))
+def test_each_corruption_trips_its_own_check(case):
+    # the per-host checks run first, then the per-pair ones in order, so
+    # each corruption names the check it breaks.  "The removed reflections
+    # carry w to v" has no case: orthogonal reflections commute, so it
+    # follows from the kept-letter, root and orthogonality checks.
+    p = _b3_pair()
+    changed, message = _corruptions(p)[case]
+    with pytest.raises(ValueError, match=message):
+        replace(p, **changed)
+
+
+@pytest.mark.parametrize("t", ("A3", "B3", "G2xA1"))
+def test_enumerated_pairs_equal_the_direct_witness(t):
+    names = [f.name for f in fields(GcrPair)]
+    for p in enumerate_gcr(build_root_system(t)).pairs:
+        q = make_gcr_pair(p.v, p.w)
+        assert [getattr(p, n) for n in names] == [getattr(q, n) for n in names]
 
 
 def test_pair_validation_survives_optimize():

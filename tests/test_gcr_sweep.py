@@ -15,10 +15,13 @@ from flagloci.rootsys import build_root_system
 from flagloci.weyl import longest_element, reduced_word, reflection_length
 
 DIGEST_TYPES = ("A2xA1", "B2xA1", "G2xA1", "A3", "A2xA2", "B3", "C3", "A4", "D4", "B2xB2")
-LOCUS_TYPES = ("A3", "B3", "C3", "G2xA1", "A2xA2", "A4", "D4")
+LOCUS_TYPES = ("A3", "B3", "C3", "G2xA1", "A2xA2", "A4", "D4", "F4")
+BIG_TYPES = ("B4", "F4")
 
 # computed on the O(P^2) maximality scan and the per-candidate witness search
 DIGEST = "da86d0779ea3110348357532bbfd5972ef567f8e07c0286422f8b6fdf8d031a0"
+# the same rows over BIG_TYPES, computed on the per-pair validation of GcrPair
+BIG_DIGEST = "05268c3437bed92f8e9216a8d1c80f6e501eb6866d34d306c1fd53135b67c942"
 
 
 @lru_cache(maxsize=None)
@@ -30,9 +33,10 @@ def sweep(t: str):
     return rs, table, poset, poset.maximal_pairs()
 
 
-def test_gcr_output_digest():
+def _digest(types) -> str:
+    """SHA-256 over every pair and every maximal pair of each type."""
     h = hashlib.sha256()
-    for t in DIGEST_TYPES:
+    for t in types:
         _, _, poset, maximal = sweep(t)
         h.update(f"{t}\n".encode())
         for p in poset.pairs:
@@ -47,9 +51,18 @@ def test_gcr_output_digest():
         h.update(b"maximal\n")
         for p in maximal:
             h.update(f"{(reduced_word(p.v), reduced_word(p.w))}\n".encode())
-    assert h.hexdigest() == DIGEST
+    return h.hexdigest()
 
 
+def test_gcr_output_digest():
+    assert _digest(DIGEST_TYPES) == DIGEST
+
+
+def test_gcr_output_digest_b4_f4():
+    assert _digest(BIG_TYPES) == BIG_DIGEST
+
+
+# F4 is left out: its 13205 pairs make this scan about 1.7e8 comparisons
 @pytest.mark.parametrize("t", DIGEST_TYPES)
 def test_maximal_pairs_match_the_enclosure_scan(t):
     _, _, poset, maximal = sweep(t)
@@ -104,3 +117,8 @@ def test_top_gap_is_the_cascade_size(t):
 def test_locus_is_not_equidimensional_on_d4():
     _, _, _, maximal = sweep("D4")
     assert {p.d for p in maximal} == {1, 2, 3, 4}
+
+
+def test_maximal_gaps_on_f4():
+    _, _, _, maximal = sweep("F4")
+    assert {p.d for p in maximal} == {2, 3, 4}

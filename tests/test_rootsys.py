@@ -12,6 +12,7 @@ from flagloci.rootsys import (
     is_positive_root,
     is_root,
     orthogonal,
+    orthogonality_masks,
     pairing,
     reflect,
     strongly_orthogonal,
@@ -111,6 +112,24 @@ def test_strong_orthogonality_b2():
     assert so == [((1, 0), (1, 2))]
     assert orthogonal(rs, (0, 1), (1, 1))
     assert not strongly_orthogonal(rs, (0, 1), (1, 1))
+
+
+@pytest.mark.parametrize(
+    # the DIGEST_TYPES of test_gcr_sweep.py, and F4
+    "t",
+    ("A2xA1", "B2xA1", "G2xA1", "A3", "A2xA2", "B3", "C3", "A4", "D4", "B2xB2", "F4"),
+)
+def test_orthogonality_masks_match_orthogonal(t):
+    rs = build_root_system(t)
+    masks = orthogonality_masks(rs)
+    pos = rs.positive_roots
+    assert len(masks) == len(pos)
+    for k, b in enumerate(pos):
+        assert [masks[k] >> j & 1 for j in range(len(pos))] == [
+            orthogonal(rs, b, g) for g in pos
+        ]
+        assert masks[k] >> len(pos) == 0
+    assert orthogonality_masks(rs) is masks  # built once per root system
 
 
 def test_add_roots():

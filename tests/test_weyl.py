@@ -4,6 +4,7 @@ the integer-matrix view checked against matrix arithmetic."""
 import ast
 import gc
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +97,51 @@ def test_roots_of_word():
     assert roots_of_word(rs, (1, 2, 1)) == [(1, 0), (1, 1), (0, 1)]
     with pytest.raises(Exception):
         roots_of_word(rs, (1, 1))
+
+
+def test_words_match_the_element_oracle():
+    # seeded random words, against a product of simple_reflection elements
+    # and against act of each prefix on its simple root
+    rng = random.Random(11)
+    for t in ("A3", "B3", "G2xA1", "D4", "F4"):
+        rs = build_root_system(t)
+        n = rs.rank
+        words = []
+        for _ in range(40):
+            size = rng.randrange(len(rs.positive_roots) + 3)
+            words.append(tuple(rng.randint(1, n) for _ in range(size)))
+            # a random reduced word: each letter ascends from its prefix
+            x, word = identity(rs), []
+            for _ in range(rng.randrange(len(rs.positive_roots) + 1)):
+                i = rng.choice([j for j in range(1, n + 1) if j not in right_descents(x)])
+                x = multiply(x, simple_reflection(rs, i))
+                word.append(i)
+            words.append(tuple(word))
+        reduced = 0
+        for word in words:
+            prefix = identity(rs)
+            roots = []
+            for i in word:
+                roots.append(act(prefix, rs.simple_root(i)))
+                prefix = multiply(prefix, simple_reflection(rs, i))
+            assert from_word(rs, word) == prefix
+            assert from_word(rs, list(word)) == prefix
+            if all(is_positive_root(rs, b) for b in roots):
+                assert roots_of_word(rs, word) == roots
+                assert length(prefix) == len(word)
+                reduced += 1
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"word {word} is not reduced")):
+                    roots_of_word(rs, word)
+        assert 40 <= reduced < len(words)
+        # bad letters raise where they stand, after any earlier failure
+        for bad in (0, n + 1):
+            for word in ((bad,), (1, bad), (1, 2, bad, 1)):
+                for fn in (from_word, roots_of_word):
+                    with pytest.raises(ValueError, match=f"^simple index {bad} out of range$"):
+                        fn(rs, word)
+            with pytest.raises(ValueError, match=re.escape(f"word {(1, 1, bad)} is not reduced")):
+                roots_of_word(rs, (1, 1, bad))
 
 
 def test_descents():
