@@ -11,8 +11,10 @@ at once and is kept apart from ``walk_subwords`` so that ``is_gcr_cond6``
 stays an independent oracle for it.  Two independent routes to the order
 sit behind ``leq`` and are kept deliberately:
 
-* ``bruhat_leq`` runs the classical descent recursion (iteratively), which
-  works in any group without enumeration;
+* ``bruhat_leq`` runs the classical descent recursion (iteratively) on the
+  inverses, where each left descent becomes a right descent (one lookup)
+  and both lengths are tracked as ints; it works in any group without
+  enumeration and reads no table;
 * ``BruhatTable`` builds the covering relation from reflections on an
   enumerated group and stores reachability bitmasks.
 
@@ -39,11 +41,12 @@ from .weyl import (
     identity,
     inverse,
     is_reduced,
+    is_right_descent,
     is_type_a,
     length,
     reflection,
     simple_reflection,
-    smallest_left_descent,
+    smallest_right_descent,
 )
 
 __all__ = [
@@ -65,21 +68,27 @@ _TABLE_BUILD_LIMIT = 10000  # don't auto-build reachability tables beyond this
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Descent recursion: for a left descent s of w, v <= w iff min(v,sv) <= sw."""
+    """Descent recursion, run on the inverses x = v^{-1} and y = w^{-1}:
+    v <= w iff x <= y, and for a right descent s of y, x <= y iff
+    min(x, xs) <= ys.  A right descent is one lookup, no inverse is taken
+    after the first two, and the lengths are tracked as ints: a step lowers
+    l(y) by exactly 1, and l(x) by exactly 1 when s is a descent of x.  It
+    reads no table, and stays the independent route that ``BruhatTable`` is
+    checked against."""
     if v.rs is not w.rs:
         raise ValueError("elements of different groups")
     rs = v.rs
-    while True:
-        if v == w:
-            return True
-        if length(v) >= length(w):
-            return False
-        i = smallest_left_descent(w)
+    x, y = inverse(v), inverse(w)
+    lx, ly = length(v), length(w)
+    while lx < ly:
+        i = smallest_right_descent(y)
         s = simple_reflection(rs, i)
-        sv = s * v
-        if length(sv) < length(v):
-            v = sv
-        w = s * w
+        if is_right_descent(x, i):
+            x = x * s
+            lx -= 1
+        y = y * s
+        ly -= 1
+    return x == y
 
 
 def closure(

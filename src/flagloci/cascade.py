@@ -2,7 +2,12 @@
 highest roots, passing to the orthogonal part of the support subsystem, and
 repeating.  Carries the E-sets, their pair matchings, and checks of the
 classical identities (product of reflections is the longest element, the
-E-sets partition the positive roots, |E| = 2 h-dual - 3)."""
+E-sets partition the positive roots, |E| = 2 h-dual - 3).
+
+The forest is built once per root system and memoized in its cache
+(``rs.cache["cascade"]``); every ``build_cascade`` call wraps it in a fresh
+``Cascade``.  Only the forest is kept, which holds root tuples and no
+reference back to the root system, so the memo adds no cycle."""
 
 from __future__ import annotations
 
@@ -58,24 +63,23 @@ def support_subsystem(rs: RootSystem, beta) -> tuple[tuple[int, ...], list[tuple
     return tuple(sorted(supp)), roots
 
 
-def _is_locally_high(rs: RootSystem, gamma: tuple) -> bool:
-    _, sub = support_subsystem(rs, gamma)
+def _descendants(rs: RootSystem, gamma: tuple, sub: list[tuple]) -> list[tuple]:
+    """``descendants`` given the support subsystem ``sub`` of gamma."""
     h = rs.height(gamma)
-    return all(rs.height(d) < h for d in sub if d != gamma)
+    if any(rs.height(d) >= h for d in sub if d != gamma):
+        raise ValueError(f"{gamma} is not the highest root of its support subsystem")
+    orth = [d for d in sub if pairing(rs, d, gamma) == 0]
+    comps = nonorthogonal_components(rs, orth)
+    tops = [max(c, key=lambda r: (rs.height(r), r)) for c in comps]
+    tops.sort(key=lambda r: (-rs.height(r), r))
+    return tops
 
 
 def descendants(rs: RootSystem, gamma) -> list[tuple]:
     """Highest roots of the components of the part of the support subsystem
     orthogonal to gamma."""
     gamma = tuple(gamma)
-    if not _is_locally_high(rs, gamma):
-        raise ValueError(f"{gamma} is not the highest root of its support subsystem")
-    _, sub = support_subsystem(rs, gamma)
-    orth = [d for d in sub if pairing(rs, d, gamma) == 0]
-    comps = nonorthogonal_components(rs, orth)
-    tops = [max(c, key=lambda r: (rs.height(r), r)) for c in comps]
-    tops.sort(key=lambda r: (-rs.height(r), r))
-    return tops
+    return _descendants(rs, gamma, support_subsystem(rs, gamma)[1])
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,7 @@ class Cascade:
         return tuple(node.gamma for node in iter_nodes(self))
 
 
-def _e_set(rs: RootSystem, gamma: tuple) -> tuple[tuple, ...]:
-    _, sub = support_subsystem(rs, gamma)
+def _e_set(rs: RootSystem, gamma: tuple, sub: list[tuple]) -> tuple[tuple, ...]:
     es = [m for m in sub if pairing(rs, m, gamma) > 0]
     es.sort(key=lambda r: (rs.height(r), r))
     return tuple(es)
@@ -124,15 +127,19 @@ def _match_pairs(rs: RootSystem, gamma: tuple, e_set) -> tuple:
 
 
 def _build_node(rs: RootSystem, gamma: tuple) -> CascadeNode:
-    supp, _ = support_subsystem(rs, gamma)
-    e_set = _e_set(rs, gamma)
+    supp, sub = support_subsystem(rs, gamma)
+    e_set = _e_set(rs, gamma, sub)
     pairs = _match_pairs(rs, gamma, e_set)
-    children = tuple(_build_node(rs, d) for d in descendants(rs, gamma))
+    children = tuple(_build_node(rs, d) for d in _descendants(rs, gamma, sub))
     return CascadeNode(gamma, supp, e_set, pairs, children)
 
 
 def build_cascade(rs: RootSystem) -> Cascade:
-    return Cascade(rs, tuple(_build_node(rs, th) for th in highest_roots(rs)))
+    """The cascade of rs; its forest is built on the first call only."""
+    forest = rs.cache.get("cascade")
+    if forest is None:
+        forest = rs.cache["cascade"] = tuple(_build_node(rs, th) for th in highest_roots(rs))
+    return Cascade(rs, forest)
 
 
 def iter_nodes(c: Cascade) -> list[CascadeNode]:

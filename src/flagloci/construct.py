@@ -208,10 +208,14 @@ def _build_v_simple(rs: RootSystem) -> WeylElement:
 def build_v(rs: RootSystem) -> WeylElement:
     """Element whose inversion set avoids the cascade and meets every
     matched pair exactly once; built per component as u times a lifted
-    recursive solution."""
+    recursive solution.  A simple system is its own component, so it is
+    used as it is rather than built a second time."""
+    components = rs.cartan_type.components
+    if len(components) == 1:
+        return _build_v_simple(rs)
     v = identity(rs)
     offset = 0
-    for letter, rank in rs.cartan_type.components:
+    for letter, rank in components:
         comp_rs = build_root_system(f"{letter}{rank}")
         v_comp = _build_v_simple(comp_rs)
         shifted = tuple(i + offset for i in reduced_word(v_comp))

@@ -11,10 +11,10 @@ from .bruhat import leq, walk_subwords
 from .rootsys import RootSystem
 from .weyl import (
     WeylElement,
+    is_right_descent,
     length,
     multiply,
     reduced_word,
-    right_descents,
     simple_reflection,
     smallest_left_descent,
 )
@@ -145,7 +145,7 @@ def distinguished_subwords(
     def step(k, sigma, removed):
         # removal keeps sigma and needs an ascent (s_k not a right descent
         # of sigma); keeping is always allowed
-        return word[k] not in right_descents(sigma), True
+        return not is_right_descent(sigma, word[k]), True
 
     return [
         DistinguishedSubword(word, removed, trace, len(removed), _kept_descents(trace))
@@ -161,7 +161,7 @@ def positive_subword(
 
     def step(k, sigma, removed):
         # a descent forces a kept descent or an illegal removal
-        ascent = word[k] not in right_descents(sigma)
+        ascent = not is_right_descent(sigma, word[k])
         return ascent, ascent
 
     hits = [

@@ -40,12 +40,12 @@ from .weyl import (
     identity,
     inverse,
     is_involution,
+    is_right_descent,
     length,
     multiply,
     reduced_word,
     reflection,
     reflection_length,
-    right_descents,
     roots_of_word,
     simple_reflection,
 )
@@ -112,7 +112,7 @@ def is_gcr_cond6(v: WeylElement, w: WeylElement) -> Optional[Witness]:
         may_remove = len(removed) < d and all(
             orthogonal(rs, betas[k], betas[p - 1]) for p in removed
         )
-        may_keep = word[k] not in right_descents(sigma) and k - len(removed) < lv
+        may_keep = not is_right_descent(sigma, word[k]) and k - len(removed) < lv
         return may_remove, may_keep
 
     hit = next(walk_subwords(rs, word, v, step), None)
@@ -152,7 +152,7 @@ def _removal_walk(w: WeylElement) -> dict[WeylElement, Witness]:
             first.setdefault(sigma, mask)
             continue
         # keep is pushed first, so the removal branch is walked first
-        if word[k] not in right_descents(sigma):
+        if not is_right_descent(sigma, word[k]):
             stack.append((k + 1, sigma * gens[k], mask))
         if not mask & ~orth[ids[k]]:
             stack.append((k + 1, sigma, mask | 1 << ids[k]))

@@ -36,6 +36,8 @@ __all__ = [
     "act",
     "length",
     "inversion_set",
+    "is_right_descent",
+    "smallest_right_descent",
     "reduced_word",
     "all_reduced_words",
     "roots_of_word",
@@ -216,12 +218,23 @@ def right_descents(w: WeylElement) -> list[int]:
     return list(_scan_simple_images(w))
 
 
+def is_right_descent(w: WeylElement, i: int) -> bool:
+    """Whether s_i is a right descent of w (w sends a_i to a negative root):
+    one lookup, where ``i in right_descents(w)`` scans every simple root."""
+    _check_letter(w.rs, i)
+    return w.perm[_simple(w.rs)[1][i - 1]] >= len(w.perm) // 2
+
+
+def smallest_right_descent(w: WeylElement) -> Optional[int]:
+    return next(_scan_simple_images(w), None)
+
+
 def left_descents(w: WeylElement) -> list[int]:
     return right_descents(inverse(w))
 
 
 def smallest_left_descent(w: WeylElement) -> Optional[int]:
-    return next(_scan_simple_images(inverse(w)), None)
+    return smallest_right_descent(inverse(w))
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
@@ -229,7 +242,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     if w._rword is None:
         word = []
         u = inverse(w)  # strip right descents of w^{-1} = left descents of w
-        while (i := next(_scan_simple_images(u), None)) is not None:
+        while (i := smallest_right_descent(u)) is not None:
             word.append(i)
             u = u * simple_reflection(w.rs, i)
         if not u.is_identity():

@@ -2,6 +2,7 @@
 subword search itself."""
 
 import itertools
+import random
 
 import pytest
 
@@ -52,6 +53,35 @@ def test_three_routes_agree():
                 expected = brute_leq(v, w)
                 assert bruhat_leq(v, w) == expected
                 assert table.leq(v, w) == expected
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "G2xA1", "D4"])
+def test_recursion_matches_table_on_all_pairs(t):
+    rs = build_root_system(t)
+    els = enumerate_group(rs)
+    table = get_table(rs)
+    for v in els:
+        for w in els:
+            assert bruhat_leq(v, w) == table.leq(v, w)
+
+
+def test_recursion_matches_subword_property_e6():
+    # no table: v <= w iff some subword of a reduced word of w has value v;
+    # half the v are built as subwords of w, so both answers occur
+    rs = build_root_system("E6")
+    rng = random.Random(6)
+    seen = set()
+    for k in range(200):
+        w = from_word(rs, [rng.randint(1, 6) for _ in range(rng.randint(0, 40))])
+        word = reduced_word(w)
+        if k % 2:
+            v = from_word(rs, [i for i in word if rng.random() < 0.6])
+        else:
+            v = from_word(rs, [rng.randint(1, 6) for _ in range(rng.randint(0, 20))])
+        expected = bool(subwords_with_value(rs, word, v))
+        assert bruhat_leq(v, w) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_reflexive_antisymmetric():

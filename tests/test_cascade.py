@@ -1,15 +1,19 @@
 """Strongly orthogonal cascade of highest roots and its structural
 identities."""
 
+import gc
+
 import pytest
 
+from flagloci import cascade
 from flagloci.cascade import (
     build_cascade,
     descendants,
     iter_nodes,
     verify_kostant,
 )
-from flagloci.rootsys import build_root_system, strongly_orthogonal
+from flagloci.construct import build_top_pair
+from flagloci.rootsys import RootSystem, build_root_system, strongly_orthogonal
 
 
 def test_cascade_roots_a3():
@@ -91,3 +95,43 @@ def test_descendants_of_highest_root():
     assert descendants(rs, (1, 1, 1)) == [(0, 1, 0)]
     rs2 = build_root_system("D4")
     assert descendants(rs2, (1, 2, 1, 1)) == [(0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0)]
+
+
+def test_forest_built_once_per_root_system(monkeypatch):
+    # every node of every forest is built once, for the workload's sequence
+    # of cascade, Kostant check and top pair (whose recursion passes through
+    # the cascades of the orthogonal subsystems)
+    built = []
+    real = cascade._build_node
+
+    def recording(rs, gamma):
+        built.append((rs, gamma))  # holds rs, so no id is reused
+        return real(rs, gamma)
+
+    monkeypatch.setattr(cascade, "_build_node", recording)
+    rs = build_root_system("E6")
+    verify_kostant(rs, build_cascade(rs))
+    build_top_pair(rs)
+    systems = {id(r): r for r, _ in built}
+    assert rs in systems.values() and len(systems) > 1
+    for key, r in systems.items():
+        gammas = [g for s, g in built if id(s) == key]
+        assert len(gammas) == len(set(gammas)) == len(build_cascade(r).roots)
+
+
+def test_forest_memo_holds_no_root_system():
+    # a bounded walk over what the cached forest refers to (classes are not
+    # entered) meets no root system, so the memo makes no cycle through rs
+    rs = build_root_system("E7")
+    first = build_cascade(rs).roots
+    assert build_cascade(rs).roots == first
+    seen = set()
+    stack = [rs.cache["cascade"]]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, RootSystem)
+        assert len(seen) < 100000
+        stack.extend(gc.get_referents(obj))

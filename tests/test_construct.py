@@ -1,5 +1,8 @@
 """Constructive pipeline for the top-dimensional witnessed pair."""
 
+import pytest
+
+from flagloci import construct
 from flagloci.cascade import build_cascade
 from flagloci.construct import (
     build_top_pair,
@@ -109,3 +112,35 @@ def test_build_v_length():
         v = build_v(rs)
         m = len(build_cascade(rs).roots)
         assert 2 * length(v) == len(rs.positive_roots) - m
+
+
+def recorded_builds(monkeypatch) -> list[str]:
+    """The names ``construct`` passes to ``build_root_system`` from now on."""
+    names = []
+    real = construct.build_root_system
+
+    def recording(name):
+        names.append(name)
+        return real(name)
+
+    monkeypatch.setattr(construct, "build_root_system", recording)
+    return names
+
+
+@pytest.mark.parametrize("t", ["E7", "D7", "B6"])
+def test_build_v_reuses_a_simple_system(t, monkeypatch):
+    rs = build_root_system(t)
+    names = recorded_builds(monkeypatch)
+    build_v(rs)
+    assert names and t not in names
+
+
+def test_build_v_builds_each_component(monkeypatch):
+    rs = build_root_system("D4xA1")
+    names = recorded_builds(monkeypatch)
+    v = build_v(rs)
+    # components are sorted (A1 first) and each is built before the
+    # recursion below it: A1 has no orthogonal subsystem, D4 has A1xA1xA1
+    assert rs.cartan_type.components == (("A", 1), ("D", 4))
+    assert names[:3] == ["A1", "D4", "A1xA1xA1"]
+    assert 2 * length(v) == len(rs.positive_roots) - len(build_cascade(rs).roots)

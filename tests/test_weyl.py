@@ -25,6 +25,7 @@ from flagloci.weyl import (
     inversion_set,
     is_involution,
     is_reduced,
+    is_right_descent,
     kernel_dim,
     left_descents,
     length,
@@ -39,6 +40,7 @@ from flagloci.weyl import (
     right_descents,
     roots_of_word,
     simple_reflection,
+    smallest_right_descent,
 )
 
 
@@ -149,6 +151,22 @@ def test_descents():
     w = from_word(rs, (1, 2))
     assert right_descents(w) == [2]
     assert left_descents(w) == [1]
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "G2xA1", "D4", "F4", "E6"])
+def test_one_letter_descent_matches_descent_list(t):
+    rs = build_root_system(t)
+    rng = random.Random(t)
+    for _ in range(40):
+        w = from_word(rs, [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 30))])
+        descents = right_descents(w)
+        assert [i for i in range(1, rs.rank + 1) if is_right_descent(w, i)] == descents
+        assert smallest_right_descent(w) == (descents[0] if descents else None)
+    for bad in (0, rs.rank + 1):
+        with pytest.raises(ValueError, match=f"^simple index {bad} out of range$"):
+            simple_reflection(rs, bad)
+        with pytest.raises(ValueError, match=f"^simple index {bad} out of range$"):
+            is_right_descent(identity(rs), bad)
 
 
 def test_reflection_length_matches_brute_force():
