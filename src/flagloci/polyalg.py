@@ -11,21 +11,34 @@ lexicographic comparisons by default, normal pair selection, and reduced
 monic output sorted by leading monomial.
 
 A polynomial computes its leading term once, on first use, and keeps it
-(nothing mutates ``terms`` after construction).  `buchberger` keeps the
-pending S-pairs in a heap keyed by (degree of the lcm of the leads,
-pair).  The keys are unique, so the pairs come out in the same order as a
-scan for the smallest key would pick them: the heap changes the cost of
-the selection, not the basis sequence or the reduced output.  Next to each
-basis member it keeps the support mask of its leading monomial (bit t set
-iff variable t occurs), which decides the coprime test and rules out most
-divisibility tests with one ``&``."""
+(nothing mutates ``terms`` after construction).  In the same way an
+`Ideal` computes its reduced basis once, on the first `buchberger` call,
+and keeps it, so `membership`, `ideal_equal`, `radical_membership` and
+callers that ask again all read one basis.
+
+One completion loop, `_complete`, serves every basis: it takes a prefix
+that is already a Groebner basis plus new generators, and never pushes a
+pair inside the prefix (such a pair reduces to zero by the prefix, so it
+also counts as done for the chain criterion).  `buchberger` runs it with
+an empty prefix; `radical_membership` runs it on the ideal's kept basis,
+lifted, with 1 - y*f as the only new member.  The loop keeps the pending
+S-pairs in a heap keyed by (degree of the lcm of the leads, pair); the
+keys are unique, so the pair order is fixed.  Next to each basis member
+it keeps the support mask of its leading monomial (bit t set iff variable
+t occurs), which decides the coprime test and rules out most
+divisibility tests with one ``&``.  A member that is a nonzero constant
+ends the loop at once: the reduced basis is then (1).
+
+Reduction works on one mutable terms dict: an S-polynomial is built as a
+dict and each division step subtracts its multiple of a basis member in
+place (`_sub_multiple`), so no intermediate `Polynomial` is made."""
 
 from __future__ import annotations
 
 import heapq
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import compress
@@ -102,6 +115,8 @@ class PolyRing:
         return (_grevlex_key(e[:k]), _grevlex_key(e[k:]))
 
     def var(self, name: str) -> "Polynomial":
+        if name not in self.variables:
+            raise ValueError(f"unknown variable {name!r}")
         i = self.variables.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(self.variables)))
         return Polynomial(self, {e: 1})
@@ -221,8 +236,15 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class Ideal:
+    """An ideal given by its generators.  `buchberger` computes its reduced
+    basis once, on first use, and keeps it in ``_basis``, which takes no
+    part in ``==``, ``hash`` or ``repr`` (nothing mutates ``generators``)."""
+
     ring: PolyRing
     generators: tuple[Polynomial, ...]
+    _basis: Optional[GroebnerBasis] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -232,6 +254,7 @@ class GroebnerBasis:
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
+_OPERATORS = frozenset("-+*^)")
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
@@ -266,19 +289,23 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             if peek() != ")":
                 raise ValueError("missing closing parenthesis")
             take()
-        elif re.fullmatch(r"\d+(/\d+)?", tok):
+        elif tok in _OPERATORS:
+            raise ValueError(f"unexpected {tok!r}")
+        elif tok[0].isdigit():
             take()
+            den = tok.partition("/")[2]
+            if den and int(den) == 0:
+                raise ValueError(f"zero denominator in {tok!r}")
             p = ring.const(Fraction(tok))
         else:
             take()
-            if tok not in ring.variables:
-                raise ValueError(f"unknown variable {tok!r}")
             p = ring.var(tok)
         if peek() == "^":
             take()
-            exp_tok = take()
-            if not exp_tok.isdigit():
+            exp_tok = peek()
+            if exp_tok is None or not exp_tok.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
+            take()
             out = ring.const(1)
             for _ in range(int(exp_tok)):
                 out = out * p
@@ -324,10 +351,6 @@ def _expo_lcm(a: Expo, b: Expo) -> Expo:
     return tuple(map(max, a, b))
 
 
-def _mono_times(p: Polynomial, e: Expo, c: Coef) -> Polynomial:
-    return Polynomial(p.ring, {tuple(map(add, e, t)): c * v for t, v in p.terms.items()})
-
-
 @cache
 def _bits(n: int) -> tuple[int, ...]:
     return tuple(1 << t for t in range(n))
@@ -348,63 +371,106 @@ def _reduce(
     f: Polynomial, basis: Sequence[Polynomial], leads: list, sevs: list
 ) -> Polynomial:
     """`normal_form`, given the leading monomials of the basis and their
-    support masks: a lead with a variable outside the support of the
+    support masks."""
+    rem = _reduce_terms(dict(f.terms), basis, leads, sevs, f.ring.key)
+    return Polynomial(f.ring, rem)
+
+
+def _reduce_terms(
+    p: dict, basis: Sequence[Polynomial], leads: list, sevs: list, key
+) -> dict:
+    """Reduce the terms dict p in place and return the remainder's terms
+    (p ends empty).  A lead with a variable outside the support of the
     current term cannot divide it, so `_divides` runs only on the rest."""
-    ring = f.ring
     rem: dict = {}
-    p = f
-    while not p.is_zero():
-        e, c = p.leading()
+    while p:
+        e = max(p, key=key)
         outside = ~_support(e)
         for k, le in enumerate(leads):
             if not sevs[k] & outside and _divides(le, e):
                 g = basis[k]
-                p = p - _mono_times(g, _expo_sub(e, le), _div(c, g.leading()[1]))
+                _sub_multiple(p, g, _expo_sub(e, le), _div(p[e], g.leading()[1]))
                 break
         else:
             # the leading monomial strictly drops at every step
-            rem[e] = c
-            p = p - Polynomial(ring, {e: c})
-    return Polynomial(ring, rem)
+            rem[e] = p.pop(e)
+    return rem
 
 
-def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
-    ef, cf = f.leading()
-    eg, cg = g.leading()
-    l = _expo_lcm(ef, eg)
-    return _mono_times(f, _expo_sub(l, ef), _div(1, cf)) - _mono_times(
-        g, _expo_sub(l, eg), _div(1, cg)
-    )
+def _sub_multiple(p: dict, g: Polynomial, s: Expo, q: Coef) -> None:
+    """p -= q * x^s * g in place; a term that cancels leaves p."""
+    for t, v in g.terms.items():
+        m = tuple(map(add, s, t))
+        w = p.get(m, 0) - q * v
+        if w:
+            p[m] = w
+        else:
+            del p[m]
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise PolyTimeout("basis computation exceeded the deadline")
 
 
 def buchberger(
     ideal: Ideal, deadline: Optional[float] = None
 ) -> GroebnerBasis:
-    """Reduced basis; classic pair pruning (coprime leads and the chain
+    """The reduced basis of the ideal: monic, sorted by leading monomial,
+    unique for the ring's order.
+
+    The first call completes the generators (`_complete` with an empty
+    prefix) and keeps the result on the ideal; later calls return the kept
+    basis.  Every call checks the deadline first, also when the basis is
+    kept.  The completion reduces each S-polynomial in one mutable terms
+    dict and returns (1) as soon as a member is a nonzero constant."""
+    _check_deadline(deadline)
+    if ideal._basis is None:
+        gb = _complete(ideal.ring, (), ideal.generators, deadline)
+        object.__setattr__(ideal, "_basis", gb)
+    return ideal._basis
+
+
+def _complete(
+    ring: PolyRing,
+    prefix: Sequence[Polynomial],
+    new: Sequence[Polynomial],
+    deadline: Optional[float],
+) -> GroebnerBasis:
+    """Reduced basis of the ideal generated by ``prefix`` and ``new``, where
+    ``prefix`` is already a Groebner basis: every pair inside it reduces to
+    zero by it, so those pairs are never pushed and count as done for the
+    chain criterion.  Classic pair pruning (coprime leads and the chain
     criterion), pairs popped from a heap smallest lcm degree first, ties
-    broken by the pair's indices.
+    broken by the pair's indices.  A basis member that is a nonzero
+    constant ends the run at once with the basis (1).
 
     ``leads`` and the support masks ``sevs`` run parallel to ``basis``.
     Two leads are coprime iff their masks are disjoint, and a lead whose
     mask has a bit outside the mask of a monomial cannot divide it, so
     the masks settle most tests before `_divides` runs."""
-    ring = ideal.ring
-    basis = [g for g in ideal.generators if not g.is_zero()]
+    m = len(prefix)
+    basis = list(prefix) + [g for g in new if not g.is_zero()]
     if not basis:
         return GroebnerBasis(ring, ())
     leads = [g.leading()[0] for g in basis]
     sevs = [_support(e) for e in leads]
+    unit = GroebnerBasis(ring, (ring.const(1),))
+    if not all(sevs):
+        return unit  # a constant member (its lead has empty support)
 
     def entry(i: int, j: int) -> tuple:
         return sum(map(max, leads[i], leads[j])), (i, j)
 
-    pairs = [entry(i, j) for i in range(len(basis)) for j in range(i)]
+    def is_done(pair: tuple[int, int]) -> bool:
+        return pair[0] < m or pair in done
+
+    pairs = [entry(i, j) for i in range(m, len(basis)) for j in range(i)]
     heapq.heapify(pairs)
     done: set[tuple[int, int]] = set()
 
     while pairs:
-        if deadline is not None and time.monotonic() > deadline:
-            raise PolyTimeout("basis computation exceeded the deadline")
+        _check_deadline(deadline)
         _, (i, j) = heapq.heappop(pairs)
         done.add((i, j))
         if not sevs[i] & sevs[j]:
@@ -412,47 +478,57 @@ def buchberger(
         l = _expo_lcm(leads[i], leads[j])
         outside = ~(sevs[i] | sevs[j])
         chain = False
-        for k in range(len(basis)):
-            if k in (i, j) or sevs[k] & outside or not _divides(leads[k], l):
+        for k, (sk, lk) in enumerate(zip(sevs, leads)):
+            if sk & outside or k == i or k == j or not _divides(lk, l):
                 continue
-            p1 = (max(i, k), min(i, k))
-            p2 = (max(j, k), min(j, k))
-            if p1 in done and p2 in done:
+            if is_done((max(i, k), min(i, k))) and is_done((max(j, k), min(j, k))):
                 chain = True
                 break
         if chain:
             continue
-        r = _reduce(_s_poly(basis[i], basis[j]), basis, leads, sevs)
-        if r.is_zero():
+        # the S-polynomial as a terms dict, reduced in place
+        f, g = basis[i], basis[j]
+        sf, qf = _expo_sub(l, leads[i]), _div(1, f.leading()[1])
+        s = {tuple(map(add, sf, t)): qf * v for t, v in f.terms.items()}
+        _sub_multiple(s, g, _expo_sub(l, leads[j]), _div(1, g.leading()[1]))
+        r = _reduce_terms(s, basis, leads, sevs, ring.key)
+        if not r:
             continue
         k = len(basis)
-        basis.append(r)
-        leads.append(r.leading()[0])
+        basis.append(Polynomial(ring, r))
+        leads.append(basis[k].leading()[0])
         sevs.append(_support(leads[k]))
+        if not sevs[k]:
+            return unit
         for t in range(k):
             heapq.heappush(pairs, entry(k, t))
     # minimalize: drop members whose lead is divisible by another lead
-    keep: list[Polynomial] = []
-    for i, g in enumerate(basis):
-        outside = ~sevs[i]
-        if any(
+    keep = [
+        i
+        for i in range(len(basis))
+        if not any(
             j != i
-            and not sevs[j] & outside
+            and not sevs[j] & ~sevs[i]
             and _divides(leads[j], leads[i])
             and (leads[j] != leads[i] or j < i)
             for j in range(len(basis))
-        ):
-            continue
-        keep.append(g)
-    # inter-reduce tails and normalize
+        )
+    ]
+    basis = [basis[i] for i in keep]
+    leads = [leads[i] for i in keep]
+    sevs = [sevs[i] for i in keep]
+    # inter-reduce tails and normalize: no kept lead divides another, nor
+    # (being larger) any term below its own lead, so reducing a tail by
+    # the whole list is reducing it by the other members
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: g.ring.key(g.leading()[0]))
-    return GroebnerBasis(ring, tuple(reduced))
+    for g, e in zip(basis, leads):
+        tail = dict(g.terms)
+        c = tail.pop(e)
+        rem = _reduce_terms(tail, basis, leads, sevs, ring.key)
+        terms = {e: 1} | {t: _div(v, c) for t, v in rem.items()}
+        reduced.append((ring.key(e), Polynomial(ring, terms)))
+    reduced.sort(key=lambda kg: kg[0])
+    return GroebnerBasis(ring, tuple(g for _, g in reduced))
 
 
 def membership(
@@ -483,17 +559,22 @@ def radical_membership(
     f: Polynomial, ideal: Ideal, deadline: Optional[float] = None
 ) -> bool:
     """Extra-variable trick: f is in the radical iff 1 lies in the ideal
-    extended by 1 - y*f."""
+    extended by 1 - y*f, in a ring with y appended as the last variable.
+
+    Restricted to the monomials without y, the extended order (grevlex,
+    lex or ("block", k) on one more variable) is the ring's own, so the
+    ideal's reduced basis, lifted, is still a Groebner basis.  The
+    completion starts from it as a prefix, with 1 - y*f its only new
+    member, and stops as soon as a constant appears."""
     ring = ideal.ring
     fresh = "_rad"
     while fresh in ring.variables:
         fresh += "_"
-    big = PolyRing(ring.variables + (fresh,), ring.order if isinstance(ring.order, str) else "grevlex")
-    gens = [_lift(big, g, 0) for g in ideal.generators]
+    big = PolyRing(ring.variables + (fresh,), ring.order)
+    prefix = [_lift(big, g, 0) for g in buchberger(ideal, deadline).polys]
     y = big.var(fresh)
-    gens.append(big.const(1) - y * _lift(big, f, 0))
-    gb = buchberger(Ideal(big, tuple(gens)), deadline)
-    return len(gb.polys) == 1 and gb.polys[0].terms == {(0,) * len(big.variables): 1}
+    gb = _complete(big, prefix, (big.const(1) - y * _lift(big, f, 0),), deadline)
+    return gb.polys == (big.const(1),)
 
 
 def intersect(

@@ -1,13 +1,18 @@
 """Exact multivariate polynomials over the rationals: orders, arithmetic,
 parsing, Groebner bases, and the ideal operations built on them."""
 
+import itertools
+import random
+import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from flagloci.poissonlab import build_chart, degeneracy_ideal
+from flagloci import polyalg
+from flagloci.poissonlab import build_chart, degeneracy_ideal, nonreduced_witness
 from flagloci.polyalg import (
     Ideal,
     PolyRing,
@@ -187,16 +192,37 @@ def test_groebner_matches_sympy():
         texts = tuple(str(g) for g in ideal.generators)
         cases.append((ideal.ring.variables, texts, "grevlex"))
     for names, texts, order in cases:
-        r = ring(*names, order=order)
-        gb = buchberger(Ideal(r, tuple(parse_polynomial(r, t) for t in texts)))
-        ref = sympy_gb(names, texts, order)
-        mine = {to_sympy(p) for p in gb.polys}
-        theirs = set()
-        for g in ref.exprs:
-            gp = sympy.Poly(g, *ref.gens)
-            lc = gp.coeff_monomial(gp.LM(order=order))
-            theirs.add(sympy.expand(g / lc))
-        assert mine == theirs
+        assert_matches_sympy(names, texts, order)
+
+
+def assert_matches_sympy(names, texts, order):
+    r = ring(*names, order=order)
+    gb = buchberger(Ideal(r, tuple(parse_polynomial(r, t) for t in texts)))
+    ref = sympy_gb(names, texts, order)
+    mine = {to_sympy(p) for p in gb.polys}
+    theirs = set()
+    for g in ref.exprs:
+        gp = sympy.Poly(g, *ref.gens)
+        lc = gp.coeff_monomial(gp.LM(order=order))
+        theirs.add(sympy.expand(g / lc))
+    assert mine == theirs
+    return gb
+
+
+def test_groebner_matches_sympy_on_unit_and_intersection():
+    # a unit ideal: the reduced basis is (1)
+    gb = assert_matches_sympy(("x", "y"), ("x*y - 1", "x"), "grevlex")
+    assert [str(p) for p in gb.polys] == ["1"]
+    assert_matches_sympy(("x", "y", "z"), ("x^2 + y", "x*y - 1", "y^2 + x*z"), "lex")
+    # the generators that `intersect` returns, fed back into both engines
+    r = ring("x", "y", "z")
+    x, y, z = (r.var(n) for n in "xyz")
+    for a, b in (
+        ((x, y * y), (x * x, y)),
+        ((x * y - z, y * z), (x * z, y * y - x)),
+    ):
+        meet = intersect(Ideal(r, a), Ideal(r, b))
+        assert_matches_sympy(r.variables, tuple(str(g) for g in meet.generators), "grevlex")
 
 
 def test_block_order_eliminates():
@@ -220,3 +246,171 @@ def test_normal_form_linearity():
     nf = normal_form
     assert str(nf(f + g, gb.polys)) == str(nf(nf(f, gb.polys) + nf(g, gb.polys), gb.polys))
     assert nf(x * x - y, gb.polys).is_zero()
+
+
+def radical_oracle(f, ideal):
+    """From scratch: lift the raw generators into a grevlex ring with one
+    more variable y, add 1 - y*f, and ask whether the basis is (1)."""
+    names = ideal.ring.variables + ("_y",)
+    big = PolyRing(names, "grevlex")
+    pad = lambda p: Polynomial(big, {e + (0,): c for e, c in p.terms.items()})
+    gens = [pad(g) for g in ideal.generators]
+    gens.append(big.const(1) - big.var("_y") * pad(f))
+    gb = buchberger(Ideal(big, tuple(gens)))
+    return [str(p) for p in gb.polys] == ["1"]
+
+
+def test_radical_membership_matches_oracle_on_sl4_charts():
+    seen = set()
+    for p in itertools.permutations("1234"):
+        ideal = degeneracy_ideal(build_chart(3, "".join(p))).ideal
+        for name in ideal.ring.variables:
+            v = ideal.ring.var(name)
+            for f in (v, v * v):
+                got = radical_membership(f, ideal)
+                assert got == radical_oracle(f, ideal), ("".join(p), str(f))
+                seen.add(got)
+    assert seen == {True, False}
+
+
+def random_poly(r, rng):
+    n = len(r.variables)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * n
+        for _ in range(rng.randint(0, 2)):
+            e[rng.randrange(n)] += 1
+        terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, Fraction(1, 2), 5])
+    return Polynomial(r, terms)
+
+
+@pytest.mark.parametrize("order", ["lex", ("block", 1), ("block", 2)], ids=str)
+def test_radical_membership_matches_oracle_on_random_ideals(order):
+    rng = random.Random(f"radical:{order}")
+    r = ring("x", "y", "z", order=order)
+    seen = set()
+    for _ in range(40):
+        gens = [random_poly(r, rng) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            # a pure power among the generators makes some answers True
+            gens.append(r.var(rng.choice(r.variables)) * r.var(rng.choice(r.variables)))
+        ideal = Ideal(r, tuple(gens))
+        for f in [r.var(n) for n in r.variables] + [random_poly(r, rng)]:
+            got = radical_membership(f, ideal)
+            assert got == radical_oracle(f, ideal), ([str(g) for g in gens], str(f))
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def record_completions(monkeypatch):
+    """Replace the private completion loop by a recorder of its calls
+    (the number of prefix members and the new generators)."""
+    calls = []
+    complete = polyalg._complete
+
+    def recorder(ring, prefix, new, deadline):
+        calls.append((len(prefix), tuple(new)))
+        return complete(ring, prefix, new, deadline)
+
+    monkeypatch.setattr(polyalg, "_complete", recorder)
+    return calls
+
+
+def test_one_completion_serves_witness_and_radical(monkeypatch):
+    calls = record_completions(monkeypatch)
+    chart = build_chart(3)
+    di = degeneracy_ideal(chart)
+    name = nonreduced_witness(chart, 60.0, di)
+    assert name == "x31"
+    assert radical_membership(chart.ring.var(name), di.ideal)
+    # one from-scratch completion of the raw generators, then the radical
+    # starts from the kept basis with 1 - y*f as its only new member
+    assert [n for n, _ in calls] == [0, len(buchberger(di.ideal).polys)]
+    assert calls[0][1] == di.ideal.generators
+    assert len(calls[1][1]) == 1
+    assert len(calls) == 2
+
+
+def test_ideal_equal_completes_each_ideal_once(monkeypatch):
+    calls = record_completions(monkeypatch)
+    r = ring("x", "y", "z")
+    x, y, z = (r.var(n) for n in "xyz")
+    a = Ideal(r, (x * y - z, y * z, x * z))
+    b = Ideal(r, (y * z, x * y - z, x * z + y * z))
+    assert ideal_equal(a, b)
+    assert Counter(new for _, new in calls) == Counter([a.generators, b.generators])
+    assert all(n == 0 for n, _ in calls)
+    assert membership(x * y * y - y * z, a) and len(calls) == 2
+
+
+def test_kept_basis_leaves_eq_hash_repr_alone():
+    r = ring("x", "y")
+    x, y = r.var("x"), r.var("y")
+    kept = Ideal(r, (x * x - y, x * y))
+    gb = buchberger(kept)
+    assert buchberger(kept) is gb
+    fresh = Ideal(r, (x * x - y, x * y))
+    assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+    assert "_basis" not in repr(kept)
+
+
+def test_expired_deadline_raises_in_every_case():
+    r = ring("x", "y")
+    x, y = r.var("x"), r.var("y")
+    past = time.monotonic() - 1.0
+    kept = Ideal(r, (x * x, x * y - y))
+    buchberger(kept)
+    with pytest.raises(PolyTimeout):
+        buchberger(kept, deadline=past)
+    with pytest.raises(PolyTimeout):
+        membership(x, kept, deadline=past)
+    # every pair coprime: no pair is ever reduced
+    with pytest.raises(PolyTimeout):
+        buchberger(Ideal(r, (x * x + y, y * y + x)), deadline=past)
+    with pytest.raises(PolyTimeout):
+        radical_membership(x, Ideal(r, (x * x,)), deadline=past)
+    with pytest.raises(PolyTimeout):
+        radical_membership(x, kept, deadline=past)
+
+
+def test_unit_ideal_stops_at_a_constant(monkeypatch):
+    r = ring("x", "y", "z")
+    x, y, z = (r.var(n) for n in "xyz")
+    one = r.const(1)
+    for gens in ((x * y - one, x), (x - one, x * y, y - one), (r.const(3), x)):
+        assert [str(p) for p in buchberger(Ideal(r, gens)).polys] == ["1"]
+    assert radical_membership(z, Ideal(r, (x * y - one, x)))
+    # the S-polynomial of x and x*y - 1 is the constant 1: that one
+    # reduction is the last, with no minimalization or inter-reduction
+    reductions = []
+    reduce_terms = polyalg._reduce_terms
+
+    def recorder(p, *args):
+        reductions.append(dict(p))
+        return reduce_terms(p, *args)
+
+    monkeypatch.setattr(polyalg, "_reduce_terms", recorder)
+    assert [str(p) for p in buchberger(Ideal(r, (x * y - one, x))).polys] == ["1"]
+    assert reductions == [{(0, 0, 0): 1}]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x^", "exponent"),
+        ("x^y", "exponent"),
+        ("2/0*x", "zero denominator"),
+        ("()", "unexpected ')'"),
+        ("x*+y", "unexpected '+'"),
+        ("x + z", "unknown variable 'z'"),
+    ],
+)
+def test_parse_errors_are_value_errors(text, message):
+    r = ring("x", "y")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_polynomial(r, text)
+
+
+def test_unknown_ring_variable_is_named():
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        ring("x", "y").var("z")
