@@ -5,7 +5,16 @@ x_ij (1 <= j < i <= n+1) reading off the lower-unitriangular factor.  The
 standard bivector is the sum of wedges of the infinitesimal actions of the
 root vector pairs (E_ij, E_ji); its coefficient matrix generates the
 degeneracy ideal of the zero locus, and a variable f with f^2 in the ideal
-but f not in it certifies non-reducedness of the chart scheme."""
+but f not in it certifies non-reducedness of the chart scheme.
+
+A chart needs no root system: `build_chart` reads a reduced word off the
+one-line permutation (`weyl.perm_word`) and multiplies the signed lifts of
+its letters.  `poisson_matrix` works on terms dicts: u^-1 by forward
+substitution, each tail sum of a root vector field computed once and
+shared by every root with the same column, every bracket accumulated in
+one dict with the product kernel of `polyalg`, and one `Polynomial` per
+entry at the end.  `vector_field` is the independent route, on polynomial
+matrices, that the tests hold it against."""
 
 from __future__ import annotations
 
@@ -22,6 +31,9 @@ from .polyalg import (
     PolyRing,
     Polynomial,
     PolyTimeout,
+    _add_product,
+    _coef,
+    _div,
     _reduce,
     _support,
     buchberger,
@@ -30,8 +42,7 @@ from .polyalg import (
     normal_form,
     parse_polynomial,
 )
-from .rootsys import build_root_system
-from .weyl import identity, perm_from_string, perm_string, reduced_word
+from .weyl import oneline, parse_perm, perm_word
 
 __all__ = [
     "Chart",
@@ -69,22 +80,25 @@ class Chart:
         return [(i, j) for i in range(2, self.n + 2) for j in range(1, i)]
 
 
+def _lift(n: int, word: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The signed permutation matrix lifting s_{i_1}...s_{i_m} to SL(n+1),
+    column b stored as (row, sign).  Right multiplication by the lift of
+    s_i makes column i-1 minus column i, and column i column i-1.  These
+    lifts satisfy the braid relations, so every reduced word of one
+    permutation gives the same matrix."""
+    rep = [(b, 1) for b in range(n + 1)]
+    for i in word:
+        rep[i - 1], rep[i] = (rep[i][0], -rep[i][1]), rep[i - 1]
+    return tuple(rep)
+
+
 def build_chart(n: int, v: Optional[str] = None) -> Chart:
     if n < 1:
         raise ValueError("need n >= 1")
-    rs = build_root_system(f"A{n}")
-    if v is None:
-        w = identity(rs)
-    else:
-        w = perm_from_string(rs, v)
-    # right-multiply by the lift of s_i for each letter of a reduced word:
-    # column i-1 becomes minus column i, column i becomes column i-1
-    rep = [(b, 1) for b in range(n + 1)]
-    for i in reduced_word(w):
-        rep[i - 1], rep[i] = (rep[i][0], -rep[i][1]), rep[i - 1]
+    perm = tuple(range(1, n + 2)) if v is None else parse_perm(v)
+    rep = _lift(n, perm_word(perm, n))
     names = tuple(f"x{i}{j}" for i in range(2, n + 2) for j in range(1, i))
-    ring = PolyRing(names)
-    return Chart(n, perm_string(w), ring, tuple(rep))
+    return Chart(n, oneline(perm), PolyRing(names), rep)
 
 
 def _poly_matrix_u(chart: Chart) -> list[list[Polynomial]]:
@@ -142,9 +156,12 @@ def vector_field(chart: Chart, X: Sequence[Sequence]) -> list[Polynomial]:
     The curve exp(tX).v(u)B+ stays in the chart to first order, and the
     derivative of the lower-unitriangular factor is u times the strictly
     lower part of (vu)^-1 X (vu).  Returns one polynomial per coordinate,
-    in row-major order.  This is the generic route, for any X;
-    `poisson_matrix` takes a shortcut for root vectors and is tested
-    against it."""
+    in row-major order.
+
+    This is the generic route, for any X, and the oracle for
+    `poisson_matrix`: it multiplies dense matrices of `Polynomial`s and
+    inverts u by the Neumann series, where `poisson_matrix` uses terms
+    dicts, forward substitution and the rank-one shape of root vectors."""
     m = chart.size
     if len(X) != m or any(len(r) != m for r in X):
         raise ValueError("matrix has the wrong shape")
@@ -162,32 +179,6 @@ def vector_field(chart: Chart, X: Sequence[Sequence]) -> list[Polynomial]:
     lower = [[ad[a][b] if a > b else zero for b in range(m)] for a in range(m)]
     delta = _pm_mul(u, lower)
     return [delta[i - 1][j - 1] for i, j in chart.positions()]
-
-
-def _root_field(chart: Chart, u, uinv, i: int, j: int) -> list[Polynomial]:
-    """`vector_field` of the root vector E_ij (0-based i != j), with u and
-    u^-1 built by the caller.
-
-    rep^T E_ij rep is s * E_ab for the one column a of rep on row i and the
-    one column b on row j, with s the product of their signs.  So
-    u^-1 (rep^T E_ij rep) u is the rank-one matrix s u^-1[:, a] u[b, :],
-    and coordinate (r, q), r > q, of the field is
-    s u[b][q] * sum_{q < t <= r} u[r][t] u^-1[t][a]: O(m^2) products in
-    place of three dense m x m matrix products."""
-    where = {p: (k, s) for k, (p, s) in enumerate(chart.representative)}
-    (a, sa), (b, sb) = where[i], where[j]
-    out = []
-    for r, q in chart.positions():
-        r, q = r - 1, q - 1
-        if not u[b][q].terms:
-            out.append(u[b][q])
-            continue
-        acc = chart.ring.const(0)
-        for t in range(q + 1, r + 1):
-            if uinv[t][a].terms:
-                acc = acc + u[r][t] * uinv[t][a]
-        out.append((acc * u[b][q]).scale(sa * sb))
-    return out
 
 
 @dataclass(frozen=True)
@@ -209,9 +200,8 @@ class PoissonMatrix:
                     raise ValueError(f"bracket matrix is not antisymmetric at ({a}, {b})")
 
     def bracket(self, name_a: str, name_b: str) -> Polynomial:
-        va = self.chart.ring.variables.index(name_a)
-        vb = self.chart.ring.variables.index(name_b)
-        return self.entries[va][vb]
+        ring = self.chart.ring
+        return self.entries[ring.index(name_a)][ring.index(name_b)]
 
     def pretty(self) -> str:
         """Wedge expansion over pairs a > b in row-major order."""
@@ -228,31 +218,90 @@ class PoissonMatrix:
         return " + ".join(parts) if parts else "0"
 
 
+def _u_terms(chart: Chart) -> tuple[list[list[dict]], list[list[dict]]]:
+    """u and u^-1 as matrices of terms dicts ({} is zero), u^-1 by forward
+    substitution: u^-1[r][c] = -sum_{c <= t < r} u[r][t] u^-1[t][c]."""
+    m = chart.size
+    k = len(chart.ring.variables)
+    one = (0,) * k
+    u = [[{} for _ in range(m)] for _ in range(m)]
+    uinv = [[{} for _ in range(m)] for _ in range(m)]
+    for r in range(m):
+        u[r][r] = {one: 1}
+        uinv[r][r] = {one: 1}
+    for v, (i, j) in enumerate(chart.positions()):
+        u[i - 1][j - 1] = {tuple(int(t == v) for t in range(k)): 1}
+    for c in range(m):
+        for r in range(c + 1, m):
+            for t in range(c, r):
+                _add_product(uinv[r][c], u[r][t], uinv[t][c], -1)
+    return u, uinv
+
+
 def poisson_matrix(chart: Chart, scale: Fraction = Fraction(1)) -> PoissonMatrix:
     """Coefficient matrix of the standard bivector on the chart.
 
     scale rescales every root vector pair (e, f) to (scale*e, f/scale);
-    the result is independent of it."""
+    the result is independent of it.
+
+    Works on terms dicts and makes one `Polynomial` per entry at the end.
+    rep^T E_ij rep is s * E_ab for the column a of rep on row i and the
+    column b on row j, with s the product of their signs.  So in
+    `vector_field`, u^-1 (rep^T E_ij rep) u is the rank-one matrix
+    s u^-1[:, a] u[b, :], and coordinate (r, q), r > q, of the field of
+    E_ij is s u[b][q] T(a, r, q) with the tail sum
+    T(a, r, q) = sum_{q < t <= r} u[r][t] u^-1[t][a].  Every root with
+    column a shares T(a, ., .), so each tail sum is computed once, and
+    u^-1 comes from forward substitution."""
     m = chart.size
-    k = len(chart.ring.variables)
-    zero = chart.ring.const(0)
-    entries = [[zero] * k for _ in range(k)]
-    inv = Fraction(1) / Fraction(scale)
-    u = _poly_matrix_u(chart)
-    uinv = _u_inverse(chart, u)
+    ring = chart.ring
+    k = len(ring.variables)
+    scale = _coef(scale)
+    inv = _div(1, scale)
+    positions = [(i - 1, j - 1) for i, j in chart.positions()]
+    u, uinv = _u_terms(chart)
+    # tails[a][r][q] = T(a, r, q), summed from t = r down; u^-1[t][a] is
+    # zero for t < a, so the sum stops growing there and is shared
+    tails = [[[{}] * m for _ in range(m)] for _ in range(m)]
+    for a in range(m):
+        for r in range(a, m):
+            run: dict = {}
+            for q in range(r - 1, -1, -1):
+                if q + 1 >= a:
+                    run = dict(run)
+                    _add_product(run, u[r][q + 1], uinv[q + 1][a])
+                tails[a][r][q] = run
+
+    def field(a: int, b: int, c) -> list[dict]:
+        # c times the field of a root vector whose rep columns are a, b
+        out = []
+        for r, q in positions:
+            f: dict = {}
+            if q <= b:  # u[b][q] is zero above the diagonal
+                _add_product(f, u[b][q], tails[a][r][q], c)
+            out.append(f)
+        return out
+
+    where = {p: (col, s) for col, (p, s) in enumerate(chart.representative)}
+    acc = [[{} for _ in range(a)] for a in range(k)]  # acc[a][b], b < a
     for i in range(m):
         for j in range(i + 1, m):
-            chi_e = [p.scale(scale) for p in _root_field(chart, u, uinv, i, j)]
-            chi_f = [p.scale(inv) for p in _root_field(chart, u, uinv, j, i)]
-            for a in range(k):
-                for b in range(a):
-                    if chi_e[a].terms and chi_f[b].terms:
-                        entries[a][b] = entries[a][b] + chi_e[a] * chi_f[b]
-                    if chi_e[b].terms and chi_f[a].terms:
-                        entries[a][b] = entries[a][b] - chi_e[b] * chi_f[a]
-    for a in range(k):
-        for b in range(a):
-            entries[b][a] = -entries[a][b]
+            (a, sa), (b, sb) = where[i], where[j]
+            chi_e = field(a, b, sa * sb * scale)  # scale * E_ij
+            chi_f = field(b, a, sa * sb * inv)  # E_ji / scale
+            for x in range(k):
+                ex, fx, row = chi_e[x], chi_f[x], acc[x]
+                for y in range(x):
+                    if ex and chi_f[y]:
+                        _add_product(row[y], ex, chi_f[y])
+                    if chi_e[y] and fx:
+                        _add_product(row[y], chi_e[y], fx, -1)
+    zero = ring.const(0)
+    entries = [[zero] * k for _ in range(k)]
+    for x in range(k):
+        for y in range(x):
+            entries[x][y] = Polynomial(ring, acc[x][y])
+            entries[y][x] = -entries[x][y]
     return PoissonMatrix(chart, tuple(tuple(row) for row in entries))
 
 
@@ -356,6 +405,9 @@ def verify_sl3_decomposition(timeout_secs: float = 60.0) -> bool:
 
 
 def partial_derivative(f: Polynomial, var_index: int) -> Polynomial:
+    k = len(f.ring.variables)
+    if not 0 <= var_index < k:
+        raise ValueError(f"variable index {var_index} is outside 0..{k - 1}")
     out = {}
     for e, c in f.terms.items():
         k = e[var_index]
@@ -368,7 +420,7 @@ def partial_derivative(f: Polynomial, var_index: int) -> Polynomial:
 
 def variable_weight(chart: Chart, name: str) -> tuple[int, ...]:
     """Torus weight of x_ij: the j-th minus the i-th coordinate vector."""
-    i, j = chart.positions()[chart.ring.variables.index(name)]
+    i, j = chart.positions()[chart.ring.index(name)]
     w = [0] * chart.size
     w[j - 1] += 1
     w[i - 1] -= 1
@@ -376,6 +428,6 @@ def variable_weight(chart: Chart, name: str) -> tuple[int, ...]:
 
 
 def substitute_zero(f: Polynomial, names: Sequence[str]) -> Polynomial:
-    idxs = {f.ring.variables.index(n) for n in names}
+    idxs = {f.ring.index(n) for n in names}
     out = {e: c for e, c in f.terms.items() if all(e[t] == 0 for t in idxs)}
     return Polynomial(f.ring, out)

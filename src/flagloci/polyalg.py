@@ -31,7 +31,10 @@ ends the loop at once: the reduced basis is then (1).
 
 Reduction works on one mutable terms dict: an S-polynomial is built as a
 dict and each division step subtracts its multiple of a basis member in
-place (`_sub_multiple`), so no intermediate `Polynomial` is made."""
+place (`_sub_multiple`), so no intermediate `Polynomial` is made.  Its
+companion `_add_product` adds a product into a terms dict in place; it is
+the one product kernel, used by `Polynomial.__mul__` and by the Poisson
+chart layer, which sums every bracket in one dict."""
 
 from __future__ import annotations
 
@@ -114,16 +117,25 @@ class PolyRing:
         _, k = self.order
         return (_grevlex_key(e[:k]), _grevlex_key(e[k:]))
 
-    def var(self, name: str) -> "Polynomial":
+    def index(self, name: str) -> int:
+        """Position of the variable ``name``; ValueError naming it if absent."""
         if name not in self.variables:
             raise ValueError(f"unknown variable {name!r}")
-        i = self.variables.index(name)
+        return self.variables.index(name)
+
+    def var(self, name: str) -> "Polynomial":
+        i = self.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(self.variables)))
         return Polynomial(self, {e: 1})
 
     def const(self, c) -> "Polynomial":
         c = _coef(c)
         return Polynomial(self, {} if c == 0 else {(0,) * len(self.variables): c})
+
+
+def _check_rings(a: PolyRing, b: PolyRing, what: str) -> None:
+    if a is not b and a != b:
+        raise ValueError(f"{what} from different rings")
 
 
 class Polynomial:
@@ -149,8 +161,7 @@ class Polynomial:
         return not self.terms
 
     def _check(self, other: "Polynomial"):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("polynomials from different rings")
+        _check_rings(self.ring, other.ring, "polynomials")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -172,10 +183,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
+        _add_product(out, self.terms, other.terms)
         return Polynomial(self.ring, out)
 
     def scale(self, c) -> "Polynomial":
@@ -408,6 +416,20 @@ def _sub_multiple(p: dict, g: Polynomial, s: Expo, q: Coef) -> None:
             del p[m]
 
 
+def _add_product(acc: dict, f: dict, g: dict, c: Coef = 1) -> None:
+    """acc += c * f * g in place, for terms dicts f and g and a nonzero c;
+    a term that cancels leaves acc."""
+    for e1, c1 in f.items():
+        k = c * c1
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            w = acc.get(e, 0) + k * c2
+            if w:
+                acc[e] = w
+            else:
+                del acc[e]
+
+
 def _check_deadline(deadline: Optional[float]) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise PolyTimeout("basis computation exceeded the deadline")
@@ -534,6 +556,7 @@ def _complete(
 def membership(
     f: Polynomial, ideal: Ideal, deadline: Optional[float] = None
 ) -> bool:
+    _check_rings(f.ring, ideal.ring, "polynomials")
     gb = buchberger(ideal, deadline)
     if not gb.polys:
         return f.is_zero()
@@ -566,6 +589,7 @@ def radical_membership(
     ideal's reduced basis, lifted, is still a Groebner basis.  The
     completion starts from it as a prefix, with 1 - y*f its only new
     member, and stops as soon as a constant appears."""
+    _check_rings(f.ring, ideal.ring, "polynomials")
     ring = ideal.ring
     fresh = "_rad"
     while fresh in ring.variables:
@@ -581,8 +605,7 @@ def intersect(
     a: Ideal, b: Ideal, deadline: Optional[float] = None
 ) -> Ideal:
     """Elimination: t*a + (1-t)*b with a block order putting t first."""
-    if a.ring != b.ring:
-        raise ValueError("ideals from different rings")
+    _check_rings(a.ring, b.ring, "ideals")
     ring = a.ring
     fresh = "_t"
     while fresh in ring.variables:
@@ -601,6 +624,7 @@ def intersect(
 
 
 def ideal_equal(a: Ideal, b: Ideal, deadline: Optional[float] = None) -> bool:
+    _check_rings(a.ring, b.ring, "ideals")
     return all(membership(g, b, deadline) for g in a.generators) and all(
         membership(g, a, deadline) for g in b.generators
     )

@@ -48,6 +48,9 @@ __all__ = [
     "kernel_dim",
     "eigenspace_dim",
     "is_type_a",
+    "parse_perm",
+    "perm_word",
+    "oneline",
     "perm_to_element",
     "element_to_perm",
     "perm_string",
@@ -387,19 +390,40 @@ def _eps_coords(c: Sequence) -> list:
     return [c[0]] + [c[m] - c[m - 1] for m in range(1, n)] + [-c[n - 1]]
 
 
-def perm_to_element(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
-    n = _check_type_a(rs)
+def parse_perm(text: str) -> tuple[int, ...]:
+    """The entries of a one-line permutation: run-together digits or
+    comma-separated entries (not checked to be a permutation)."""
+    text = text.strip()
+    entries = text.split(",") if "," in text else text
+    return tuple(int(tok) for tok in entries)
+
+
+def perm_word(perm: Sequence[int], n: int) -> tuple[int, ...]:
+    """A reduced word i_1...i_m with perm = s_{i_1}...s_{i_m}, after
+    checking that perm is a permutation of 1..n+1.
+
+    Right multiplication by s_j swaps entries j and j+1, so bubble-sorting
+    perm by the swaps j_1, ..., j_m gives perm = s_{j_m} ... s_{j_1}; each
+    swap removes one inversion, so the word is reduced."""
     if sorted(perm) != list(range(1, n + 2)):
         raise ValueError(f"{perm} is not a permutation of 1..{n + 1}")
-    # right multiplication by s_j swaps entries j and j+1, so bubble-sorting
-    # p by the swaps j_1, ..., j_m gives p = s_{j_m} ... s_{j_1}
     p, swaps = list(perm), []
     for _ in range(n):
         for j in range(n):
             if p[j] > p[j + 1]:
                 p[j], p[j + 1] = p[j + 1], p[j]
                 swaps.append(j + 1)
-    return from_word(rs, swaps[::-1])
+    return tuple(swaps[::-1])
+
+
+def oneline(perm: Sequence[int]) -> str:
+    """One-line notation: digits run together up to 9 entries, and
+    comma-separated from 10 entries on, where digits would be ambiguous."""
+    return ("," if len(perm) >= 10 else "").join(str(k) for k in perm)
+
+
+def perm_to_element(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
+    return from_word(rs, perm_word(perm, _check_type_a(rs)))
 
 
 def element_to_perm(w: WeylElement) -> tuple[int, ...]:
@@ -416,10 +440,8 @@ def element_to_perm(w: WeylElement) -> tuple[int, ...]:
 
 
 def perm_string(w: WeylElement) -> str:
-    """One-line notation: digits run together up to 9 entries, and
-    comma-separated from 10 entries on, where digits would be ambiguous."""
-    perm = element_to_perm(w)
-    return ("," if len(perm) >= 10 else "").join(str(k) for k in perm)
+    """One-line notation of a type-A element (see `oneline`)."""
+    return oneline(element_to_perm(w))
 
 
 def element_name(w: WeylElement) -> str:
@@ -433,6 +455,4 @@ def element_name(w: WeylElement) -> str:
 
 def perm_from_string(rs: RootSystem, text: str) -> WeylElement:
     """Inverse of perm_string: run-together digits or comma-separated entries."""
-    text = text.strip()
-    entries = text.split(",") if "," in text else text
-    return perm_to_element(rs, tuple(int(tok) for tok in entries))
+    return perm_to_element(rs, parse_perm(text))

@@ -3,12 +3,13 @@ variety of SL(n+1), its degeneracy ideal, and the non-reducedness scan."""
 
 import hashlib
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from flagloci import poissonlab
+from flagloci import poissonlab, rootsys, weyl
 from flagloci.poissonlab import (
     build_chart,
     degeneracy_ideal,
@@ -21,7 +22,9 @@ from flagloci.poissonlab import (
     vector_field,
     verify_sl3_decomposition,
 )
-from flagloci.polyalg import buchberger, membership, parse_polynomial
+from flagloci.polyalg import Polynomial, buchberger, membership, parse_polynomial
+from flagloci.rootsys import build_root_system
+from flagloci.weyl import perm_from_string, perm_string, reduced_word
 
 SL4_BRACKETS = [
     ("x21", "x31", "x21*x31"),
@@ -84,9 +87,12 @@ def all_charts(n):
 
 
 def test_poisson_matrix_matches_vector_field():
-    # poisson_matrix takes the rank-one route for root vectors; the oracle
-    # sums wedges of the generic vector_field of scale*E_ij and E_ji/scale
-    for ch in all_charts(2) + all_charts(3):
+    # poisson_matrix takes the rank-one route for root vectors on terms
+    # dicts; the oracle sums wedges of the generic vector_field of
+    # scale*E_ij and E_ji/scale, on dense Polynomial matrices
+    sl5 = ["".join(p) for p in itertools.permutations("12345")]
+    sl5 = [build_chart(4, v) for v in random.Random(5).sample(sl5, 6)]
+    for ch in all_charts(2) + all_charts(3) + sl5:
         m, k = ch.size, len(ch.ring.variables)
         for scale in (Fraction(1), Fraction(3, 2)):
             expected = [[ch.ring.const(0)] * k for _ in range(k)]
@@ -101,6 +107,44 @@ def test_poisson_matrix_matches_vector_field():
                             expected[a][b] = expected[a][b] + term
             pm = poisson_matrix(ch, scale=scale)
             assert [list(row) for row in pm.entries] == expected, (ch.v_oneline, scale)
+
+
+def test_forward_substitution_inverse_sl6():
+    ch = build_chart(5)
+    u, uinv = poissonlab._u_terms(ch)
+    as_poly = lambda mat: [[Polynomial(ch.ring, d) for d in row] for row in mat]
+    u_poly = poissonlab._poly_matrix_u(ch)
+    assert as_poly(u) == u_poly
+    assert as_poly(uinv) == poissonlab._u_inverse(ch, u_poly)
+    one, zero = ch.ring.const(1), ch.ring.const(0)
+    product = poissonlab._pm_mul(as_poly(u), as_poly(uinv))
+    assert product == [[one if a == b else zero for b in range(6)] for a in range(6)]
+
+
+def test_lift_matches_weyl_route_on_sl5():
+    # the lift of the bubble-sort word equals the lift of the
+    # lexicographically smallest reduced word of the Weyl element
+    rs = build_root_system("A4")
+    for p in itertools.permutations("12345"):
+        v = "".join(p)
+        w = perm_from_string(rs, v)
+        ch = build_chart(4, v)
+        assert ch.representative == poissonlab._lift(4, reduced_word(w)), v
+        assert ch.v_oneline == perm_string(w)
+    assert build_chart(4).v_oneline == "12345"
+    assert build_chart(9, "1,2,3,4,5,6,7,8,10,9").v_oneline == "1,2,3,4,5,6,7,8,10,9"
+
+
+def test_chart_layer_builds_no_root_system(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chart layer built a Weyl object")
+
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", refuse)
+    monkeypatch.setattr(weyl.WeylElement, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        build_root_system("A2")
+    for n, v in ((2, None), (3, "4231"), (4, "35142")):
+        poisson_matrix(build_chart(n, v), scale=Fraction(3, 2))
 
 
 def test_sl4_output_digest():
@@ -302,6 +346,28 @@ def test_partial_derivative():
     assert str(partial_derivative(f, 0)) == "2*x21*x31"
     assert str(partial_derivative(f, 1)) == "x21^2"
     assert str(partial_derivative(f, 2)) == "-3"
+
+
+def test_partial_derivative_rejects_bad_index():
+    ch = build_chart(2)
+    f = parse_polynomial(ch.ring, "x21^2*x32")
+    for index in (-1, 3):
+        for g in (f, ch.ring.const(0)):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                partial_derivative(g, index)
+
+
+def test_unknown_variable_is_named():
+    ch = build_chart(2)
+    pm = poisson_matrix(ch)
+    with pytest.raises(ValueError, match="unknown variable 'x12'"):
+        pm.bracket("x21", "x12")
+    with pytest.raises(ValueError, match="unknown variable 'x41'"):
+        pm.bracket("x41", "x21")
+    with pytest.raises(ValueError, match="unknown variable 'x41'"):
+        variable_weight(ch, "x41")
+    with pytest.raises(ValueError, match="unknown variable 'y'"):
+        substitute_zero(ch.ring.var("x21"), ["x31", "y"])
 
 
 def test_chart_rejects_bad_oneline():

@@ -414,3 +414,28 @@ def test_parse_errors_are_value_errors(text, message):
 def test_unknown_ring_variable_is_named():
     with pytest.raises(ValueError, match="unknown variable 'z'"):
         ring("x", "y").var("z")
+
+
+def _x_squared_and_c():
+    r = ring("x", "y")
+    return Ideal(r, (r.var("x") * r.var("x"),)), ring("a", "b", "c").var("c")
+
+
+def test_membership_rejects_a_polynomial_from_another_ring():
+    ideal, c = _x_squared_and_c()
+    with pytest.raises(ValueError, match="polynomials from different rings"):
+        membership(c, ideal)
+
+
+def test_radical_membership_rejects_a_polynomial_from_another_ring():
+    ideal, c = _x_squared_and_c()
+    with pytest.raises(ValueError, match="polynomials from different rings"):
+        radical_membership(c, ideal)
+
+
+def test_ideal_equal_rejects_ideals_from_different_rings():
+    ideal, c = _x_squared_and_c()
+    with pytest.raises(ValueError, match="ideals from different rings"):
+        ideal_equal(ideal, Ideal(c.ring, (c,)))
+    with pytest.raises(ValueError, match="ideals from different rings"):
+        ideal_equal(Ideal(c.ring, ()), ideal)
