@@ -227,43 +227,46 @@ def walk_subwords(
     is tried first, so hits come in lexicographic order of their removal
     sets.  Each hit is ``(removed, trace)``: the 1-based removed positions
     and the l + 1 partial products from the identity on.  A branch is
-    pruned as soon as ``sigma^{-1} target`` is no longer below the value of
-    the remaining suffix (subword property).  The word is validated and its
-    suffix products are built at the call; the walk runs as the result is
-    iterated.
+    pruned as soon as y = target^{-1} sigma is no longer below the value of
+    the reversed remaining suffix (the subword property, read on inverses,
+    as Bruhat order is invariant under inversion).  Keeping a letter moves
+    y by one right product, removing it leaves y unchanged, and a leaf is a
+    hit iff l(y) = 0, so the walk takes one inverse in all.  The word is
+    validated and its reversed suffix products are built at the call; the
+    walk runs as the result is iterated.
     """
     word = tuple(word)
     if not is_reduced(rs, word):
         raise ValueError(f"word {word} is not reduced")
     l = len(word)
     gens = [simple_reflection(rs, i) for i in word]
-    suffix = [identity(rs)] * (l + 1)  # suffix[k] = value of word[k:]
+    rsuffix = [identity(rs)] * (l + 1)  # rsuffix[k] = value of reversed(word[k:])
     for k in range(l - 1, -1, -1):
-        suffix[k] = gens[k] * suffix[k + 1]
+        rsuffix[k] = rsuffix[k + 1] * gens[k]
     removed: list[int] = []
     trace = [identity(rs)]
 
-    def walk(k: int):
-        sigma = trace[-1]
+    def walk(k: int, y: WeylElement):
         if k == l:
-            if sigma == target:
+            if length(y) == 0:
                 yield tuple(removed), tuple(trace)
             return
-        if not leq(inverse(sigma) * target, suffix[k]):
+        if not leq(y, rsuffix[k]):
             return
+        sigma = trace[-1]
         may_remove, may_keep = step(k, sigma, removed)
         if may_remove:
             removed.append(k + 1)
             trace.append(sigma)
-            yield from walk(k + 1)
+            yield from walk(k + 1, y)
             trace.pop()
             removed.pop()
         if may_keep:
             trace.append(sigma * gens[k])
-            yield from walk(k + 1)
+            yield from walk(k + 1, y * gens[k])
             trace.pop()
 
-    return walk(0)
+    return walk(0, inverse(target))
 
 
 def subwords_with_value(

@@ -5,7 +5,7 @@ the parabolic checks for witnessed orthogonal-removal pairs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bruhat import BruhatTable, closure, require_table
 from .gcr import GcrPair, enumerate_gcr, sub_pairs, verify_powerset_interval
@@ -15,9 +15,9 @@ from .weyl import (
     act,
     from_word,
     inverse,
+    is_right_descent,
     length,
     multiply,
-    right_descents,
     simple_reflection,
 )
 
@@ -43,18 +43,23 @@ def _norm_j(rs: RootSystem, J: Iterable[int]) -> tuple[int, ...]:
     return tuple(js)
 
 
+def _first_descent(w: WeylElement, js: tuple[int, ...]) -> Optional[int]:
+    """The smallest j in the sorted ``js`` that is a right descent of w,
+    or None."""
+    for j in js:
+        if is_right_descent(w, j):
+            return j
+    return None
+
+
 def min_coset_rep(w: WeylElement, J: Iterable[int]) -> tuple[WeylElement, WeylElement]:
     """Factor w = w^P * w_P with w_P in the subgroup generated by J and w^P
     of minimal length in the coset (no right descent inside J)."""
     rs = w.rs
-    js = set(_norm_j(rs, J))
+    js = _norm_j(rs, J)
     stripped: list[int] = []
     cur = w
-    while True:
-        ds = sorted(set(right_descents(cur)) & js)
-        if not ds:
-            break
-        j = ds[0]
+    while (j := _first_descent(cur, js)) is not None:
         cur = multiply(cur, simple_reflection(rs, j))
         stripped.append(j)
     w_p = from_word(rs, tuple(reversed(stripped)))
@@ -64,8 +69,7 @@ def min_coset_rep(w: WeylElement, J: Iterable[int]) -> tuple[WeylElement, WeylEl
 
 
 def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:
-    js = set(_norm_j(w.rs, J))
-    return not (set(right_descents(w)) & js)
+    return _first_descent(w, _norm_j(w.rs, J)) is None
 
 
 def levi_contains(rs: RootSystem, root: Sequence, J: Iterable[int]) -> bool:

@@ -181,6 +181,14 @@ def vector_field(chart: Chart, X: Sequence[Sequence]) -> list[Polynomial]:
     return [delta[i - 1][j - 1] for i, j in chart.positions()]
 
 
+def _negates(p: Polynomial, q: Polynomial) -> bool:
+    """Whether p == -q, read off the terms dicts without building -q."""
+    if p.ring is not q.ring and p.ring != q.ring:
+        return False
+    tq = q.terms
+    return len(p.terms) == len(tq) and all(tq.get(e) == -c for e, c in p.terms.items())
+
+
 @dataclass(frozen=True)
 class PoissonMatrix:
     chart: Chart
@@ -196,7 +204,7 @@ class PoissonMatrix:
             if not self.entries[a][a].is_zero():
                 raise ValueError(f"bracket matrix has a nonzero diagonal entry at {a}")
             for b in range(a):
-                if self.entries[a][b] != -self.entries[b][a]:
+                if not _negates(self.entries[a][b], self.entries[b][a]):
                     raise ValueError(f"bracket matrix is not antisymmetric at ({a}, {b})")
 
     def bracket(self, name_a: str, name_b: str) -> Polynomial:

@@ -199,10 +199,11 @@ class RootSystem:
             tuple(-c for c in b) for b in self.positive_roots
         )
         self.root_index = {b: k for k, b in enumerate(self.roots)}
-        # memo for tables derived from the root system (Bruhat table,
-        # witnessed pairs, parabolic masks, R-polynomials, reflection
-        # permutations, orthogonality masks), one entry per name, living as
-        # long as the root system
+        # memo for tables derived from the root system (Bruhat table, the
+        # element pool "elements" of an enumerated group, witnessed pairs,
+        # parabolic masks, R-polynomials, reflection permutations,
+        # orthogonality masks), one entry per name, living as long as the
+        # root system
         self.cache: dict = {}
         expected = sum(
             _POSITIVE_COUNT[letter](r) for letter, r in cartan_type.components

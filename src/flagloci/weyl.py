@@ -12,10 +12,16 @@ derived view, built and cached where behaviour depends on it: the ordering
 ``sort_key`` (length, then matrix), eigenspace dimensions (hence reflection
 length) and the action on a vector that is not a root.
 
+Once a group has been enumerated there is one object per element: every
+constructor goes through ``_make``, which returns the object recorded by
+``enumerate_group`` in ``rs.cache["elements"]``, so an element's length,
+reduced word and matrix are computed once per group element.  A group that
+is never enumerated has no pool, and each product is a fresh object.
+
 The representation is private to this module: other modules see only the
 functions below, and they key dicts and sets on the elements themselves
-(an element hashes its permutation once and compares by it).  Changing the
-representation touches this file only.
+(an element hashes its permutation once; equality is identity first, then
+the permutation).  Changing the representation touches this file only.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ class WeylElement:
         self._matrix: Optional[Matrix] = None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.perm == other.perm
+        return self is other or (isinstance(other, WeylElement) and self.perm == other.perm)
 
     def __hash__(self) -> int:
         return self._hash
@@ -124,7 +130,7 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise ValueError("elements of different groups")
-        return WeylElement(self.rs, itemgetter(*other.perm)(self.perm))
+        return _make(self.rs, itemgetter(*other.perm)(self.perm))
 
     @property
     def matrix(self) -> Matrix:
@@ -153,8 +159,18 @@ class WeylElement:
         return f"W[{word or 'e'}]"
 
 
+def _make(rs: RootSystem, perm: Perm) -> WeylElement:
+    """The element with permutation ``perm``: the pooled object once the
+    group has been enumerated, a fresh one otherwise.  The one call site of
+    the constructor."""
+    pool = rs.cache.get("elements")
+    if pool is not None:
+        return pool[perm]
+    return WeylElement(rs, perm)
+
+
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, tuple(range(len(rs.roots))))
+    return _make(rs, tuple(range(len(rs.roots))))
 
 
 def _check_letter(rs: RootSystem, i: int) -> None:
@@ -166,7 +182,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """s_i for a 1-based simple index: it changes only coordinate i of a
     root, b_i -> b_i - sum_j c_ij b_j."""
     _check_letter(rs, i)
-    return WeylElement(rs, _simple(rs)[0][i - 1])
+    return _make(rs, _simple(rs)[0][i - 1])
 
 
 def reflection(rs: RootSystem, b: Sequence) -> WeylElement:
@@ -174,7 +190,7 @@ def reflection(rs: RootSystem, b: Sequence) -> WeylElement:
     b = tuple(b)
     if not is_root(rs, b):
         raise ValueError(f"{b} is not a root")
-    return WeylElement(rs, _reflection_perm(rs, b))
+    return _make(rs, _reflection_perm(rs, b))
 
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -185,7 +201,7 @@ def inverse(a: WeylElement) -> WeylElement:
     inv = [0] * len(a.perm)
     for k, j in enumerate(a.perm):
         inv[j] = k
-    return WeylElement(a.rs, tuple(inv))
+    return _make(a.rs, tuple(inv))
 
 
 def act(a: WeylElement, v: Sequence) -> tuple:
@@ -271,7 +287,7 @@ def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     for i in word:
         _check_letter(rs, i)
         w = times[i - 1](w)
-    return WeylElement(rs, tuple(w))
+    return _make(rs, tuple(w))
 
 
 def is_reduced(rs: RootSystem, word: Sequence[int]) -> bool:
@@ -345,10 +361,17 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 
 def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
-    """All elements, ordered by (length, matrix).  Raises if |W| > cap."""
+    """All elements, ordered by (length, matrix).  Raises if |W| > cap.
+
+    The first enumeration of a root system records its elements as the pool
+    ``rs.cache["elements"]`` (perm -> element, in this order), and every
+    element of rs made afterwards is a pooled object."""
     order = weyl_order(rs.cartan_type)
     if order > cap:
         raise GroupTooLargeError(order, cap)
+    pool = rs.cache.get("elements")
+    if pool is not None:
+        return list(pool.values())
     gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
     layer = [identity(rs)]
     seen = set(layer)
@@ -364,6 +387,7 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
         depth += 1
     if len(out) != order:
         raise RuntimeError(f"enumerated {len(out)} elements, expected {order}")
+    rs.cache["elements"] = {w.perm: w for w in out}
     return out
 
 

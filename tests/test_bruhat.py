@@ -18,6 +18,8 @@ from flagloci.bruhat import (
     subwords_with_value,
     walk_subwords,
 )
+from flagloci.construct import build_top_pair
+from flagloci.gcr import is_gcr_cond6
 from flagloci.rootsys import build_root_system
 from flagloci.weyl import (
     enumerate_group,
@@ -214,6 +216,40 @@ def test_walk_misses_no_subword(t):
         assert subwords_with_value(rs, word, v) == sorted(sets)
         reduced = [r for r in sets if len(r) == n - length(v)]
         assert removal_sets(rs, word, v, reduced_only(word, v)) == sorted(reduced)
+
+
+def test_walk_takes_one_inverse(monkeypatch):
+    # the walk moves target^{-1} sigma by right products: one inverse per
+    # walk, however many nodes it visits
+    rs = build_root_system("B3")
+    word = reduced_word(longest_element(rs))
+    targets = enumerate_group(rs)
+    get_table(rs)
+    counts = {"inverse": 0, "leq": 0}
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(bruhat, "inverse", counting("inverse", bruhat.inverse))
+    monkeypatch.setattr(bruhat, "leq", counting("leq", bruhat.leq))
+    for v in targets:
+        subwords_with_value(rs, word, v)
+    assert counts["inverse"] == len(targets)
+    assert counts["leq"] > 10 * len(targets)
+
+
+def test_top_pair_builds_no_pool():
+    # E6 (|W| = 51840) is never enumerated on the top-pair path, so it
+    # keeps no element pool and no table
+    rs = build_root_system("E6")
+    top = build_top_pair(rs)
+    assert is_gcr_cond6(top.v, top.w) is not None
+    assert "elements" not in rs.cache
+    assert "bruhat_table" not in rs.cache
 
 
 def test_reduced_word_rejects_non_reduced():

@@ -11,6 +11,7 @@ import pytest
 
 from flagloci import poissonlab, rootsys, weyl
 from flagloci.poissonlab import (
+    PoissonMatrix,
     build_chart,
     degeneracy_ideal,
     nonreduced_witness,
@@ -22,7 +23,7 @@ from flagloci.poissonlab import (
     vector_field,
     verify_sl3_decomposition,
 )
-from flagloci.polyalg import Polynomial, buchberger, membership, parse_polynomial
+from flagloci.polyalg import PolyRing, Polynomial, buchberger, membership, parse_polynomial
 from flagloci.rootsys import build_root_system
 from flagloci.weyl import perm_from_string, perm_string, reduced_word
 
@@ -169,6 +170,33 @@ def test_bracket_antisymmetry():
         assert pm.bracket(a, a).is_zero()
         for b in ch.ring.variables:
             assert (pm.bracket(a, b) + pm.bracket(b, a)).is_zero()
+
+
+def test_poisson_matrix_rejects_broken_antisymmetry():
+    ch = build_chart(2)
+    entries = [list(row) for row in poisson_matrix(ch).entries]
+    PoissonMatrix(ch, tuple(map(tuple, entries)))  # the intact matrix passes
+    assert not entries[1][0].is_zero()
+    x21 = Polynomial(ch.ring, {(1, 0, 0): 1})
+    broken = [
+        # an entry equal to, not minus, its transpose
+        ((1, 0), entries[0][1]),
+        # a term missing from one side only
+        ((1, 0), -entries[0][1] + x21),
+        # a term dropped from one side: the term counts differ
+        ((1, 0), Polynomial(ch.ring, {})),
+        # the same terms in another ring
+        ((1, 0), Polynomial(PolyRing(("a", "b", "c")), entries[1][0].terms)),
+    ]
+    for (a, b), p in broken:
+        bad = [list(row) for row in entries]
+        bad[a][b] = p
+        with pytest.raises(ValueError, match=rf"not antisymmetric at \({a}, {b}\)"):
+            PoissonMatrix(ch, tuple(map(tuple, bad)))
+    bad = [list(row) for row in entries]
+    bad[2][2] = x21
+    with pytest.raises(ValueError, match="nonzero diagonal entry at 2"):
+        PoissonMatrix(ch, tuple(map(tuple, bad)))
 
 
 def test_jacobi_identity():

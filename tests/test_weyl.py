@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from flagloci.bruhat import get_table
 from flagloci.rootsys import build_root_system, is_positive_root, pairing
 from flagloci.weyl import (
     GroupTooLargeError,
@@ -325,6 +326,59 @@ def test_matrix_is_private_to_weyl():
                     if a.name.startswith("_")
                 ]
     assert offences == []
+
+
+def test_elements_are_made_only_by_make():
+    # every element is built by weyl._make, so no constructor bypasses the
+    # pool of an enumerated group
+    src = Path(__file__).resolve().parents[1] / "src" / "flagloci"
+    offences, inside_make = [], 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "weyl.py":
+            make = next(
+                n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_make"
+            )
+            allowed = {id(n) for n in ast.walk(make)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name != "WeylElement":
+                continue
+            if id(node) in allowed:
+                inside_make += 1
+            else:
+                offences.append(f"{path.name}:{node.lineno} calls WeylElement(")
+    assert offences == []
+    assert inside_make == 1
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "G2xA1"])
+def test_enumerated_group_has_one_object_per_element(t):
+    rs = build_root_system(t)
+    table = get_table(rs)
+    els = table.elements
+    own = lambda x: els[table.index[x]]
+    assert list(rs.cache["elements"].values()) == els
+    assert all(a is b for a, b in zip(enumerate_group(rs), els))
+    assert identity(rs) is els[0]
+    for i in range(1, rs.rank + 1):
+        s = simple_reflection(rs, i)
+        assert s is own(s)
+    for b in rs.positive_roots:
+        t_b = reflection(rs, b)
+        assert t_b is own(t_b)
+    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    for w in els:
+        assert inverse(w) is own(inverse(w))
+        assert from_word(rs, reduced_word(w)) is w
+        assert multiply(w, inverse(w)) is els[0]
+        for s in gens:
+            assert w * s is own(w * s)
+            assert s * w is own(s * w)
 
 
 def test_inverse_leaves_no_cyclic_garbage():
