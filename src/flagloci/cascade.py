@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from .rootsys import (
     RootSystem,
@@ -49,8 +48,15 @@ class KostantCheckError(Exception):
     """A structural identity of the cascade failed."""
 
 
-def _support(root: Sequence) -> frozenset[int]:
-    return frozenset(i + 1 for i, c in enumerate(root) if c != 0)
+def _support_masks(rs: RootSystem) -> tuple[int, ...]:
+    """Bit i of ``masks[k]`` is set iff simple root i+1 occurs in positive
+    root k; built once per root system and kept in its cache."""
+    masks = rs.cache.get("support_masks")
+    if masks is None:
+        masks = rs.cache["support_masks"] = tuple(
+            sum(1 << i for i, c in enumerate(g) if c) for g in rs.positive_roots
+        )
+    return masks
 
 
 def support_subsystem(rs: RootSystem, beta) -> tuple[tuple[int, ...], list[tuple]]:
@@ -58,9 +64,10 @@ def support_subsystem(rs: RootSystem, beta) -> tuple[tuple[int, ...], list[tuple
     beta = tuple(beta)
     if not is_positive_root(rs, beta):
         raise ValueError(f"{beta} is not a positive root")
-    supp = _support(beta)
-    roots = [g for g in rs.positive_roots if _support(g) <= supp]
-    return tuple(sorted(supp)), roots
+    masks = _support_masks(rs)
+    supp = masks[rs.root_index[beta]]
+    roots = [g for g, m in zip(rs.positive_roots, masks) if m | supp == supp]
+    return tuple(i + 1 for i, c in enumerate(beta) if c), roots
 
 
 def _descendants(rs: RootSystem, gamma: tuple, sub: list[tuple]) -> list[tuple]:

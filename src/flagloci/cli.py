@@ -266,11 +266,20 @@ def cmd_rpoly(args) -> Report:
     )
 
 
+def _parse_parabolic(text: str) -> list[int]:
+    """The comma-separated simple indices of --parabolic; an empty or
+    non-integer entry is bad input."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise InputError(f"cannot parse --parabolic {text!r}")
+
+
 def cmd_parabolic(args) -> Report:
     rs = build_root_system(args.type)
     if not args.parabolic:
         raise InputError("--parabolic is required here")
-    J = tuple(sorted(int(tok) for tok in args.parabolic.split(",") if tok))
+    J = tuple(sorted(_parse_parabolic(args.parabolic)))
     pairs = gcr_p(rs, J, cap=args.cap)
     rows = []
     intervals_ok = True

@@ -209,17 +209,22 @@ def build_v(rs: RootSystem) -> WeylElement:
     """Element whose inversion set avoids the cascade and meets every
     matched pair exactly once; built per component as u times a lifted
     recursive solution.  A simple system is its own component, so it is
-    used as it is rather than built a second time."""
+    used as it is rather than built a second time; in a reducible system
+    each distinct component type is built and solved once per call (A1xA1xA1
+    builds one A1), and its word is shifted onto every component of that
+    type."""
     components = rs.cartan_type.components
     if len(components) == 1:
         return _build_v_simple(rs)
+    words: dict[tuple[str, int], tuple[int, ...]] = {}
     v = identity(rs)
     offset = 0
     for letter, rank in components:
-        comp_rs = build_root_system(f"{letter}{rank}")
-        v_comp = _build_v_simple(comp_rs)
-        shifted = tuple(i + offset for i in reduced_word(v_comp))
-        v = multiply(v, from_word(rs, shifted))
+        word = words.get((letter, rank))
+        if word is None:
+            comp_rs = build_root_system(f"{letter}{rank}")
+            word = words[letter, rank] = reduced_word(_build_v_simple(comp_rs))
+        v = multiply(v, from_word(rs, tuple(i + offset for i in word)))
         offset += rank
     return v
 

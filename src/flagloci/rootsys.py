@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import Optional, Sequence
 
 __all__ = [
@@ -201,9 +202,11 @@ class RootSystem:
         self.root_index = {b: k for k, b in enumerate(self.roots)}
         # memo for tables derived from the root system (Bruhat table, the
         # element pool "elements" of an enumerated group, witnessed pairs,
-        # parabolic masks, R-polynomials, reflection permutations,
-        # orthogonality masks), one entry per name, living as long as the
-        # root system
+        # parabolic masks, R-polynomials, reflection permutations, one per
+        # positive root, the "form_images" F y of roots read by pairing,
+        # orthogonality masks, the cascade forest and the cascade's
+        # "support_masks"), one entry per name, living as long as the root
+        # system
         self.cache: dict = {}
         expected = sum(
             _POSITIVE_COUNT[letter](r) for letter, r in cartan_type.components
@@ -217,27 +220,25 @@ class RootSystem:
         # closure from the simple roots, level by level in height, using the
         # root-string condition: b + a_i is a root iff p - <b, a_i^v> > 0
         # where p = max k with b - k*a_i a root.
+        # The string below b is probed only as far as the condition needs.
         n = self.rank
+        rows = [[(j, c) for j, c in enumerate(row) if c] for row in self.cartan]
         simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         found = set(simple)
         levels: list[list[Coords]] = [sorted(simple)]
         while True:
             nxt = set()
             for b in levels[-1]:
-                for i in range(n):
-                    pairing_i = sum(self.cartan[i][j] * b[j] for j in range(n))
-                    p = 0
+                for i, row in enumerate(rows):
+                    room = -sum(c * b[j] for j, c in row)  # p - <b, a_i^v> at p = 0
                     probe = list(b)
-                    while True:
+                    while room <= 0:
                         probe[i] -= 1
-                        if tuple(probe) in found:
-                            p += 1
-                        else:
+                        if tuple(probe) not in found:
                             break
-                    if p - pairing_i > 0:
-                        up = list(b)
-                        up[i] += 1
-                        nxt.add(tuple(up))
+                        room += 1
+                    if room > 0:
+                        nxt.add(b[:i] + (b[i] + 1,) + b[i + 1 :])
             if not nxt:
                 break
             found |= nxt
@@ -273,25 +274,44 @@ def build_root_system(t: CartanType | str) -> RootSystem:
     return RootSystem(t)
 
 
+def _form_image(rs: RootSystem, y: Sequence) -> tuple:
+    """The vector F y, with F the symmetrized Cartan matrix ``rs.form``, so
+    (x, y) = sum_i x_i (F y)_i.  The image of a root is computed once and
+    kept in ``rs.cache["form_images"]`` under the root's tuple (at most 2N
+    entries); any other vector is computed afresh and not kept."""
+    images = rs.cache.get("form_images")
+    if images is None:
+        images = rs.cache["form_images"] = {}
+    key = tuple(y)
+    fy = images.get(key)
+    if fy is None:
+        k = rs.root_index.get(key)
+        if k is not None:  # store under the root itself, with int entries
+            key = rs.roots[k]
+        fy = tuple(sum(map(mul, row, key)) for row in rs.form)
+        if k is not None:
+            images[key] = fy
+    return fy
+
+
 def pairing(rs: RootSystem, x: Sequence, y: Sequence):
-    """Exact value of the invariant form (x, y)."""
+    """Exact value of the invariant form (x, y), read as x . (F y) with the
+    form image of y kept per root (see ``_form_image``)."""
     n = rs.rank
     if len(x) != n or len(y) != n:
         raise ValueError("vector length does not match rank")
-    total = 0
-    for i in range(n):
-        if x[i] == 0:
-            continue
-        row = rs.form[i]
-        total += x[i] * sum(row[j] * y[j] for j in range(n) if y[j] != 0)
-    return total
+    return sum(map(mul, x, _form_image(rs, y)))
 
 
 def reflect(rs: RootSystem, b: Coords, x: Sequence) -> tuple:
     """Image of x under the reflection through root b: x - 2(x,b)/(b,b) * b."""
     if not is_root(rs, b):
         raise ValueError(f"{b} is not a root")
-    coeff = Fraction(2 * pairing(rs, x, b), pairing(rs, b, b))
+    num, den = 2 * pairing(rs, x, b), pairing(rs, b, b)
+    k, rem = divmod(num, den)
+    if not rem and all(type(c) is int for c in x):  # an int image, no Fraction
+        return tuple(c - k * y for c, y in zip(x, b))
+    coeff = Fraction(num, den)
     out = tuple(x[i] - coeff * b[i] for i in range(rs.rank))
     if all(Fraction(c).denominator == 1 for c in out):
         return tuple(int(c) for c in out)
@@ -323,7 +343,7 @@ def orthogonality_masks(rs: RootSystem) -> tuple[int, ...]:
     masks = rs.cache.get("orthogonality_masks")
     if masks is None:
         pos = rs.positive_roots
-        forms = [[sum(f * c for f, c in zip(row, b)) for row in rs.form] for b in pos]
+        forms = [_form_image(rs, b) for b in pos]
         masks = rs.cache["orthogonality_masks"] = tuple(
             sum(1 << j for j, g in enumerate(pos) if not sum(x * c for x, c in zip(fb, g)))
             for fb in forms

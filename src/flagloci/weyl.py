@@ -76,17 +76,40 @@ class GroupTooLargeError(RuntimeError):
 
 def _reflection_perm(rs: RootSystem, b: tuple) -> Perm:
     """r -> r - 2(r, b)/(b, b) b on the root indices, for a root b; built
-    once per root and kept in the root system's cache."""
+    once per positive root (-b gives the same reflection) and kept in the
+    root system's cache.
+
+    A simple reflection s_i changes only coordinate i of a root,
+    r_i -> r_i - sum_j c_ij r_j, and sends -r to the negative of the image
+    of r.  Any other positive root b has a simple i with <b, a_i^v> > 0, so
+    s_i b is a positive root of lower height, and s_b = s_i s_{s_i b} s_i
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.2) is composed
+    on the permutations, with no form arithmetic."""
     perms = rs.cache.setdefault("reflections", {})
+    n_pos = len(rs.positive_roots)
+    k = rs.root_index[b]
+    if k >= n_pos:
+        b = rs.roots[k - n_pos]
     perm = perms.get(b)
-    if perm is None:
-        fb = [sum(f * c for f, c in zip(row, b)) for row in rs.form]  # (e_i, b)
-        bb = sum(c * f for c, f in zip(b, fb))
-        images = []
-        for r in rs.roots:
-            k = 2 * sum(c * f for c, f in zip(r, fb)) // bb  # exact for roots
-            images.append(rs.root_index[tuple(c - k * x for c, x in zip(r, b))])
-        perm = perms[b] = tuple(images)
+    if perm is not None:
+        return perm
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in rs.cartan]
+    if sum(b) == 1:
+        i = b.index(1)
+        index = rs.root_index
+        images = [
+            index[r[:i] + (r[i] - sum(c * r[j] for j, c in rows[i]),) + r[i + 1 :]]
+            for r in rs.positive_roots
+        ]
+        perm = tuple(images + [(j + n_pos) % (2 * n_pos) for j in images])
+    else:
+        i = next(i for i, row in enumerate(rows) if b[i] and sum(c * b[j] for j, c in row) > 0)
+        lower = list(b)
+        lower[i] -= sum(c * b[j] for j, c in rows[i])
+        s = _reflection_perm(rs, rs.simple_root(i + 1))
+        middle = _reflection_perm(rs, tuple(lower))
+        perm = itemgetter(*itemgetter(*s)(middle))(s)  # s[middle[s[k]]]
+    perms[b] = perm
     return perm
 
 
@@ -197,11 +220,15 @@ def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
     return a * b
 
 
-def inverse(a: WeylElement) -> WeylElement:
-    inv = [0] * len(a.perm)
-    for k, j in enumerate(a.perm):
+def _inverse_perm(perm: Perm) -> Perm:
+    inv = [0] * len(perm)
+    for k, j in enumerate(perm):
         inv[j] = k
-    return _make(a.rs, tuple(inv))
+    return tuple(inv)
+
+
+def inverse(a: WeylElement) -> WeylElement:
+    return _make(a.rs, _inverse_perm(a.perm))
 
 
 def act(a: WeylElement, v: Sequence) -> tuple:
@@ -222,19 +249,18 @@ def inversion_set(w: WeylElement) -> frozenset:
     return frozenset(w.rs.roots[j - n_pos] for j in w.perm[:n_pos] if j >= n_pos)
 
 
-def _scan_simple_images(w: WeylElement, negative: bool = True) -> Iterator[int]:
-    """1-based indices i, ascending, for which w sends a_i to a negative
-    root (``negative=False``: to a positive one).  Lazy, so ``next`` stops
-    at the first hit."""
-    n_pos = len(w.perm) // 2
-    simple_index = _simple(w.rs)[1]
-    for i, k in enumerate(simple_index, 1):
-        if (w.perm[k] >= n_pos) == negative:
+def _scan_simple_images(rs: RootSystem, perm: Perm, negative: bool = True) -> Iterator[int]:
+    """1-based indices i, ascending, for which the permutation sends a_i to
+    a negative root (``negative=False``: to a positive one).  Lazy, so
+    ``next`` stops at the first hit."""
+    n_pos = len(perm) // 2
+    for i, k in enumerate(_simple(rs)[1], 1):
+        if (perm[k] >= n_pos) == negative:
             yield i
 
 
 def right_descents(w: WeylElement) -> list[int]:
-    return list(_scan_simple_images(w))
+    return list(_scan_simple_images(w.rs, w.perm))
 
 
 def is_right_descent(w: WeylElement, i: int) -> bool:
@@ -245,7 +271,7 @@ def is_right_descent(w: WeylElement, i: int) -> bool:
 
 
 def smallest_right_descent(w: WeylElement) -> Optional[int]:
-    return next(_scan_simple_images(w), None)
+    return next(_scan_simple_images(w.rs, w.perm), None)
 
 
 def left_descents(w: WeylElement) -> list[int]:
@@ -257,14 +283,16 @@ def smallest_left_descent(w: WeylElement) -> Optional[int]:
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word (greedy smallest left descent)."""
+    """Lexicographically smallest reduced word (greedy smallest left descent),
+    stripped on the permutation of w^{-1}."""
     if w._rword is None:
+        times = _simple(w.rs)[2]
         word = []
-        u = inverse(w)  # strip right descents of w^{-1} = left descents of w
-        while (i := smallest_right_descent(u)) is not None:
+        u = _inverse_perm(w.perm)  # right descents of w^{-1} = left descents of w
+        while (i := next(_scan_simple_images(w.rs, u), None)) is not None:
             word.append(i)
-            u = u * simple_reflection(w.rs, i)
-        if not u.is_identity():
+            u = times[i - 1](u)
+        if u != tuple(range(len(u))):
             raise RuntimeError("descent stripping did not reach the identity")
         w._rword = tuple(word)
     return w._rword
@@ -353,11 +381,12 @@ def is_involution(w: WeylElement) -> bool:
 
 def longest_element(rs: RootSystem) -> WeylElement:
     """Greedy ascent: right-multiply by the smallest non-descent until all
-    simple roots map to negatives."""
-    w = identity(rs)
-    while (i := next(_scan_simple_images(w, negative=False), None)) is not None:
-        w = w * simple_reflection(rs, i)
-    return w
+    simple roots map to negatives, composed on the permutation."""
+    times = _simple(rs)[2]
+    w = tuple(range(len(rs.roots)))
+    while (i := next(_scan_simple_images(rs, w, negative=False), None)) is not None:
+        w = times[i - 1](w)
+    return _make(rs, w)
 
 
 def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:

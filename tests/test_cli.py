@@ -125,6 +125,15 @@ def test_parabolic_command(capsys):
     }
 
 
+def test_bad_parabolic_exits_1(capsys):
+    # an empty or non-integer entry is bad input, never a silent J
+    for text in (",", "1,,3", "x"):
+        assert main(["parabolic", "A3", "--parabolic", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse --parabolic {text!r}\n"
+
+
 def test_construct_command(capsys):
     code, data = run_json(capsys, "construct", "top-pair", "F4")
     assert code == 0

@@ -144,3 +144,21 @@ def test_build_v_builds_each_component(monkeypatch):
     assert rs.cartan_type.components == (("A", 1), ("D", 4))
     assert names[:3] == ["A1", "D4", "A1xA1xA1"]
     assert 2 * length(v) == len(rs.positive_roots) - len(build_cascade(rs).roots)
+
+
+@pytest.mark.parametrize(
+    # the elements the per-component build gave before types were shared
+    "t, word, builds",
+    [
+        ("A1xA1xA1", (), ["A1"]),
+        ("A3xA3", (1, 2, 4, 5), ["A3", "A1"]),
+        ("B2xB2", (2, 4), ["B2", "A1"]),
+        ("A2xA2xA1", (2, 4), ["A1", "A2"]),
+    ],
+)
+def test_build_v_builds_each_component_type_once(t, word, builds, monkeypatch):
+    rs = build_root_system(t)
+    names = recorded_builds(monkeypatch)
+    v = build_v(rs)
+    assert v == from_word(rs, word)
+    assert names == builds

@@ -1,5 +1,7 @@
 """Root system construction, bilinear form, reflections, classification."""
 
+from fractions import Fraction
+
 import pytest
 
 from flagloci.rootsys import (
@@ -130,6 +132,55 @@ def test_orthogonality_masks_match_orthogonal(t):
         ]
         assert masks[k] >> len(pos) == 0
     assert orthogonality_masks(rs) is masks  # built once per root system
+
+
+def form_sum(rs, x, y):
+    """(x, y) from scratch: sum over i, j of x_i form_ij y_j."""
+    n = rs.rank
+    return sum(x[i] * rs.form[i][j] * y[j] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("t", ["B3", "G2xA1", "F4"])
+def test_pairing_matches_form_sum(t):
+    rs = build_root_system(t)
+    roots = rs.roots
+    half = [Fraction(k + 1, 2) for k in range(rs.rank)]
+    thirds = tuple(Fraction(-k, 3) for k in range(rs.rank))
+    for b in roots:
+        for g in roots:
+            assert pairing(rs, b, g) == form_sum(rs, b, g)
+        for v in (half, thirds):
+            assert pairing(rs, b, v) == form_sum(rs, b, v)
+            assert pairing(rs, v, b) == form_sum(rs, v, b)
+        assert pairing(rs, list(b), list(b)) == form_sum(rs, b, b)
+    assert pairing(rs, half, thirds) == form_sum(rs, half, thirds)
+    # a Fraction vector equal to a root reads the root's int image
+    frac_root = tuple(Fraction(c) for c in roots[-1])
+    assert pairing(rs, frac_root, roots[0]) == form_sum(rs, roots[-1], roots[0])
+    for x, y in ((roots[0], roots[0][:-1]), (roots[0] + (0,), roots[0]), ([], [])):
+        with pytest.raises(ValueError, match="vector length does not match rank"):
+            pairing(rs, x, y)
+    # only roots are kept, each under its own int tuple
+    images = rs.cache["form_images"]
+    assert set(images) <= set(roots)
+    assert all(type(c) is int for b in images for c in b + images[b])
+    assert len(images) <= len(roots)
+
+
+@pytest.mark.parametrize("t", ["B3", "G2xA1", "C3"])
+def test_reflect_matches_fraction_formula(t):
+    rs = build_root_system(t)
+    vectors = [list(b) for b in rs.roots[:4]] + [(2, -1, 3), (0, 0, 0)]
+    vectors += [(Fraction(1, 2), Fraction(0), Fraction(-2, 3)), (Fraction(2), 1, 0)]
+    for b in rs.roots:
+        bb = form_sum(rs, b, b)
+        for x in vectors:
+            coeff = Fraction(2 * form_sum(rs, x, b), bb)
+            want = tuple(Fraction(c) - coeff * y for c, y in zip(x, b))
+            got = reflect(rs, b, x)
+            assert got == want
+            if all(c.denominator == 1 for c in want):
+                assert all(type(c) is int for c in got)
 
 
 def test_add_roots():

@@ -43,6 +43,7 @@ from flagloci.weyl import (
     simple_reflection,
     smallest_right_descent,
 )
+from flagloci.weyl import _reflection_perm
 
 
 def test_group_orders_by_enumeration():
@@ -270,6 +271,37 @@ def test_reflection_matrices_are_involutions():
         assert reflection_length(r) == 1
     with pytest.raises(ValueError):
         reflection(rs, (2, 0))  # 2 a_1 is integral but not a root
+
+
+def reflection_oracle(rs, b):
+    """The permutation of s_b from the form: r -> r - 2(r, b)/(b, b) b,
+    with (e_i, b) and (r, b) as generator sums over the rank."""
+    fb = [sum(f * c for f, c in zip(row, b)) for row in rs.form]
+    bb = sum(c * f for c, f in zip(b, fb))
+    images = []
+    for r in rs.roots:
+        k = Fraction(2 * sum(c * f for c, f in zip(r, fb)), bb)
+        assert k.denominator == 1
+        images.append(rs.root_index[tuple(c - int(k) * x for c, x in zip(r, b))])
+    return tuple(images)
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "C3", "G2xA1", "D4", "F4", "E6", "E7"])
+def test_reflection_perm_matches_form_oracle(t):
+    # highest roots first and negatives before positives, so the descent
+    # s_b = s_i s_{s_i b} s_i recurses down from a cold cache
+    rs = build_root_system(t)
+    n_pos = len(rs.positive_roots)
+    for k in reversed(range(len(rs.roots))):
+        b = rs.roots[k]
+        assert _reflection_perm(rs, b) == reflection_oracle(rs, b), b
+        neg = rs.roots[(k + n_pos) % (2 * n_pos)]
+        assert reflection(rs, b) == reflection(rs, neg)
+        assert _reflection_perm(rs, neg) is _reflection_perm(rs, b)
+    # one stored permutation per positive root, none per negative one
+    assert set(rs.cache["reflections"]) == set(rs.positive_roots)
+    for i in range(1, rs.rank + 1):
+        assert simple_reflection(rs, i) == reflection(rs, rs.simple_root(i))
 
 
 def test_perm_codec_round_trip():
