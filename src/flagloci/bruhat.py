@@ -12,15 +12,18 @@ stays an independent oracle for it.  Two independent routes to the order
 sit behind ``leq`` and are kept deliberately:
 
 * ``bruhat_leq`` runs the classical descent recursion (iteratively) on the
-  inverses, where each left descent becomes a right descent (one lookup)
-  and both lengths are tracked as ints; it works in any group without
+  permutations of the inverses (``weyl.leq_by_descents``), where each left
+  descent becomes a right descent (one lookup), both lengths are tracked
+  as ints and no element is built; it works in any group without
   enumeration and reads no table;
 * ``BruhatTable`` builds the covering relation from reflections on an
   enumerated group and stores reachability bitmasks.
 
 ``leq`` reads the table when one exists (or may be built) and falls back
 to the recursion otherwise.  The two routes are cross-checked against each
-other and against the raw subword definition in the test suite.
+other and against the raw subword definition in the test suite.  The walk
+runs ``leq`` on one child per branch only; the lifting property answers
+the other (see ``walk_subwords``).
 
 ``closure`` is the one routine that turns a covering relation into
 down-set and up-set bitmasks: the table runs it on all covers, the
@@ -44,9 +47,9 @@ from .weyl import (
     is_right_descent,
     is_type_a,
     length,
+    leq_by_descents,
     reflection,
     simple_reflection,
-    smallest_right_descent,
 )
 
 __all__ = [
@@ -68,27 +71,14 @@ _TABLE_BUILD_LIMIT = 10000  # don't auto-build reachability tables beyond this
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Descent recursion, run on the inverses x = v^{-1} and y = w^{-1}:
-    v <= w iff x <= y, and for a right descent s of y, x <= y iff
-    min(x, xs) <= ys.  A right descent is one lookup, no inverse is taken
-    after the first two, and the lengths are tracked as ints: a step lowers
-    l(y) by exactly 1, and l(x) by exactly 1 when s is a descent of x.  It
-    reads no table, and stays the independent route that ``BruhatTable`` is
-    checked against."""
+    """Descent recursion, run on the permutations of the inverses (see
+    ``weyl.leq_by_descents``): for a right descent s of y = w^{-1},
+    x <= y iff min(x, xs) <= ys, with x = v^{-1}.  It builds no element on
+    the way and reads no table, and stays the independent route that
+    ``BruhatTable`` is checked against."""
     if v.rs is not w.rs:
         raise ValueError("elements of different groups")
-    rs = v.rs
-    x, y = inverse(v), inverse(w)
-    lx, ly = length(v), length(w)
-    while lx < ly:
-        i = smallest_right_descent(y)
-        s = simple_reflection(rs, i)
-        if is_right_descent(x, i):
-            x = x * s
-            lx -= 1
-        y = y * s
-        ly -= 1
-    return x == y
+    return leq_by_descents(v, w)
 
 
 def closure(
@@ -227,11 +217,17 @@ def walk_subwords(
     is tried first, so hits come in lexicographic order of their removal
     sets.  Each hit is ``(removed, trace)``: the 1-based removed positions
     and the l + 1 partial products from the identity on.  A branch is
-    pruned as soon as y = target^{-1} sigma is no longer below the value of
-    the reversed remaining suffix (the subword property, read on inverses,
-    as Bruhat order is invariant under inversion).  Keeping a letter moves
-    y by one right product, removing it leaves y unchanged, and a leaf is a
-    hit iff l(y) = 0, so the walk takes one inverse in all.  The word is
+    pruned as soon as y = target^{-1} sigma is no longer below the value u
+    of the reversed remaining suffix (the subword property, read on
+    inverses, as Bruhat order is invariant under inversion).  Only one
+    child per branch runs that test: the next letter s is a right descent
+    of u and y <= u, so by the lifting property (Bjorner-Brenti,
+    Prop. 2.2.7) y <= us if s is an ascent of y, and ys <= us if it is a
+    descent; one descent lookup on y says which child is already known to
+    be below, so a skipped test is one whose answer is True and the hits
+    are unchanged.  Keeping a letter moves y by one right product,
+    removing it leaves y unchanged, and a leaf is a hit iff l(y) = 0, so
+    the walk takes one inverse in all.  The word is
     validated and its reversed suffix products are built at the call; the
     walk runs as the result is iterated.
     """
@@ -246,27 +242,31 @@ def walk_subwords(
     removed: list[int] = []
     trace = [identity(rs)]
 
-    def walk(k: int, y: WeylElement):
+    def walk(k: int, y: WeylElement, below: bool):
+        # below: y <= rsuffix[k] is already known
         if k == l:
             if length(y) == 0:
                 yield tuple(removed), tuple(trace)
             return
-        if not leq(y, rsuffix[k]):
+        if not below and not leq(y, rsuffix[k]):
             return
         sigma = trace[-1]
         may_remove, may_keep = step(k, sigma, removed)
+        # s = gens[k] is a right descent of u = rsuffix[k], and y <= u: if s
+        # is an ascent of y then y <= us, else ys <= us (lifting property)
+        ascent = not is_right_descent(y, word[k])
         if may_remove:
             removed.append(k + 1)
             trace.append(sigma)
-            yield from walk(k + 1, y)
+            yield from walk(k + 1, y, ascent)
             trace.pop()
             removed.pop()
         if may_keep:
             trace.append(sigma * gens[k])
-            yield from walk(k + 1, y * gens[k])
+            yield from walk(k + 1, y * gens[k], not ascent)
             trace.pop()
 
-    return walk(0, inverse(target))
+    return walk(0, inverse(target), False)
 
 
 def subwords_with_value(

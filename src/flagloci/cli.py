@@ -268,11 +268,15 @@ def cmd_rpoly(args) -> Report:
 
 def _parse_parabolic(text: str) -> list[int]:
     """The comma-separated simple indices of --parabolic; an empty or
-    non-integer entry is bad input."""
+    non-integer entry, or an index given twice, is bad input."""
     try:
-        return [int(tok) for tok in text.split(",")]
+        J = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise InputError(f"cannot parse --parabolic {text!r}")
+    for k, i in enumerate(J):
+        if i in J[:k]:
+            raise InputError(f"repeated simple index {i} in --parabolic {text!r}")
+    return J
 
 
 def cmd_parabolic(args) -> Report:

@@ -204,9 +204,9 @@ class RootSystem:
         # element pool "elements" of an enumerated group, witnessed pairs,
         # parabolic masks, R-polynomials, reflection permutations, one per
         # positive root, the "form_images" F y of roots read by pairing,
-        # orthogonality masks, the cascade forest and the cascade's
-        # "support_masks"), one entry per name, living as long as the root
-        # system
+        # orthogonality masks, the "highest_roots", the cascade forest and
+        # the cascade's "support_masks"), one entry per name, living as long
+        # as the root system
         self.cache: dict = {}
         expected = sum(
             _POSITIVE_COUNT[letter](r) for letter, r in cartan_type.components
@@ -382,16 +382,20 @@ def nonorthogonal_components(rs: RootSystem, roots: Sequence) -> list[list[tuple
 
 
 def highest_roots(rs: RootSystem) -> list[Coords]:
-    """The highest root of each simple component, in component order."""
-    out = []
-    for comp in rs.components:
-        best = None
+    """The highest root of each simple component, in component order.
+
+    ``rs.positive_roots`` runs in increasing height and a component has one
+    root of greatest height, so its highest root is the last positive root
+    supported in it: one pass, kept in ``rs.cache["highest_roots"]``, and
+    each call gets a fresh list."""
+    top = rs.cache.get("highest_roots")
+    if top is None:
+        comp_of = {i: c for c, comp in enumerate(rs.components) for i in comp}
+        best = [None] * len(rs.components)
         for b in rs.positive_roots:
-            if all(b[i] == 0 or i in comp for i in range(rs.rank)):
-                if best is None or sum(b) > sum(best):
-                    best = b
-        out.append(best)
-    return out
+            best[comp_of[next(i for i, x in enumerate(b) if x)]] = b
+        top = rs.cache["highest_roots"] = tuple(best)
+    return list(top)
 
 
 # ---------------------------------------------------------------------------

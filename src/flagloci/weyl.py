@@ -44,6 +44,7 @@ __all__ = [
     "inversion_set",
     "is_right_descent",
     "smallest_right_descent",
+    "leq_by_descents",
     "reduced_word",
     "all_reduced_words",
     "roots_of_word",
@@ -272,6 +273,30 @@ def is_right_descent(w: WeylElement, i: int) -> bool:
 
 def smallest_right_descent(w: WeylElement) -> Optional[int]:
     return next(_scan_simple_images(w.rs, w.perm), None)
+
+
+def leq_by_descents(v: WeylElement, w: WeylElement) -> bool:
+    """Whether v <= w in Bruhat order, by the descent recursion on the
+    permutations of the inverses x = v^{-1} and y = w^{-1}: v <= w iff
+    x <= y, and for a right descent s of y, x <= y iff min(x, xs) <= ys.
+    Each step scans y for its smallest right descent, tests it on x (one
+    lookup) and right-multiplies by the cached ``itemgetter`` of s, so no
+    element is built; the lengths are tracked as ints, as a step lowers
+    l(y) by exactly 1 and l(x) by exactly 1 when s is a descent of x."""
+    _, simple_index, times = _simple(v.rs)
+    n_pos = len(v.perm) // 2
+    x, y = _inverse_perm(v.perm), _inverse_perm(w.perm)
+    lx, ly = length(v), length(w)
+    while lx < ly:
+        for i, k in enumerate(simple_index):  # the smallest descent of y
+            if y[k] >= n_pos:
+                break
+        if x[k] >= n_pos:
+            x = times[i](x)
+            lx -= 1
+        y = times[i](y)
+        ly -= 1
+    return x == y
 
 
 def left_descents(w: WeylElement) -> list[int]:

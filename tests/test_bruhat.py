@@ -242,6 +242,47 @@ def test_walk_takes_one_inverse(monkeypatch):
     assert counts["leq"] > 10 * len(targets)
 
 
+@pytest.mark.parametrize("t", ["A3", "B3", "G2xA1", "D4"])
+def test_lifting_property_on_table(t):
+    # the fact behind the walk's skipped tests: for a right descent s of u
+    # and y <= u, y <= us when s is an ascent of y, and ys <= us otherwise
+    rs = build_root_system(t)
+    table = get_table(rs)
+    for u in table.elements:
+        for i in right_descents(u):
+            s = simple_reflection(rs, i)
+            us = u * s
+            for y in table.elements:
+                if not table.leq(y, u):
+                    continue
+                ys = y * s
+                if table.leq(y, ys):
+                    assert table.leq(y, us)
+                else:
+                    assert table.leq(ys, us)
+
+
+# leq calls of the top-pair witness search with a test at every node
+FULL_TEST_CALLS = {"E6": 26, "E7": 35, "D7": 24, "A7": 24}
+
+
+@pytest.mark.parametrize("t", sorted(FULL_TEST_CALLS))
+def test_walk_tests_one_branch(monkeypatch, t):
+    # the lifting property answers one child's test at every node, so the
+    # witness search on a top pair makes fewer than half the leq calls
+    rs = build_root_system(t)
+    top = build_top_pair(rs)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return leq(*args, **kwargs)
+
+    monkeypatch.setattr(bruhat, "leq", counting)
+    assert is_gcr_cond6(top.v, top.w) is not None
+    assert 2 * len(calls) < FULL_TEST_CALLS[t]
+
+
 def test_top_pair_builds_no_pool():
     # E6 (|W| = 51840) is never enumerated on the top-pair path, so it
     # keeps no element pool and no table

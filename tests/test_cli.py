@@ -134,6 +134,14 @@ def test_bad_parabolic_exits_1(capsys):
         assert captured.err == f"error: cannot parse --parabolic {text!r}\n"
 
 
+def test_repeated_parabolic_index_exits_1(capsys):
+    # a repeated index is bad input, never echoed in J
+    assert main(["parabolic", "A3", "--parabolic", "2,1,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated simple index 2 in --parabolic '2,1,2'\n"
+
+
 def test_construct_command(capsys):
     code, data = run_json(capsys, "construct", "top-pair", "F4")
     assert code == 0

@@ -197,6 +197,33 @@ def test_highest_roots():
     assert len(two) == 2
 
 
+def _scan_highest_roots(rs):
+    # the definition: the root of greatest height supported in each component
+    out = []
+    for comp in rs.components:
+        inside = [b for b in rs.positive_roots if all(i in comp for i, x in enumerate(b) if x)]
+        out.append(max(inside, key=sum))
+    return out
+
+
+@pytest.mark.parametrize(
+    "t",
+    ["A2xA1", "B2xA1", "G2xA1", "A3", "A2xA2", "B3", "C3", "A4", "D4", "B2xB2", "F4", "E6", "E7"],
+)
+def test_highest_roots_match_scan_once_per_system(t):
+    rs = build_root_system(t)
+    first = highest_roots(rs)
+    assert first == _scan_highest_roots(rs)
+    # kept in the cache: a later call reads no positive root, and hands out
+    # a fresh list that the caller may change
+    roots = rs.positive_roots
+    rs.positive_roots = ()
+    first.append(None)
+    again = highest_roots(rs)
+    rs.positive_roots = roots
+    assert again == _scan_highest_roots(rs) and again is not first
+
+
 def test_is_positive_root():
     rs = build_root_system("A2")
     assert is_positive_root(rs, (1, 1))
