@@ -19,8 +19,8 @@ sit behind ``leq`` and are kept deliberately:
 * ``BruhatTable`` builds the covering relation from reflections on an
   enumerated group and stores reachability bitmasks.
 
-``leq`` reads the table when one exists (or may be built) and falls back
-to the recursion otherwise.  The two routes are cross-checked against each
+``leq`` reads the table when one exists and runs the recursion otherwise;
+it never builds a table.  The two routes are cross-checked against each
 other and against the raw subword definition in the test suite.  The walk
 runs ``leq`` on one child per branch only; the lifting property answers
 the other (see ``walk_subwords``).
@@ -28,7 +28,10 @@ the other (see ``walk_subwords``).
 ``closure`` is the one routine that turns a covering relation into
 down-set and up-set bitmasks: the table runs it on all covers, the
 parabolic order on the covers that change coset.  ``require_table`` is the
-one "table within the cap, else ``GroupTooLargeError``" lookup.
+one "table within the cap, else ``GroupTooLargeError``" lookup, and a
+table is built only there, for a request on the whole group (enumeration,
+covers, intervals, the DOT graph), under the caller's cap (the default
+where the call takes none, as ``interval`` does).
 """
 
 from __future__ import annotations
@@ -66,9 +69,6 @@ __all__ = [
     "get_table",
     "require_table",
 ]
-
-_TABLE_BUILD_LIMIT = 10000  # don't auto-build reachability tables beyond this
-
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     """Descent recursion, run on the permutations of the inverses (see
@@ -145,7 +145,7 @@ class BruhatTable:
         return out
 
 
-def get_table(rs: RootSystem, build_limit: int = _TABLE_BUILD_LIMIT) -> Optional[BruhatTable]:
+def get_table(rs: RootSystem, build_limit: int = 60000) -> Optional[BruhatTable]:
     table = rs.cache.get("bruhat_table")
     if table is None and weyl_order(rs.cartan_type) <= build_limit:
         table = rs.cache["bruhat_table"] = BruhatTable(rs, cap=build_limit)
@@ -160,10 +160,10 @@ def require_table(rs: RootSystem, cap: int = 60000) -> BruhatTable:
     return table
 
 
-def leq(v: WeylElement, w: WeylElement, build_limit: int = _TABLE_BUILD_LIMIT) -> bool:
-    """v <= w: by the reachability table when one exists or the group is
-    small enough to build one (``build_limit``), else by descent recursion."""
-    table = get_table(v.rs, build_limit)
+def leq(v: WeylElement, w: WeylElement) -> bool:
+    """v <= w: by the reachability table when one exists, else by descent
+    recursion.  It builds no table."""
+    table = v.rs.cache.get("bruhat_table")
     if table is not None:
         return table.leq(v, w)
     return bruhat_leq(v, w)
@@ -186,8 +186,10 @@ def covering_pairs(rs: RootSystem, cap: int = 60000) -> list[tuple[WeylElement, 
 def interval(
     v: WeylElement, w: WeylElement
 ) -> tuple[list[WeylElement], list[tuple[WeylElement, WeylElement]]]:
-    """Elements and Hasse edges of [v, w].  Requires v <= w."""
-    table = require_table(v.rs, _TABLE_BUILD_LIMIT)
+    """Elements and Hasse edges of [v, w].  Requires v <= w; reads the
+    table of the whole group, built under the default cap if it is not
+    there yet."""
+    table = require_table(v.rs)
     if not table.leq(v, w):
         raise ValueError("lower element is not below upper element in Bruhat order")
     idxs = table.interval_indices(v, w)

@@ -10,12 +10,13 @@ import argparse
 import csv as csv_mod
 import io
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .bruhat import export_bruhat_graph
+from .bruhat import export_bruhat_graph, require_table
 from .cascade import KostantCheckError, build_cascade, iter_nodes, verify_kostant
 from .construct import ConstructError, build_top_pair
 from .deodhar import r_polynomial_deodhar, r_polynomial_recurrence
@@ -168,6 +169,7 @@ def cmd_gcr(args) -> Report:
         ]
         return Report(payload, text, code=0 if (agree and c3) else 3)
     if args.action == "powerset":
+        require_table(rs, args.cap)
         pair = make_gcr_pair(v, w)
         ok = verify_powerset_interval(pair)
         payload = {
@@ -509,7 +511,13 @@ def main(argv=None) -> int:
     except (KostantCheckError, ConstructError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is left, and the
+        # interpreter's final flush of stdout, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.code
 
 

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
-from .bruhat import get_table, interval, leq, require_table, walk_subwords
+from .bruhat import interval, leq, require_table, walk_subwords
 from .rootsys import RootSystem, orthogonal, orthogonality_masks
 from .weyl import (
     WeylElement,
@@ -70,8 +70,7 @@ Witness = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple, ...]]
 def is_gcr_cond3(v: WeylElement, w: WeylElement) -> bool:
     """v <= w and the (-1)-eigenspace of v w^{-1} has dim = length difference."""
     d = length(w) - length(v)
-    # build_limit=0: a single membership test never justifies building a table
-    if d < 0 or not leq(v, w, build_limit=0):
+    if d < 0 or not leq(v, w):
         return False
     return eigenspace_dim(multiply(v, inverse(w)), -1) == d
 
@@ -79,7 +78,7 @@ def is_gcr_cond3(v: WeylElement, w: WeylElement) -> bool:
 def is_gcr_cond4(v: WeylElement, w: WeylElement) -> bool:
     """v <= w and v w^{-1} is an involution of reflection length = length difference."""
     d = length(w) - length(v)
-    if d < 0 or not leq(v, w, build_limit=0):
+    if d < 0 or not leq(v, w):
         return False
     x = multiply(v, inverse(w))
     if d == 0:
@@ -304,25 +303,38 @@ def enumerate_gcr(rs: RootSystem, cap: int = 60000) -> GcrPoset:
     table = require_table(rs, cap)
     pairs = rs.cache.get("gcr_pairs")
     if pairs is None:
-        pairs = rs.cache["gcr_pairs"] = _search(table)
+        pairs = rs.cache["gcr_pairs"] = _search(table.elements)
     return GcrPoset(rs, pairs)
 
 
-def _search(table) -> tuple[GcrPair, ...]:
-    """The pairs of ``_removal_walk`` over every w of the table, with v
-    replaced by the table's own element, in ``GcrPair.key`` order.  The
-    host word reduced_word(w) passes its checks once per w, and each pair
-    its own checks on it."""
-    els, index = table.elements, table.index
+def _search(elements: list[WeylElement]) -> tuple[GcrPair, ...]:
+    """The pairs of ``_removal_walk`` over every w of the enumerated group,
+    in ``GcrPair.key`` order.  Every v the walk reaches is already the
+    group's own element (an enumerated group keeps one object per
+    element).  The host word reduced_word(w) passes its checks once per
+    w, and each pair its own checks on it."""
     pairs = []
-    for w in els:
-        found = _removal_walk(w)
+    for w in elements:
         host = _Host(w, reduced_word(w))
         pairs.extend(
-            host.pair(els[index[v]], positions, roots)
-            for v, (_, positions, roots) in found.items()
+            host.pair(v, positions, roots)
+            for v, (_, positions, roots) in _removal_walk(w).items()
         )
     return tuple(sorted(pairs, key=lambda p: p.key()))
+
+
+def _subset_products(pair: GcrPair, x: WeylElement) -> dict[tuple[int, ...], WeylElement]:
+    """x multiplied on the left by the removed reflections of each subset K
+    of {1..d} (ascending, 1-based), subsets in order of size and then
+    lexicographically; each product is one reflection times the product of
+    K without its largest member."""
+    rs = pair.w.rs
+    refls = [reflection(rs, g) for g in pair.removed_roots]
+    out = {(): x}
+    for size in range(1, pair.d + 1):
+        for K in itertools.combinations(range(1, pair.d + 1), size):
+            out[K] = multiply(refls[K[-1] - 1], out[K[:-1]])
+    return out
 
 
 def sub_pairs(
@@ -330,38 +342,19 @@ def sub_pairs(
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], WeylElement, WeylElement]]:
     """For disjoint J, K inside {1..d}: raise v by the J reflections, lower w
     by the K reflections.  Every (v_J, w_K) is again a witnessed pair."""
-    rs = pair.w.rs
-    refls = [reflection(rs, g) for g in pair.removed_roots]
-    out = []
-    idx = range(1, pair.d + 1)
-    for jsize in range(pair.d + 1):
-        for J in itertools.combinations(idx, jsize):
-            rest = [i for i in idx if i not in J]
-            for ksize in range(len(rest) + 1):
-                for K in itertools.combinations(rest, ksize):
-                    vj = pair.v
-                    for j in J:
-                        vj = multiply(refls[j - 1], vj)
-                    wk = pair.w
-                    for k in K:
-                        wk = multiply(refls[k - 1], wk)
-                    out.append((J, K, vj, wk))
-    return out
+    w_by_set = _subset_products(pair, pair.w)
+    return [
+        (J, K, vj, wk)
+        for J, vj in _subset_products(pair, pair.v).items()
+        for K, wk in w_by_set.items()
+        if set(J).isdisjoint(K)
+    ]
 
 
 def verify_powerset_interval(pair: GcrPair) -> bool:
     """Check that [v, w] is exactly {w_K : K subset of {1..d}} and that its
     Hasse diagram is the boolean one (w_K covered by w_{K minus a point})."""
-    rs = pair.w.rs
-    refls = [reflection(rs, g) for g in pair.removed_roots]
-    idx = range(1, pair.d + 1)
-    w_by_set: dict[frozenset, WeylElement] = {}
-    for size in range(pair.d + 1):
-        for K in itertools.combinations(idx, size):
-            x = pair.w
-            for k in K:
-                x = multiply(refls[k - 1], x)
-            w_by_set[frozenset(K)] = x
+    w_by_set = {frozenset(K): x for K, x in _subset_products(pair, pair.w).items()}
     if len(set(w_by_set.values())) != 2**pair.d:
         return False
     elements, edges = interval(pair.v, pair.w)
@@ -369,7 +362,7 @@ def verify_powerset_interval(pair: GcrPair) -> bool:
         return False
     elt_to_set = {x: K for K, x in w_by_set.items()}
     # order must be containment-reversing
-    table = get_table(rs)
+    table = require_table(pair.w.rs)
     for K, xk in w_by_set.items():
         for L, xl in w_by_set.items():
             if table.leq(xk, xl) != (L <= K):

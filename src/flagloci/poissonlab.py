@@ -34,12 +34,9 @@ from .polyalg import (
     _add_product,
     _coef,
     _div,
-    _reduce,
-    _support,
-    buchberger,
     ideal_equal,
     intersect,
-    normal_form,
+    membership,
     parse_polynomial,
 )
 from .weyl import oneline, parse_perm, perm_word
@@ -340,19 +337,9 @@ def nonreduced_witness(
     if di is None:
         di = degeneracy_ideal(chart)
     deadline = monotonic() + timeout_secs
-    gb = buchberger(di.ideal, deadline)
-    if not gb.polys:
-        return None
-    # the leads and their support masks, once for every variable
-    leads = [g.leading()[0] for g in gb.polys]
-    sevs = [_support(e) for e in leads]
-
-    def is_zero_mod(f: Polynomial) -> bool:
-        return _reduce(f, gb.polys, leads, sevs).is_zero()
-
     for name in chart.ring.variables:
         f = chart.ring.var(name)
-        if is_zero_mod(f * f) and not is_zero_mod(f):
+        if membership(f * f, di.ideal, deadline) and not membership(f, di.ideal, deadline):
             return name
     return None
 
@@ -405,8 +392,7 @@ def verify_sl3_decomposition(timeout_secs: float = 60.0) -> bool:
     )
     deadline = monotonic() + timeout_secs
     for comp in (comp1, comp2):
-        gb = buchberger(comp, deadline)
-        if any(not normal_form(g, gb.polys).is_zero() for g in di.ideal.generators):
+        if not all(membership(g, comp, deadline) for g in di.ideal.generators):
             return False
     meet = intersect(intersect(comp1, comp2, deadline), embedded, deadline)
     return ideal_equal(di.ideal, meet, deadline)

@@ -14,7 +14,8 @@ A polynomial computes its leading term once, on first use, and keeps it
 (nothing mutates ``terms`` after construction).  In the same way an
 `Ideal` computes its reduced basis once, on the first `buchberger` call,
 and keeps it, so `membership`, `ideal_equal`, `radical_membership` and
-callers that ask again all read one basis.
+callers that ask again all read one basis; the basis keeps the leading
+monomials and support masks that `membership` reduces with.
 
 One completion loop, `_complete`, serves every basis: it takes a prefix
 that is already a Groebner basis plus new generators, and never pushes a
@@ -43,7 +44,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress
 from operator import add, le, sub
 from typing import Optional, Sequence, Union
@@ -257,8 +258,22 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A basis and the data every reduction by it reads: the leading
+    monomials of its members (``leads``) and their support masks
+    (``sevs``), computed on first use and kept, so a basis that nothing is
+    reduced by never computes them.  They take no part in ``==``, ``hash``
+    or ``repr``."""
+
     ring: PolyRing
     polys: tuple[Polynomial, ...]
+
+    @cached_property
+    def leads(self) -> tuple[Expo, ...]:
+        return tuple(g.leading()[0] for g in self.polys)
+
+    @cached_property
+    def sevs(self) -> tuple[int, ...]:
+        return tuple(map(_support, self.leads))
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
@@ -372,16 +387,8 @@ def _support(e: Expo) -> int:
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of f by the basis, in list order."""
     leads = [g.leading()[0] for g in basis]
-    return _reduce(f, basis, leads, [_support(e) for e in leads])
-
-
-def _reduce(
-    f: Polynomial, basis: Sequence[Polynomial], leads: list, sevs: list
-) -> Polynomial:
-    """`normal_form`, given the leading monomials of the basis and their
-    support masks."""
-    rem = _reduce_terms(dict(f.terms), basis, leads, sevs, f.ring.key)
-    return Polynomial(f.ring, rem)
+    sevs = [_support(e) for e in leads]
+    return Polynomial(f.ring, _reduce_terms(dict(f.terms), basis, leads, sevs, f.ring.key))
 
 
 def _reduce_terms(
@@ -556,11 +563,10 @@ def _complete(
 def membership(
     f: Polynomial, ideal: Ideal, deadline: Optional[float] = None
 ) -> bool:
+    """f lies in the ideal: its remainder by the kept reduced basis is zero."""
     _check_rings(f.ring, ideal.ring, "polynomials")
     gb = buchberger(ideal, deadline)
-    if not gb.polys:
-        return f.is_zero()
-    return normal_form(f, gb.polys).is_zero()
+    return not _reduce_terms(dict(f.terms), gb.polys, gb.leads, gb.sevs, f.ring.key)
 
 
 def _lift(

@@ -19,7 +19,14 @@ from flagloci.bruhat import (
     walk_subwords,
 )
 from flagloci.construct import build_top_pair
-from flagloci.gcr import is_gcr_cond6
+from flagloci.deodhar import r_polynomial_deodhar, r_polynomial_recurrence
+from flagloci.gcr import (
+    is_gcr_cond3,
+    is_gcr_cond4,
+    is_gcr_cond6,
+    make_gcr_pair,
+    pair_encloses,
+)
 from flagloci.rootsys import build_root_system
 from flagloci.weyl import (
     enumerate_group,
@@ -333,16 +340,36 @@ def test_table_reuse_only_mode():
     assert get_table(rs, build_limit=0) is None
 
 
-def test_leq_routes_and_build_limit():
+def test_leq_reads_a_table_and_builds_none():
     rs = build_root_system("B3")
     els = enumerate_group(rs)
     pairs = [(els[i], els[j]) for i in range(0, len(els), 7) for j in range(0, len(els), 5)]
-    # build_limit=0 must answer by recursion and leave no table behind
-    got = [leq(v, w, build_limit=0) for v, w in pairs]
-    assert get_table(rs, build_limit=0) is None
-    assert got == [bruhat_leq(v, w) for v, w in pairs]
-    assert [leq(v, w) for v, w in pairs] == got
-    assert get_table(rs, build_limit=0) is not None
+    want = [bruhat_leq(v, w) for v, w in pairs]
+    assert [leq(v, w) for v, w in pairs] == want
+    assert "bruhat_table" not in rs.cache
+    table = get_table(rs)
+    assert [leq(v, w) for v, w in pairs] == want
+    assert rs.cache["bruhat_table"] is table
+
+
+def test_single_calls_build_no_table():
+    # comparisons, walks and R-polynomials on single pairs never build a
+    # table, whatever the size of the group
+    rs = build_root_system("B3")
+    els = enumerate_group(rs)
+    found = []
+    for v in els[::5]:
+        for w in els[::3]:
+            is_gcr_cond3(v, w)
+            is_gcr_cond4(v, w)
+            r_polynomial_recurrence(v, w)
+            r_polynomial_deodhar(v, w)
+            covers(v, w)
+            if is_gcr_cond6(v, w) is not None:
+                found.append(make_gcr_pair(v, w))
+    assert len(found) > 10
+    assert any(pair_encloses(a, b) for a in found for b in found if a != b)
+    assert "bruhat_table" not in rs.cache
 
 
 def test_get_table_passes_build_limit_as_cap(monkeypatch):

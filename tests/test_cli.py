@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from flagloci import cli
 from flagloci.cli import main
@@ -258,3 +262,32 @@ def test_negative_sample_exits_1(capsys):
     # a negative sample size is bad input, not a report over no pairs
     assert main(["rpoly", "A2", "--sample", "-3"]) == 1
     assert "agreement" not in capsys.readouterr().out
+
+
+def test_powerset_builds_its_table_under_cap(capsys):
+    # |A1xA6| = 10080: the table behind the interval is built under --cap
+    code, out = run(capsys, "gcr", "powerset", "A1xA6", "--v", "e", "--w", "1")
+    assert (code, out) == (0, "[e, 1] boolean of rank 1: True\n")
+    argv = ["gcr", "powerset", "A1xA6", "--v", "e", "--w", "1", "--cap", "10000"]
+    assert main(argv) == 2
+    assert "group order 10080 exceeds enumeration cap 10000" in capsys.readouterr().err
+
+
+def test_closed_pipe_is_quiet():
+    # a reader that stops after one byte gets no traceback on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["gcr", "enumerate", "B4", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flagloci.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""

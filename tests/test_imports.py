@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from flagloci import polyalg
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "flagloci").glob("*.py")) + sorted(
     (ROOT / "tests").glob("*.py")
@@ -47,3 +49,30 @@ def test_unused_import_is_caught():
         "line 2: d",
     ]
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+def test_private_names_stay_home():
+    # only bruhat names its table's cache key, and poissonlab imports from
+    # polyalg only public names and the three term-level helpers it shares
+    allowed = set(polyalg.__all__) | {"_add_product", "_coef", "_div"}
+    offences = []
+    for path in sorted((ROOT / "src" / "flagloci").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                path.name != "bruhat.py"
+                and isinstance(node, ast.Constant)
+                and node.value == "bruhat_table"
+            ):
+                offences.append(f"{path.name}:{node.lineno} names the table key")
+            if (
+                path.name == "poissonlab.py"
+                and isinstance(node, ast.ImportFrom)
+                and node.level == 1
+                and node.module == "polyalg"
+            ):
+                offences += [
+                    f"{path.name}:{node.lineno} imports polyalg.{a.name}"
+                    for a in node.names
+                    if a.name not in allowed
+                ]
+    assert offences == []
