@@ -66,11 +66,7 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
     text = text.strip()
     if text == "e":
         return identity(rs)
-    if is_type_a(rs) and "," in text:
-        if not all(tok.strip().isdigit() for tok in text.split(",")):
-            raise InputError(f"cannot parse permutation {text!r}")
-        return perm_from_string(rs, text)
-    if is_type_a(rs) and text.isdigit():
+    if is_type_a(rs) and ("," in text or text.isdigit()):
         return perm_from_string(rs, text)
     try:
         word = [int(tok) for tok in text.split(".")]
@@ -449,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv", "dot", "text"], default=fmt_default)
         p.add_argument("--cap", type=int, default=60000)
         p.add_argument("--timeout-secs", type=float, default=60.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("gcr", help="enumerate or check witnessed pairs")
     p.add_argument("action", choices=["enumerate", "components", "check", "powerset"])
@@ -468,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v")
     p.add_argument("--w")
     p.add_argument("--sample", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_rpoly)
 
     p = sub.add_parser("parabolic", help="quotient-side pair tables and checks")
@@ -484,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["matrix", "ideal", "scan"])
     common(p)
     p.add_argument("--cell", default=None, help="one-line permutation of the chart")
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(handler=cmd_poisson)
 
     p = sub.add_parser("graph", help="DOT Bruhat graph with component edges flagged")

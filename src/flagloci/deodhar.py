@@ -70,12 +70,11 @@ class LaurentFreePolynomial:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def factored(self) -> Optional[str]:
-        """"(q-1)^k" when the polynomial is exactly that, else None."""
-        if self.coeffs == (1,):
-            return "(q-1)^0"
-        for k in range(1, len(self.coeffs)):
-            if self == q_minus_one_power(k):
-                return "(q-1)^%d" % k
+        """"(q-1)^k" when the polynomial is exactly that, else None; only k =
+        degree can match."""
+        k = self.degree()
+        if k >= 0 and self == q_minus_one_power(k):
+            return "(q-1)^%d" % k
         return None
 
     def pretty(self) -> str:

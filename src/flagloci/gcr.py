@@ -121,9 +121,10 @@ def is_gcr_cond6(v: WeylElement, w: WeylElement) -> Optional[Witness]:
     return word, positions, tuple(betas[p - 1] for p in positions)
 
 
-def _removal_walk(w: WeylElement) -> dict[WeylElement, Witness]:
-    """Every v that ``is_gcr_cond6`` accepts below w, with its witness,
-    from one depth-first walk over the host word ``reduced_word(w)``.
+def _removal_walk(host: _Host) -> dict[WeylElement, tuple[int, ...]]:
+    """Every v that ``is_gcr_cond6`` accepts below ``host.w``, with the
+    removed positions of its witness, from one depth-first walk over the
+    host word; the inversion roots are the ones ``host`` derived.
 
     Removal is tried before keeping, as in ``bruhat.walk_subwords``: a
     letter may be removed only if its inversion root is orthogonal to every
@@ -134,14 +135,12 @@ def _removal_walk(w: WeylElement) -> dict[WeylElement, Witness]:
     witness ``is_gcr_cond6(v, w)`` returns.  This walk has no target and is
     kept apart from ``walk_subwords`` on purpose: ``is_gcr_cond6`` is the
     oracle the enumeration is tested against, so the two share no walk."""
-    rs = w.rs
-    word = reduced_word(w)
-    betas = roots_of_word(rs, word)
+    rs, word = host.w.rs, host.word
     n = len(word)
     # a removal set is held as a mask over the positive roots: the roots of
     # a reduced word are distinct, so it names the positions as well
     orth = orthogonality_masks(rs)
-    ids = [rs.root_index[b] for b in betas]
+    ids = [rs.root_index[b] for b in host.betas]
     gens = [simple_reflection(rs, i) for i in word]
     first: dict[WeylElement, int] = {}  # v -> mask of its first removal set
     stack = [(0, identity(rs), 0)]
@@ -155,11 +154,10 @@ def _removal_walk(w: WeylElement) -> dict[WeylElement, Witness]:
             stack.append((k + 1, sigma * gens[k], mask))
         if not mask & ~orth[ids[k]]:
             stack.append((k + 1, sigma, mask | 1 << ids[k]))
-    out = {}
-    for v, mask in first.items():
-        positions = tuple(k + 1 for k in range(n) if mask >> ids[k] & 1)
-        out[v] = (word, positions, tuple(betas[p - 1] for p in positions))
-    return out
+    return {
+        v: tuple(k + 1 for k in range(n) if mask >> ids[k] & 1)
+        for v, mask in first.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,9 @@ class _Host:
     is reduced (``roots_of_word`` gives its inversion roots b_k) and it
     multiplies to w.  ``check`` runs the per-pair checks on it, so the
     enumeration checks each host word once and each pair once, and a
-    directly built ``GcrPair`` runs both parts."""
+    directly built ``GcrPair`` runs both parts.  The enumeration derives
+    the roots b_k here only: ``_removal_walk`` reads them from the host,
+    and every pair on the host shares its word."""
 
     __slots__ = ("w", "word", "betas")
 
@@ -228,13 +228,13 @@ class _Host:
         if x != v:
             raise ValueError("removed reflections do not carry w to v")
 
-    def pair(
-        self, v: WeylElement, positions: tuple[int, ...], roots: tuple[tuple, ...]
-    ) -> GcrPair:
-        """The pair on this host word, after its per-pair checks alone."""
+    def pair(self, v: WeylElement, positions: tuple[int, ...]) -> GcrPair:
+        """The pair on this host word that removes ``positions``, after its
+        per-pair checks alone."""
         # fill the frozen fields as the dataclass __init__ does, without
         # the per-host part of __post_init__
         pair = object.__new__(GcrPair)
+        roots = tuple(self.betas[p - 1] for p in positions)
         values = (v, self.w, len(positions), self.word, positions, roots)
         for name, value in zip(_FIELDS, values):
             object.__setattr__(pair, name, value)
@@ -243,10 +243,7 @@ class _Host:
 
 
 def make_gcr_pair(v: WeylElement, w: WeylElement) -> GcrPair:
-    return _pair(v, w, is_gcr_cond6(v, w))
-
-
-def _pair(v: WeylElement, w: WeylElement, witness: Optional[Witness]) -> GcrPair:
+    witness = is_gcr_cond6(v, w)
     if witness is None:
         raise ValueError("pair admits no orthogonal removal witness")
     host, positions, roots = witness
@@ -311,15 +308,13 @@ def _search(elements: list[WeylElement]) -> tuple[GcrPair, ...]:
     """The pairs of ``_removal_walk`` over every w of the enumerated group,
     in ``GcrPair.key`` order.  Every v the walk reaches is already the
     group's own element (an enumerated group keeps one object per
-    element).  The host word reduced_word(w) passes its checks once per
-    w, and each pair its own checks on it."""
+    element).  The host word reduced_word(w) passes its checks and gives
+    its inversion roots once per w, and each pair runs its own checks on
+    it."""
     pairs = []
     for w in elements:
         host = _Host(w, reduced_word(w))
-        pairs.extend(
-            host.pair(v, positions, roots)
-            for v, (_, positions, roots) in _removal_walk(w).items()
-        )
+        pairs.extend(host.pair(v, pos) for v, pos in _removal_walk(host).items())
     return tuple(sorted(pairs, key=lambda p: p.key()))
 
 
@@ -353,7 +348,13 @@ def sub_pairs(
 
 def verify_powerset_interval(pair: GcrPair) -> bool:
     """Check that [v, w] is exactly {w_K : K subset of {1..d}} and that its
-    Hasse diagram is the boolean one (w_K covered by w_{K minus a point})."""
+    Hasse diagram is the boolean one (w_K covered by w_{K minus a point}).
+
+    The Hasse diagram decides the order as well: Bruhat order is graded, so
+    x <= y inside [v, w] holds iff a chain of covers runs from x up to y,
+    and every element of such a chain lies in [v, w].  The order on the
+    interval is the closure of its covers, so equal Hasse diagrams give
+    the containment-reversing order on the subsets."""
     w_by_set = {frozenset(K): x for K, x in _subset_products(pair, pair.w).items()}
     if len(set(w_by_set.values())) != 2**pair.d:
         return False
@@ -361,12 +362,6 @@ def verify_powerset_interval(pair: GcrPair) -> bool:
     if set(elements) != set(w_by_set.values()):
         return False
     elt_to_set = {x: K for K, x in w_by_set.items()}
-    # order must be containment-reversing
-    table = require_table(pair.w.rs)
-    for K, xk in w_by_set.items():
-        for L, xl in w_by_set.items():
-            if table.leq(xk, xl) != (L <= K):
-                return False
     expected_edges = set()
     for K in w_by_set:
         for k in K:

@@ -32,9 +32,10 @@ ends the loop at once: the reduced basis is then (1).
 
 Reduction works on one mutable terms dict: an S-polynomial is built as a
 dict and each division step subtracts its multiple of a basis member in
-place (`_sub_multiple`), so no intermediate `Polynomial` is made.  Its
-companion `_add_product` adds a product into a terms dict in place; it is
-the one product kernel, used by `Polynomial.__mul__` and by the Poisson
+place, so no intermediate `Polynomial` is made.  `_add_product` adds a
+product into a terms dict in place; it is the one multiply-accumulate
+kernel, used by those division steps (with the monomial multiplier as a
+one-term dict and c = -1), by `Polynomial.__mul__` and by the Poisson
 chart layer, which sums every bracket in one dict."""
 
 from __future__ import annotations
@@ -404,23 +405,13 @@ def _reduce_terms(
         for k, le in enumerate(leads):
             if not sevs[k] & outside and _divides(le, e):
                 g = basis[k]
-                _sub_multiple(p, g, _expo_sub(e, le), _div(p[e], g.leading()[1]))
+                q = _div(p[e], g.leading()[1])
+                _add_product(p, {_expo_sub(e, le): q}, g.terms, -1)
                 break
         else:
             # the leading monomial strictly drops at every step
             rem[e] = p.pop(e)
     return rem
-
-
-def _sub_multiple(p: dict, g: Polynomial, s: Expo, q: Coef) -> None:
-    """p -= q * x^s * g in place; a term that cancels leaves p."""
-    for t, v in g.terms.items():
-        m = tuple(map(add, s, t))
-        w = p.get(m, 0) - q * v
-        if w:
-            p[m] = w
-        else:
-            del p[m]
 
 
 def _add_product(acc: dict, f: dict, g: dict, c: Coef = 1) -> None:
@@ -519,7 +510,8 @@ def _complete(
         f, g = basis[i], basis[j]
         sf, qf = _expo_sub(l, leads[i]), _div(1, f.leading()[1])
         s = {tuple(map(add, sf, t)): qf * v for t, v in f.terms.items()}
-        _sub_multiple(s, g, _expo_sub(l, leads[j]), _div(1, g.leading()[1]))
+        sg, qg = _expo_sub(l, leads[j]), _div(1, g.leading()[1])
+        _add_product(s, {sg: qg}, g.terms, -1)
         r = _reduce_terms(s, basis, leads, sevs, ring.key)
         if not r:
             continue

@@ -470,9 +470,13 @@ def _eps_coords(c: Sequence) -> list:
 
 def parse_perm(text: str) -> tuple[int, ...]:
     """The entries of a one-line permutation: run-together digits or
-    comma-separated entries (not checked to be a permutation)."""
+    comma-separated entries.  ValueError("cannot parse permutation ...")
+    when the text is empty or an entry is empty or not a decimal number;
+    whether the entries form a permutation is not checked here."""
     text = text.strip()
-    entries = text.split(",") if "," in text else text
+    entries = [tok.strip() for tok in text.split(",")] if "," in text else list(text)
+    if not entries or not all(tok.isdecimal() for tok in entries):
+        raise ValueError(f"cannot parse permutation {text!r}")
     return tuple(int(tok) for tok in entries)
 
 

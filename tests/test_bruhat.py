@@ -291,13 +291,15 @@ def test_walk_tests_one_branch(monkeypatch, t):
 
 
 def test_top_pair_builds_no_pool():
-    # E6 (|W| = 51840) is never enumerated on the top-pair path, so it
-    # keeps no element pool and no table
-    rs = build_root_system("E6")
-    top = build_top_pair(rs)
-    assert is_gcr_cond6(top.v, top.w) is not None
-    assert "elements" not in rs.cache
-    assert "bruhat_table" not in rs.cache
+    # the top-pair path enumerates no group, small (B3, D4) or large (E6,
+    # |W| = 51840), so it keeps no element pool, no table and no pairs
+    for t in ("B3", "D4", "E6"):
+        rs = build_root_system(t)
+        top = build_top_pair(rs)
+        assert is_gcr_cond6(top.v, top.w) is not None
+        assert "elements" not in rs.cache, t
+        assert "bruhat_table" not in rs.cache, t
+        assert "gcr_pairs" not in rs.cache, t
 
 
 def test_reduced_word_rejects_non_reduced():

@@ -177,6 +177,15 @@ def test_poisson_cell_flag(capsys):
     assert data["witness"] is None
 
 
+def test_bad_cell_exits_1(capsys):
+    # an empty or non-digit entry is bad input, named as a permutation
+    for text in ("1a3", "1,2,,3"):
+        assert main(["poisson", "matrix", "A2", "--cell", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse permutation {text!r}\n"
+
+
 def test_poisson_scan(capsys):
     code, data = run_json(capsys, "poisson", "scan", "A2")
     assert code == 0
@@ -254,7 +263,27 @@ def test_bad_comma_permutation_exits_1(capsys):
 
 def test_workers_below_one_exits_1(capsys):
     assert main(["poisson", "scan", "A2", "--workers", "0"]) == 1
-    assert main(["gcr", "enumerate", "A2", "--workers", "-3"]) == 1
+    assert main(["poisson", "ideal", "A2", "--workers", "-3"]) == 1
+    assert "must be at least 1, got -3" in capsys.readouterr().err
+
+
+def test_seed_and_workers_belong_to_one_subcommand(capsys):
+    # only rpoly reads --seed and only poisson reads --workers; every other
+    # subcommand rejects them instead of ignoring them
+    others = [
+        ["gcr", "enumerate", "A2"],
+        ["cascade", "A2"],
+        ["parabolic", "A2"],
+        ["construct", "top-pair", "A2"],
+        ["graph", "A2"],
+    ]
+    for argv in others + [["poisson", "matrix", "A2"]]:
+        assert main(argv + ["--seed", "1"]) == 1
+    for argv in others + [["rpoly", "A2"]]:
+        assert main(argv + ["--workers", "2"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["rpoly", "A2", "--sample", "2", "--seed", "1"]) == 0
+    assert main(["poisson", "matrix", "A2", "--workers", "2"]) == 0
     capsys.readouterr()
 
 

@@ -84,7 +84,9 @@ def test_top_pair_reducible():
 
 
 def test_top_pair_is_maximal_among_sweep():
-    for t in ("A2", "A3", "B2"):
+    # build_top_pair runs no sweep of its own: the tests own this check,
+    # reducible types included
+    for t in ("A2", "A3", "B2", "A2xB2", "G2xA1"):
         rs = build_root_system(t)
         pair = build_top_pair(rs)
         poset = enumerate_gcr(rs)

@@ -130,6 +130,35 @@ def test_powerset_interval_all_a3():
         assert verify_powerset_interval(p)
 
 
+def test_interval_order_is_containment():
+    # the order that verify_powerset_interval reads off the Hasse diagram:
+    # on every maximal B3 interval, w_K <= w_L iff L is inside K
+    rs = build_root_system("B3")
+    table = get_table(rs)
+    for p in enumerate_gcr(rs).maximal_pairs():
+        w_by_set = gcr._subset_products(p, p.w)
+        for K, xk in w_by_set.items():
+            for L, xl in w_by_set.items():
+                assert table.leq(xk, xl) == set(L).issubset(K)
+
+
+@pytest.mark.parametrize("change", ["drop an edge", "add an element"])
+def test_powerset_check_rejects_a_wrong_interval(monkeypatch, change):
+    rs = build_root_system("A3")
+    pair = make_gcr_pair(perm_from_string(rs, "1234"), perm_from_string(rs, "2143"))
+    assert verify_powerset_interval(pair)
+    real = gcr.interval
+
+    def wrong(v, w):
+        elements, edges = real(v, w)
+        if change == "drop an edge":
+            return elements, edges[1:]
+        return elements + [longest_element(rs)], edges
+
+    monkeypatch.setattr(gcr, "interval", wrong)
+    assert verify_powerset_interval(pair) is False
+
+
 def test_w_k_elements_frozen():
     rs = build_root_system("A3")
     pair = make_gcr_pair(perm_from_string(rs, "1234"), perm_from_string(rs, "2143"))
@@ -297,9 +326,9 @@ def test_enumeration_builds_one_host_per_w(monkeypatch):
     walked = []
     real = gcr._removal_walk
 
-    def recording(w):
-        found = real(w)
-        walked.append((w, {host for host, _, _ in found.values()}))
+    def recording(host):
+        found = real(host)
+        walked.append((host.w, {host.word}))
         return found
 
     monkeypatch.setattr(gcr, "_removal_walk", recording)

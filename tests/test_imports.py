@@ -52,8 +52,10 @@ def test_unused_import_is_caught():
 
 
 def test_private_names_stay_home():
-    # only bruhat names its table's cache key, and poissonlab imports from
-    # polyalg only public names and the three term-level helpers it shares
+    # only bruhat names its table's cache key, poissonlab imports from
+    # polyalg only public names and the three term-level helpers it shares,
+    # and construct takes from gcr only the membership test, never the
+    # pair enumeration
     allowed = set(polyalg.__all__) | {"_add_product", "_coef", "_div"}
     offences = []
     for path in sorted((ROOT / "src" / "flagloci").glob("*.py")):
@@ -75,4 +77,14 @@ def test_private_names_stay_home():
                     for a in node.names
                     if a.name not in allowed
                 ]
+            if path.name == "construct.py" and isinstance(
+                node, (ast.Import, ast.ImportFrom)
+            ):
+                # "gcr.is_gcr_cond3" for "from .gcr import is_gcr_cond3",
+                # "gcr" for "from . import gcr"
+                module = getattr(node, "module", None) or ""
+                for a in node.names:
+                    parts = f"{module}.{a.name}".strip(".").split(".")
+                    if "gcr" in parts and parts[-1] != "is_gcr_cond3":
+                        offences.append(f"{path.name}:{node.lineno} imports {'.'.join(parts)}")
     assert offences == []

@@ -171,9 +171,9 @@ def test_gcr_p_reuses_the_enumeration(monkeypatch):
     calls = []
     real = gcr._removal_walk
 
-    def recording(w):
-        calls.append(w)
-        return real(w)
+    def recording(host):
+        calls.append(host.w)
+        return real(host)
 
     monkeypatch.setattr(gcr, "_removal_walk", recording)
     rs = build_root_system("B3")

@@ -32,6 +32,7 @@ from flagloci.weyl import (
     length,
     longest_element,
     multiply,
+    parse_perm,
     perm_from_string,
     perm_string,
     perm_to_element,
@@ -322,6 +323,14 @@ def test_perm_composition_convention():
         a, b = rng.choice(els), rng.choice(els)
         pa, pb = element_to_perm(a), element_to_perm(b)
         assert element_to_perm(multiply(a, b)) == tuple(pa[pb[i] - 1] for i in range(4))
+
+
+def test_parse_perm_rejects_bad_entries():
+    assert parse_perm("2143") == (2, 1, 4, 3)
+    assert parse_perm(" 2, 1,10 ") == (2, 1, 10)
+    for text in ("", "1a3", "1,2,,3", "1,2,x,4", ",", "-1,2"):
+        with pytest.raises(ValueError, match="cannot parse permutation"):
+            parse_perm(text)
 
 
 def test_perm_string_of_longest():
