@@ -26,8 +26,9 @@ runs ``leq`` on one child per branch only; the lifting property answers
 the other (see ``walk_subwords``).
 
 ``closure`` is the one routine that turns a covering relation into
-down-set and up-set bitmasks: the table runs it on all covers, the
-parabolic order on the covers that change coset.  ``require_table`` is the
+down-set and up-set bitmasks, both from the one list ``covers_down``: the
+table runs it on all covers, the parabolic order on the covers that
+change coset.  ``require_table`` is the
 one "table within the cap, else ``GroupTooLargeError``" lookup, and a
 table is built only there, for a request on the whole group (enumeration,
 covers, intervals, the DOT graph), under the caller's cap (the default
@@ -81,13 +82,13 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     return leq_by_descents(v, w)
 
 
-def closure(
-    covers_down: list[list[int]], covers_up: list[list[int]]
-) -> tuple[list[int], list[int]]:
+def closure(covers_down: list[list[int]]) -> tuple[list[int], list[int]]:
     """Down-set and up-set bitmasks of the reflexive transitive closure of a
-    covering relation on elements indexed in length order (covers_down[k]
-    lists the elements k covers, covers_up[k] those covering k): one
-    forward and one backward pass."""
+    covering relation on elements indexed in length order, from the one
+    list covers_down (covers_down[k] lists the elements k covers, all of
+    smaller index).  The down pass runs k upwards and ORs down[j] into
+    down[k]; the up pass runs k downwards and ORs up[k] into up[j] for each
+    j that k covers, so up[k] is complete when it is handed on."""
     n = len(covers_down)
     down = [0] * n
     for k in range(n):
@@ -95,12 +96,11 @@ def closure(
         for j in covers_down[k]:
             mask |= down[j]
         down[k] = mask
-    up = [0] * n
+    up = [1 << k for k in range(n)]
     for k in range(n - 1, -1, -1):
-        mask = 1 << k
-        for j in covers_up[k]:
-            mask |= up[j]
-        up[k] = mask
+        mask = up[k]
+        for j in covers_down[k]:
+            up[j] |= mask
     return down, up
 
 
@@ -115,20 +115,15 @@ class BruhatTable:
         refls = [reflection(rs, b) for b in rs.positive_roots]
         # covers_down[k] = indices of elements covered by element k
         self.covers_down: list[list[int]] = [[] for _ in range(n)]
-        self.covers_up: list[list[int]] = [[] for _ in range(n)]
         for k, w in enumerate(self.elements):
             lw = length(w)
             for t in refls:
                 tw = t * w
                 if length(tw) == lw - 1:
-                    j = self.index[tw]
-                    self.covers_down[k].append(j)
-                    self.covers_up[j].append(k)
+                    self.covers_down[k].append(self.index[tw])
         for lst in self.covers_down:
             lst.sort()
-        for lst in self.covers_up:
-            lst.sort()
-        self.down, self.up = closure(self.covers_down, self.covers_up)
+        self.down, self.up = closure(self.covers_down)
 
     def leq(self, v: WeylElement, w: WeylElement) -> bool:
         return bool(self.down[self.index[w]] >> self.index[v] & 1)

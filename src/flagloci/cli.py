@@ -126,22 +126,22 @@ def cmd_gcr(args) -> Report:
     if args.action in ("enumerate", "components"):
         poset = enumerate_gcr(rs, cap=args.cap)
         pairs = poset.pairs if args.action == "enumerate" else poset.maximal_pairs()
+        # every element is named once, and each format reads the rows
+        rows = _pair_rows(pairs)
         by_d: dict[int, int] = {}
-        for p in pairs:
-            by_d[p.d] = by_d.get(p.d, 0) + 1
+        for _, _, d in rows:
+            by_d[d] = by_d.get(d, 0) + 1
         payload = {
             "type": str(rs.cartan_type),
             "mode": args.action,
-            "count": len(pairs),
+            "count": len(rows),
             "by_dimension": {str(k): v for k, v in sorted(by_d.items())},
-            "pairs": [
-                {"v": element_name(p.v), "w": element_name(p.w), "d": p.d} for p in pairs
-            ],
+            "pairs": [{"v": v, "w": w, "d": d} for v, w, d in rows],
         }
-        text = [f"{args.action} {rs.cartan_type}: {len(pairs)} pairs"]
+        text = [f"{args.action} {rs.cartan_type}: {len(rows)} pairs"]
         text += [f"  d={k}: {v}" for k, v in sorted(by_d.items())]
-        text += [f"  ({element_name(p.v)}, {element_name(p.w)}) d={p.d}" for p in pairs]
-        return Report(payload, text, csv=(["v", "w", "d"], _pair_rows(pairs)))
+        text += [f"  ({v}, {w}) d={d}" for v, w, d in rows]
+        return Report(payload, text, csv=(["v", "w", "d"], rows))
     _require(args, "v", "w")
     v = parse_element(rs, args.v)
     w = parse_element(rs, args.w)
@@ -421,16 +421,17 @@ def cmd_graph(args) -> Report:
     return Report(payload, [dot], dot=dot)
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _at_least(low: int, kind: type = int):
+    """An argparse type: a number of ``kind`` no smaller than ``low``; NaN
+    compares with nothing and is refused too."""
 
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
+    def number(text: str):
+        value = kind(text)
+        if not value >= low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    return integer
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fmt_default="text"):
         p.add_argument("type", help="Cartan type, e.g. A3 or B2xA1")
         p.add_argument("--format", choices=["json", "csv", "dot", "text"], default=fmt_default)
-        p.add_argument("--cap", type=int, default=60000)
-        p.add_argument("--timeout-secs", type=float, default=60.0)
+        p.add_argument("--cap", type=_at_least(0), default=60000)
+        p.add_argument("--timeout-secs", type=_at_least(0, float), default=60.0)
 
     p = sub.add_parser("gcr", help="enumerate or check witnessed pairs")
     p.add_argument("action", choices=["enumerate", "components", "check", "powerset"])
@@ -461,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--v")
     p.add_argument("--w")
-    p.add_argument("--sample", type=_int_at_least(0), default=0)
+    p.add_argument("--sample", type=_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_rpoly)
 
@@ -479,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["matrix", "ideal", "scan"])
     common(p)
     p.add_argument("--cell", default=None, help="one-line permutation of the chart")
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     p.set_defaults(handler=cmd_poisson)
 
     p = sub.add_parser("graph", help="DOT Bruhat graph with component edges flagged")

@@ -13,13 +13,16 @@ cond6 checks it independently), and cond3 and cond4 stay the independent
 oracles.  Maximality is decided from the pairs one gap up that share v or
 w (``GcrPoset.maximal_pairs``).
 
-Every ``GcrPair`` is validated in two parts (``_Host``).  The per-host
-part runs once per w in the enumeration: the host word is reduced, it
-multiplies to w, and it gives the inversion roots b_k.  The per-pair part
-runs for every pair: d equals l(w) - l(v) and the number of removals, the
-kept letters are a reduced word of v, each removed root is the b_k at its
-position, the removed roots are pairwise orthogonal, and the removed
-reflections carry w to v.  A directly built ``GcrPair`` runs both parts.
+Every ``GcrPair`` is built by its own constructor and validated in two
+parts (``_Host``).  The per-host part runs once per host word, which
+``_host`` keeps per root system: the host word is reduced, it multiplies
+to w, and it gives the inversion roots b_k.  The per-pair part runs for
+every pair: d equals l(w) - l(v) and the number of removals, the kept
+letters are a reduced word of v, there are as many removed roots as
+positions, each removed root is the b_k at its position, and the removed
+roots are pairwise orthogonal.  That the removed reflections carry w to
+v follows and is not checked: removing positions p_1 < ... < p_d leaves
+t_{p_1} ... t_{p_d} w, and orthogonal reflections commute.
 Orthogonality of positive roots is read off one bitmask per root system
 (``rootsys.orthogonality_masks``); ``is_gcr_cond6`` calls ``orthogonal``
 itself, so that it stays an independent oracle.
@@ -28,7 +31,7 @@ itself, so that it stays an independent oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bruhat import interval, leq, require_table, walk_subwords
@@ -174,23 +177,18 @@ class GcrPair:
     removed_roots: tuple[tuple, ...]
 
     def __post_init__(self):
-        _Host(self.w, self.host_word).check(self)
+        _host(self.w, self.host_word).check(self)
 
     def key(self):
         return (self.w.sort_key(), self.v.sort_key())
 
 
-_FIELDS = tuple(f.name for f in fields(GcrPair))
-
-
 class _Host:
     """A host word of w that passed the per-host checks of ``GcrPair``: it
     is reduced (``roots_of_word`` gives its inversion roots b_k) and it
-    multiplies to w.  ``check`` runs the per-pair checks on it, so the
-    enumeration checks each host word once and each pair once, and a
-    directly built ``GcrPair`` runs both parts.  The enumeration derives
-    the roots b_k here only: ``_removal_walk`` reads them from the host,
-    and every pair on the host shares its word."""
+    multiplies to w.  ``check`` runs the per-pair checks on it.  The
+    enumeration derives the roots b_k here only: ``_removal_walk`` reads
+    them from the host, and every pair on the host shares its word."""
 
     __slots__ = ("w", "word", "betas")
 
@@ -211,35 +209,30 @@ class _Host:
         kept = tuple(s for k, s in enumerate(self.word, start=1) if k not in positions)
         if from_word(rs, kept) != v or len(kept) != length(v):
             raise ValueError("kept letters are not a reduced word of v")
+        if len(roots) != len(positions):
+            raise ValueError(
+                f"{len(roots)} removed roots for {len(positions)} removed positions"
+            )
         for k, p in enumerate(positions):
             if self.betas[p - 1] != roots[k]:
                 raise ValueError(f"removed root {k + 1} is not the inversion root at {p}")
-        if len(roots) != len(positions):
-            raise ValueError("more removed roots than removed positions")
         # from here on the removed roots are inversion roots, hence positive
         orth, index = orthogonality_masks(rs), rs.root_index
         for a, b in itertools.combinations(roots, 2):
             if not orth[index[a]] >> index[b] & 1:
                 raise ValueError(f"removed roots {a} and {b} are not orthogonal")
-        # the removed reflections carry w back to v
-        x = w
-        for g in roots:
-            x = multiply(reflection(rs, g), x)
-        if x != v:
-            raise ValueError("removed reflections do not carry w to v")
 
-    def pair(self, v: WeylElement, positions: tuple[int, ...]) -> GcrPair:
-        """The pair on this host word that removes ``positions``, after its
-        per-pair checks alone."""
-        # fill the frozen fields as the dataclass __init__ does, without
-        # the per-host part of __post_init__
-        pair = object.__new__(GcrPair)
-        roots = tuple(self.betas[p - 1] for p in positions)
-        values = (v, self.w, len(positions), self.word, positions, roots)
-        for name, value in zip(_FIELDS, values):
-            object.__setattr__(pair, name, value)
-        self.check(pair)
-        return pair
+
+def _host(w: WeylElement, word: tuple[int, ...]) -> _Host:
+    """The checked host word ``word`` of w, kept in
+    ``rs.cache["gcr_hosts"]`` under (w, word): its per-host checks run for
+    the first pair on it, and every later pair on it reuses them."""
+    word = tuple(word)  # a host word given as a list is accepted; keys hash
+    hosts = w.rs.cache.setdefault("gcr_hosts", {})
+    host = hosts.get((w, word))
+    if host is None:
+        host = hosts[w, word] = _Host(w, word)
+    return host
 
 
 def make_gcr_pair(v: WeylElement, w: WeylElement) -> GcrPair:
@@ -309,12 +302,16 @@ def _search(elements: list[WeylElement]) -> tuple[GcrPair, ...]:
     in ``GcrPair.key`` order.  Every v the walk reaches is already the
     group's own element (an enumerated group keeps one object per
     element).  The host word reduced_word(w) passes its checks and gives
-    its inversion roots once per w, and each pair runs its own checks on
-    it."""
+    its inversion roots once per w (``_host``); each pair is built by the
+    ``GcrPair`` constructor, whose lookup finds that host again and runs
+    the per-pair checks alone."""
     pairs = []
     for w in elements:
-        host = _Host(w, reduced_word(w))
-        pairs.extend(host.pair(v, pos) for v, pos in _removal_walk(host).items())
+        host = _host(w, reduced_word(w))
+        pairs.extend(
+            GcrPair(v, w, len(pos), host.word, pos, tuple(host.betas[p - 1] for p in pos))
+            for v, pos in _removal_walk(host).items()
+        )
     return tuple(sorted(pairs, key=lambda p: p.key()))
 
 

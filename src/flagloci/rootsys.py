@@ -202,6 +202,7 @@ class RootSystem:
         self.root_index = {b: k for k, b in enumerate(self.roots)}
         # memo for tables derived from the root system (Bruhat table, the
         # element pool "elements" of an enumerated group, witnessed pairs,
+        # the "gcr_hosts" checked host words of pairs under (w, word),
         # parabolic masks, R-polynomials, reflection permutations, one per
         # positive root, the "form_images" F y of roots read by pairing,
         # orthogonality masks, the "highest_roots", the cascade forest and

@@ -287,6 +287,20 @@ def test_seed_and_workers_belong_to_one_subcommand(capsys):
     capsys.readouterr()
 
 
+def test_bad_budget_exits_1(capsys):
+    # a NaN or negative timeout and a negative cap are bad input, refused
+    # before any work: never a run with no deadline, nor a budget overrun
+    for argv, message in (
+        (["poisson", "ideal", "A2", "--timeout-secs", "nan"], "got nan"),
+        (["poisson", "ideal", "A2", "--timeout-secs", "-1"], "got -1.0"),
+        (["gcr", "enumerate", "A3", "--cap", "-1"], "got -1"),
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be at least 0, {message}" in captured.err
+
+
 def test_negative_sample_exits_1(capsys):
     # a negative sample size is bad input, not a report over no pairs
     assert main(["rpoly", "A2", "--sample", "-3"]) == 1

@@ -258,7 +258,11 @@ def _corruptions(p: GcrPair) -> dict[str, tuple[dict, str]]:
         # a negative root with no position of its own
         "an extra removed root": (
             dict(removed_roots=p.removed_roots + ((0, -1, 0),)),
-            "more removed roots than removed positions",
+            "4 removed roots for 3 removed positions",
+        ),
+        "a missing removed root": (
+            dict(removed_roots=p.removed_roots[:1]),
+            "1 removed roots for 3 removed positions",
         ),
         "removed roots are not orthogonal": (
             dict(v=v12, d=2, removed_positions=(1, 2), removed_roots=((1, 0, 0), (1, 1, 0))),
@@ -279,8 +283,8 @@ def test_pair_validation_refuses_each_corruption(case):
 def test_each_corruption_trips_its_own_check(case):
     # the per-host checks run first, then the per-pair ones in order, so
     # each corruption names the check it breaks.  "The removed reflections
-    # carry w to v" has no case: orthogonal reflections commute, so it
-    # follows from the kept-letter, root and orthogonality checks.
+    # carry w to v" is no check of its own: orthogonal reflections commute,
+    # so it follows from the kept-letter, root and orthogonality checks.
     p = _b3_pair()
     changed, message = _corruptions(p)[case]
     with pytest.raises(ValueError, match=message):

@@ -88,3 +88,24 @@ def test_private_names_stay_home():
                     if "gcr" in parts and parts[-1] != "is_gcr_cond3":
                         offences.append(f"{path.name}:{node.lineno} imports {'.'.join(parts)}")
     assert offences == []
+
+
+def test_one_way_to_build_and_one_covering_list():
+    # every GcrPair goes through its own constructor, so src/ fills no
+    # object behind __init__'s back; the Bruhat table stores its covers in
+    # one direction only, so no module reads a transpose
+    offences = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "covers_up":
+                offences.append(f"{path.name}:{node.lineno} reads covers_up")
+            if (
+                path.parent.name == "flagloci"
+                and node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                offences.append(f"{path.name}:{node.lineno} calls object.__new__")
+    assert offences == []
