@@ -1,8 +1,9 @@
 """Command-line surface: exact, deterministic reports over every module.
 
 Exit codes: 0 success, 1 bad input, 2 cap or timeout exceeded,
-3 verification failure.  Verification subcommands attach a traceability
-map (named property -> pass/fail) to their JSON output."""
+3 verification failure.  A verification subcommand names its checks in
+`Report.checks`; `main` turns them into the traceability map (named
+property -> pass/fail) of the JSON output, and any "fail" into exit 3."""
 
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from time import monotonic
 from typing import Optional
 
 from .bruhat import export_bruhat_graph, require_table
@@ -88,6 +91,7 @@ class Report:
     csv: Optional[tuple[list[str], list[list]]] = None
     dot: Optional[str] = None
     code: int = 0
+    checks: dict[str, bool] = field(default_factory=dict)  # property -> held
 
 
 def _emit(report: Report, fmt: str) -> str:
@@ -111,45 +115,37 @@ def _emit(report: Report, fmt: str) -> str:
     raise InputError(f"unknown format {fmt!r}")
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
+def _read_pair(rs: RootSystem, args) -> tuple[WeylElement, WeylElement]:
+    for name in ("v", "w"):
+        if getattr(args, name) is None:
             raise InputError(f"--{name} is required here")
+    return parse_element(rs, args.v), parse_element(rs, args.w)
 
 
-def _pair_rows(pairs) -> list[list]:
-    return [[element_name(p.v), element_name(p.w), p.d] for p in pairs]
-
-
-def cmd_gcr(args) -> Report:
-    rs = build_root_system(args.type)
+def cmd_gcr(rs: RootSystem, args) -> Report:
     if args.action in ("enumerate", "components"):
         poset = enumerate_gcr(rs, cap=args.cap)
         pairs = poset.pairs if args.action == "enumerate" else poset.maximal_pairs()
         # every element is named once, and each format reads the rows
-        rows = _pair_rows(pairs)
-        by_d: dict[int, int] = {}
-        for _, _, d in rows:
-            by_d[d] = by_d.get(d, 0) + 1
+        header = ["v", "w", "d"]
+        rows = [[element_name(p.v), element_name(p.w), p.d] for p in pairs]
+        by_d = sorted(Counter(d for _, _, d in rows).items())
         payload = {
             "type": str(rs.cartan_type),
             "mode": args.action,
             "count": len(rows),
-            "by_dimension": {str(k): v for k, v in sorted(by_d.items())},
-            "pairs": [{"v": v, "w": w, "d": d} for v, w, d in rows],
+            "by_dimension": {str(k): v for k, v in by_d},
+            "pairs": [dict(zip(header, r)) for r in rows],
         }
         text = [f"{args.action} {rs.cartan_type}: {len(rows)} pairs"]
-        text += [f"  d={k}: {v}" for k, v in sorted(by_d.items())]
+        text += [f"  d={k}: {v}" for k, v in by_d]
         text += [f"  ({v}, {w}) d={d}" for v, w, d in rows]
-        return Report(payload, text, csv=(["v", "w", "d"], rows))
-    _require(args, "v", "w")
-    v = parse_element(rs, args.v)
-    w = parse_element(rs, args.w)
+        return Report(payload, text, csv=(header, rows))
+    v, w = _read_pair(rs, args)
     if args.action == "check":
         c3 = is_gcr_cond3(v, w)
         c4 = is_gcr_cond4(v, w)
         c6 = is_gcr_cond6(v, w) is not None
-        agree = c3 == c4 == c6
         payload = {
             "type": str(rs.cartan_type),
             "v": element_name(v),
@@ -157,13 +153,14 @@ def cmd_gcr(args) -> Report:
             "gcr": c3,
             "d": length(w) - length(v) if c3 else None,
             "conditions": {"kernel": c3, "involution": c4, "subword": c6},
-            "traceability": {"equivalent-characterizations": "pass" if agree else "fail"},
         }
         text = [
             f"({element_name(v)}, {element_name(w)}) gcr={c3}"
             f" kernel={c3} involution={c4} subword={c6}"
         ]
-        return Report(payload, text, code=0 if (agree and c3) else 3)
+        checks = {"equivalent-characterizations": c3 == c4 == c6}
+        # a pair that is not witnessed exits 3 even when all three agree
+        return Report(payload, text, code=0 if c3 else 3, checks=checks)
     if args.action == "powerset":
         require_table(rs, args.cap)
         pair = make_gcr_pair(v, w)
@@ -174,15 +171,13 @@ def cmd_gcr(args) -> Report:
             "w": element_name(w),
             "d": pair.d,
             "interval_size": 2**pair.d,
-            "traceability": {"powerset-interval": "pass" if ok else "fail"},
         }
         text = [f"[{element_name(v)}, {element_name(w)}] boolean of rank {pair.d}: {ok}"]
-        return Report(payload, text, code=0 if ok else 3)
+        return Report(payload, text, checks={"powerset-interval": ok})
     raise InputError(f"unknown gcr action {args.action!r}")
 
 
-def cmd_cascade(args) -> Report:
-    rs = build_root_system(args.type)
+def cmd_cascade(rs: RootSystem, args) -> Report:
     casc = build_cascade(rs)
     try:
         summary = verify_kostant(rs, casc)
@@ -206,7 +201,6 @@ def cmd_cascade(args) -> Report:
         "size": len(casc.roots),
         "roots": [_root_str(g) for g in casc.roots],
         "verification": summary,
-        "traceability": {"kostant-cascade-identities": "pass" if ok else "fail"},
     }
     text = [f"cascade {rs.cartan_type}: {len(casc.roots)} roots, verified={ok}"]
     text += [f"  {r[0]} height={r[1]} support={r[2]} |E|={r[3]} pairs={r[4]}" for r in rows]
@@ -214,7 +208,7 @@ def cmd_cascade(args) -> Report:
         payload,
         text,
         csv=(["root", "height", "support", "e_size", "pairs"], rows),
-        code=0 if ok else 3,
+        checks={"kostant-cascade-identities": ok},
     )
 
 
@@ -231,26 +225,19 @@ def _rpoly_record(v: WeylElement, w: WeylElement) -> dict:
     }
 
 
-def cmd_rpoly(args) -> Report:
-    rs = build_root_system(args.type)
-    records = []
+def cmd_rpoly(rs: RootSystem, args) -> Report:
     if args.sample:
         elements = enumerate_group(rs, cap=args.cap)
         rng = random.Random(args.seed)
+        records = []
         for _ in range(args.sample):
             v = elements[rng.randrange(len(elements))]
             w = elements[rng.randrange(len(elements))]
             records.append(_rpoly_record(v, w))
     else:
-        _require(args, "v", "w")
-        records.append(_rpoly_record(parse_element(rs, args.v), parse_element(rs, args.w)))
+        records = [_rpoly_record(*_read_pair(rs, args))]
     all_agree = all(r["agree"] for r in records)
-    payload = {
-        "type": str(rs.cartan_type),
-        "pairs": records,
-        "all_agree": all_agree,
-        "traceability": {"rpolynomial-two-routes": "pass" if all_agree else "fail"},
-    }
+    payload = {"type": str(rs.cartan_type), "pairs": records, "all_agree": all_agree}
     text = [
         f"R[{r['v']}, {r['w']}] = {r['pretty']}"
         + (f" = {r['factored']}" if r["factored"] else "")
@@ -260,7 +247,10 @@ def cmd_rpoly(args) -> Report:
     text.append(f"agreement on {len(records)} pairs: {all_agree}")
     rows = [[r["v"], r["w"], r["pretty"], r["agree"]] for r in records]
     return Report(
-        payload, text, csv=(["v", "w", "rpoly", "agree"], rows), code=0 if all_agree else 3
+        payload,
+        text,
+        csv=(["v", "w", "rpoly", "agree"], rows),
+        checks={"rpolynomial-two-routes": all_agree},
     )
 
 
@@ -277,47 +267,39 @@ def _parse_parabolic(text: str) -> list[int]:
     return J
 
 
-def cmd_parabolic(args) -> Report:
-    rs = build_root_system(args.type)
+def cmd_parabolic(rs: RootSystem, args) -> Report:
     if not args.parabolic:
         raise InputError("--parabolic is required here")
     J = tuple(sorted(_parse_parabolic(args.parabolic)))
     pairs = gcr_p(rs, J, cap=args.cap)
+    header = ["v", "w", "d", "interval_ok", "classes_ok"]
     rows = []
-    intervals_ok = True
-    classes_ok = True
     for p in pairs:
-        a = verify_p_interval(p, J)
-        b = verify_classes_distinct(p, J)
-        intervals_ok = intervals_ok and a
-        classes_ok = classes_ok and b
-        rows.append([element_name(p.v), element_name(p.w), p.d, a, b])
-    ok = intervals_ok and classes_ok
+        verdicts = [verify_p_interval(p, J), verify_classes_distinct(p, J)]
+        rows.append([element_name(p.v), element_name(p.w), p.d, *verdicts])
+    intervals_ok = all(r[3] for r in rows)
+    classes_ok = all(r[4] for r in rows)
     payload = {
         "type": str(rs.cartan_type),
         "J": list(J),
         "count": len(pairs),
-        "pairs": [
-            {"v": r[0], "w": r[1], "d": r[2], "interval_ok": r[3], "classes_ok": r[4]}
-            for r in rows
-        ],
-        "traceability": {
-            "parabolic-powerset-interval": "pass" if intervals_ok else "fail",
-            "parabolic-classes-distinct": "pass" if classes_ok else "fail",
-        },
+        "pairs": [dict(zip(header, r)) for r in rows],
     }
+    ok = intervals_ok and classes_ok
     text = [f"gcr_p {rs.cartan_type} J={list(J)}: {len(pairs)} pairs, verified={ok}"]
     text += [f"  ({r[0]}, {r[1]}) d={r[2]} interval={r[3]} classes={r[4]}" for r in rows]
     return Report(
         payload,
         text,
-        csv=(["v", "w", "d", "interval_ok", "classes_ok"], rows),
-        code=0 if ok else 3,
+        csv=(header, rows),
+        checks={
+            "parabolic-powerset-interval": intervals_ok,
+            "parabolic-classes-distinct": classes_ok,
+        },
     )
 
 
-def cmd_construct(args) -> Report:
-    rs = build_root_system(args.type)
+def cmd_construct(rs: RootSystem, args) -> Report:
     pair = build_top_pair(rs)
     payload = {
         "type": str(rs.cartan_type),
@@ -336,17 +318,16 @@ def cmd_construct(args) -> Report:
             }
             for g, mu, nu, ch in pair.certificate
         ],
-        "traceability": {"top-pair-invariants": "pass"},
     }
     text = [
         f"top pair {rs.cartan_type}: d={pair.d} l(v)={length(pair.v)} l(w)={length(pair.w)}",
         f"  v = {element_name(pair.v)}",
     ]
-    return Report(payload, text)
+    # build_top_pair raises ConstructError (exit 3) on any failed invariant
+    return Report(payload, text, checks={"top-pair-invariants": True})
 
 
-def cmd_poisson(args) -> Report:
-    rs = build_root_system(args.type)
+def cmd_poisson(rs: RootSystem, args) -> Report:
     if not is_type_a(rs):
         raise InputError("poisson subcommands support single type-A systems only")
     if args.action == "scan":
@@ -371,49 +352,47 @@ def cmd_poisson(args) -> Report:
     chart = build_chart(rs.rank, args.cell)
     pm = poisson_matrix(chart)
     if args.action == "matrix":
-        entries = []
+        header = ["a", "b", "bracket"]
         names = chart.ring.variables
-        for a in range(len(names)):
-            for b in range(a):
-                coeff = pm.entries[a][b]
-                if not coeff.is_zero():
-                    entries.append({"a": names[a], "b": names[b], "bracket": str(coeff)})
+        rows = [
+            [names[a], names[b], str(pm.entries[a][b])]
+            for a in range(len(names))
+            for b in range(a)
+            if not pm.entries[a][b].is_zero()
+        ]
         payload = {
             "type": str(rs.cartan_type),
             "cell": chart.v_oneline,
             "bivector": pm.pretty(),
-            "entries": entries,
+            "entries": [dict(zip(header, r)) for r in rows],
         }
         text = [f"pi on cell {chart.v_oneline} of {rs.cartan_type}:", "  " + pm.pretty()]
-        rows = [[e["a"], e["b"], e["bracket"]] for e in entries]
-        return Report(payload, text, csv=(["a", "b", "bracket"], rows))
+        return Report(payload, text, csv=(header, rows))
     if args.action == "ideal":
         di = degeneracy_ideal(chart, pm)
+        # the witness search and the SL3 check share one --timeout-secs
+        deadline = monotonic() + args.timeout_secs
         witness = nonreduced_witness(chart, timeout_secs=args.timeout_secs, di=di)
+        generators = [str(g) for g in di.ideal.generators]
         payload = {
             "type": str(rs.cartan_type),
             "cell": chart.v_oneline,
-            "generators": [str(g) for g in di.ideal.generators],
+            "generators": generators,
             "witness": witness,
         }
+        checks = {}
         if rs.rank == 2 and chart.v_oneline == "123":
-            ok = verify_sl3_decomposition(timeout_secs=args.timeout_secs)
-            payload["traceability"] = {
-                "sl3-primary-decomposition": "pass" if ok else "fail"
-            }
-        text = [f"degeneracy ideal on cell {chart.v_oneline}: {len(di.ideal.generators)} generators"]
-        text += [f"  {g}" for g in payload["generators"]]
+            checks["sl3-primary-decomposition"] = verify_sl3_decomposition(
+                timeout_secs=deadline - monotonic()
+            )
+        text = [f"degeneracy ideal on cell {chart.v_oneline}: {len(generators)} generators"]
+        text += [f"  {g}" for g in generators]
         text.append(f"witness: {witness}")
-        rows = [[g] for g in payload["generators"]]
-        code = 0
-        if payload.get("traceability", {}).get("sl3-primary-decomposition") == "fail":
-            code = 3
-        return Report(payload, text, csv=(["generator"], rows), code=code)
+        return Report(payload, text, csv=(["generator"], [[g] for g in generators]), checks=checks)
     raise InputError(f"unknown poisson action {args.action!r}")
 
 
-def cmd_graph(args) -> Report:
-    rs = build_root_system(args.type)
+def cmd_graph(rs: RootSystem, args) -> Report:
     poset = enumerate_gcr(rs, cap=args.cap)
     highlight = {(p.v, p.w) for p in poset.maximal_pairs() if p.d == 1}
     dot = export_bruhat_graph(rs, highlight=highlight, cap=args.cap)
@@ -497,7 +476,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 1
     try:
-        report = args.handler(args)
+        report = args.handler(build_root_system(args.type), args)
+        if report.checks:
+            report.payload["traceability"] = {
+                name: "pass" if ok else "fail" for name, ok in report.checks.items()
+            }
+            if not all(report.checks.values()):
+                report.code = 3
         out = _emit(report, args.format)
     except ValueError as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from time import monotonic
@@ -368,6 +367,9 @@ def scan_cells(n: int, timeout_secs: float = 60.0, workers: int = 1) -> dict:
     jobs = [(n, v, timeout_secs) for v in perms]
     size = min(workers, os.cpu_count() or 1, len(jobs))
     if size > 1:
+        # imported here, so that no other run loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=size) as pool:
             charts = list(pool.map(_scan_one, jobs))
     else:

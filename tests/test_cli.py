@@ -4,7 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from flagloci import cli
 from flagloci.cli import main
@@ -334,3 +337,71 @@ def test_closed_pipe_is_quiet():
     proc.stderr.close()
     assert proc.wait() == 0
     assert err == b""
+
+
+def _raise_kostant(rs, casc):
+    raise cli.KostantCheckError("product of cascade reflections is not the longest element")
+
+
+# (argv, the check the CLI imports, a failing stand-in, expected traceability)
+FAIL_PATHS = [
+    (
+        ["gcr", "powerset", "A3", "--v", "1324", "--w", "3142"],
+        "verify_powerset_interval",
+        lambda pair: False,
+        {"powerset-interval": "fail"},
+    ),
+    (
+        ["cascade", "B3"],
+        "verify_kostant",
+        _raise_kostant,
+        {"kostant-cascade-identities": "fail"},
+    ),
+    (
+        ["rpoly", "A2", "--v", "e", "--w", "1.2.1"],
+        "r_polynomial_recurrence",
+        lambda v, w: None,
+        {"rpolynomial-two-routes": "fail"},
+    ),
+    (
+        ["parabolic", "A3", "--parabolic", "1,3"],
+        "verify_p_interval",
+        lambda pair, J: False,
+        {"parabolic-powerset-interval": "fail", "parabolic-classes-distinct": "pass"},
+    ),
+    (
+        ["parabolic", "A3", "--parabolic", "1,3"],
+        "verify_classes_distinct",
+        lambda pair, J: False,
+        {"parabolic-powerset-interval": "pass", "parabolic-classes-distinct": "fail"},
+    ),
+    (
+        ["poisson", "ideal", "A2"],
+        "verify_sl3_decomposition",
+        lambda timeout_secs: False,
+        {"sl3-primary-decomposition": "fail"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, fake, traceability", FAIL_PATHS, ids=[case[1] for case in FAIL_PATHS]
+)
+def test_failed_check_exits_3_and_is_named(capsys, monkeypatch, argv, name, fake, traceability):
+    # a verification that does not hold is named "fail" and sets exit 3
+    monkeypatch.setattr(cli, name, fake)
+    code, data = run_json(capsys, *argv)
+    assert code == 3
+    assert data["traceability"] == traceability
+
+
+def test_sl3_check_spends_the_same_budget(capsys, monkeypatch):
+    # the SL3 check gets what the witness search left of --timeout-secs,
+    # not a fresh budget of its own
+    def slow_witness(chart, timeout_secs, di):
+        time.sleep(0.15)
+        return "x31"
+
+    monkeypatch.setattr(cli, "nonreduced_witness", slow_witness)
+    code, _ = run(capsys, "poisson", "ideal", "A2", "--timeout-secs", "0.1")
+    assert code == 2

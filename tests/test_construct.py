@@ -1,5 +1,7 @@
 """Constructive pipeline for the top-dimensional witnessed pair."""
 
+from fractions import Fraction
+
 import pytest
 
 from flagloci import construct
@@ -11,7 +13,7 @@ from flagloci.construct import (
     orthogonal_subsystem,
 )
 from flagloci.gcr import enumerate_gcr, make_gcr_pair
-from flagloci.rootsys import build_root_system, highest_roots, is_positive_root
+from flagloci.rootsys import build_root_system, highest_roots, is_positive_root, pairing
 from flagloci.weyl import (
     from_word,
     inversion_set,
@@ -52,6 +54,9 @@ def test_orthogonal_subsystem_types():
         "D4": "A1xA1xA1",
         "G2": "A1",
         "F4": "C3",
+        "E6": "A5",
+        "E7": "D6",
+        "E8": "E7",
     }
     for t, child in expected.items():
         rs = build_root_system(t)
@@ -59,6 +64,11 @@ def test_orthogonal_subsystem_types():
         theta = highest_roots(rs)[0]
         sub = orthogonal_subsystem(rs, u, theta)
         assert str(sub.child.cartan_type) == child
+        # the child's Cartan matrix is the form on pi_prime, label by label
+        pi = sub.pi_prime
+        assert sub.child.cartan == tuple(
+            tuple(Fraction(2 * pairing(rs, a, b), pairing(rs, a, a)) for b in pi) for a in pi
+        )
         # ambient images of child roots are honest roots orthogonal to theta
         for beta in sub.child.positive_roots:
             amb = sub.to_ambient(beta)

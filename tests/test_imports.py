@@ -2,6 +2,9 @@
 names it somewhere, or lists it in its ``__all__`` as a re-export."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +112,31 @@ def test_one_way_to_build_and_one_covering_list():
             ):
                 offences.append(f"{path.name}:{node.lineno} calls object.__new__")
     assert offences == []
+
+
+def test_handlers_leave_verdicts_to_main():
+    # a handler names its checks in Report.checks; only main turns them
+    # into the traceability map and the exit code
+    offences = []
+    for path in sorted((ROOT / "src" / "flagloci").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+                continue
+            offences += [
+                f"{path.name}:{node.lineno} {fn.name} names {node.value!r}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Constant) and node.value in ("traceability", "pass", "fail")
+            ]
+    assert offences == []
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a scan on more than one process needs the process pool
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, flagloci, flagloci.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False\n"

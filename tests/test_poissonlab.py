@@ -1,6 +1,7 @@
 """Symbolic Poisson structure on the open cells of the complete flag
 variety of SL(n+1), its degeneracy ideal, and the non-reducedness scan."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import random
@@ -424,7 +425,7 @@ class _RecordingPool:
 
 
 def test_scan_pool_size(monkeypatch):
-    monkeypatch.setattr(poissonlab, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(
         poissonlab,
         "_scan_one",
