@@ -344,13 +344,18 @@ def nonreduced_witness(
 
 
 def _scan_one(args) -> dict:
-    n, oneline, timeout_secs = args
-    chart = build_chart(n, oneline)
-    record = {"v": oneline, "witness": None, "generators": 0, "timeout": False}
+    """One chart of a scan, given the seconds left of the scan's budget;
+    a chart that gets none, or runs out of it, is marked ``timeout``."""
+    n, oneline, secs = args
+    deadline = monotonic() + secs
+    record = {"v": oneline, "witness": None, "generators": 0, "timeout": secs <= 0}
+    if record["timeout"]:
+        return record
     try:
+        chart = build_chart(n, oneline)
         di = degeneracy_ideal(chart)
         record["generators"] = len(di.ideal.generators)
-        record["witness"] = nonreduced_witness(chart, timeout_secs, di)
+        record["witness"] = nonreduced_witness(chart, deadline - monotonic(), di)
     except PolyTimeout:
         record["timeout"] = True
     return record
@@ -358,22 +363,33 @@ def _scan_one(args) -> dict:
 
 def scan_cells(n: int, timeout_secs: float = 60.0, workers: int = 1) -> dict:
     """Witness scan over every chart of SL(n+1)/B+, 2 <= n <= 5, on at most
-    ``workers`` processes (never more than the CPUs or the charts)."""
+    ``workers`` processes (never more than the CPUs or the charts).
+
+    The whole scan has one budget of ``timeout_secs``: each chart gets the
+    seconds left when it starts.  On a pool a chart is handed to a worker
+    only when one is free, so the seconds it is given are still left."""
     if not 2 <= n <= 5:
         raise ValueError("scan supports 2 <= n <= 5 only")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    deadline = monotonic() + timeout_secs
     perms = ["".join(map(str, p)) for p in itertools.permutations(range(1, n + 2))]
-    jobs = [(n, v, timeout_secs) for v in perms]
-    size = min(workers, os.cpu_count() or 1, len(jobs))
+    size = min(workers, os.cpu_count() or 1, len(perms))
     if size > 1:
         # imported here, so that no other run loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
+        futures: list = []
+        running: set = set()
         with ProcessPoolExecutor(max_workers=size) as pool:
-            charts = list(pool.map(_scan_one, jobs))
+            for v in perms:
+                if len(running) == size:
+                    _, running = wait(running, return_when=FIRST_COMPLETED)
+                futures.append(pool.submit(_scan_one, (n, v, deadline - monotonic())))
+                running.add(futures[-1])
+        charts = [f.result() for f in futures]
     else:
-        charts = [_scan_one(job) for job in jobs]
+        charts = [_scan_one((n, v, deadline - monotonic())) for v in perms]
     witness_charts = [c["v"] for c in charts if c["witness"] is not None]
     return {"n": n, "charts": charts, "witness_charts": witness_charts}
 

@@ -22,13 +22,15 @@ that is already a Groebner basis plus new generators, and never pushes a
 pair inside the prefix (such a pair reduces to zero by the prefix, so it
 also counts as done for the chain criterion).  `buchberger` runs it with
 an empty prefix; `radical_membership` runs it on the ideal's kept basis,
-lifted, with 1 - y*f as the only new member.  The loop keeps the pending
-S-pairs in a heap keyed by (degree of the lcm of the leads, pair); the
-keys are unique, so the pair order is fixed.  Next to each basis member
-it keeps the support mask of its leading monomial (bit t set iff variable
-t occurs), which decides the coprime test and rules out most
-divisibility tests with one ``&``.  A member that is a nonzero constant
-ends the loop at once: the reduced basis is then (1).
+lifted, with 1 - y*f as the only new member.  Next to each basis member
+the loop keeps the support mask of its leading monomial (bit t set iff
+variable t occurs), which gives the coprime test and rules out most
+divisibility tests with one ``&``.  A pair whose S-polynomial is known to
+reduce to zero (coprime leads, or two monomials) is settled when it is
+made; the others wait in a heap keyed by (degree of the lcm of the leads,
+pair).  The keys are unique, so the pair order is fixed.  A member that
+is a nonzero constant ends the loop at once: the reduced basis is then
+(1).
 
 Reduction works on one mutable terms dict: an S-polynomial is built as a
 dict and each division step subtracts its multiple of a basis member in
@@ -459,42 +461,58 @@ def _complete(
 ) -> GroebnerBasis:
     """Reduced basis of the ideal generated by ``prefix`` and ``new``, where
     ``prefix`` is already a Groebner basis: every pair inside it reduces to
-    zero by it, so those pairs are never pushed and count as done for the
-    chain criterion.  Classic pair pruning (coprime leads and the chain
-    criterion), pairs popped from a heap smallest lcm degree first, ties
-    broken by the pair's indices.  A basis member that is a nonzero
-    constant ends the run at once with the basis (1).
+    zero by it, so those pairs are never made and count as done for the
+    chain criterion.  A basis member that is a nonzero constant ends the
+    run at once with the basis (1).
 
-    ``leads`` and the support masks ``sevs`` run parallel to ``basis``.
-    Two leads are coprime iff their masks are disjoint, and a lead whose
-    mask has a bit outside the mask of a monomial cannot divide it, so
-    the masks settle most tests before `_divides` runs."""
+    ``leads``, the support masks ``sevs`` and the flags ``monos`` (the
+    member is a single term) run parallel to ``basis``.  Each pair is
+    decided when it is made.  If the two leads are coprime (their masks
+    are disjoint; Buchberger's first criterion) or both members are
+    monomials (their S-polynomial is exactly zero), the pair goes straight
+    into ``done`` and is never keyed, pushed or popped.  It counts as
+    treated for the chain criterion because its S-polynomial has a
+    standard representation, which is all that criterion asks of a
+    treated pair.  Every other pair is keyed by its lcm degree and pushed
+    on a heap, popped smallest degree first with ties broken by the
+    pair's indices, dropped if the chain criterion applies, and else
+    reduced.  A lead whose mask has a bit outside the mask of a monomial
+    cannot divide it, so the masks settle most divisibility tests before
+    `_divides` runs."""
     m = len(prefix)
     basis = list(prefix) + [g for g in new if not g.is_zero()]
     if not basis:
         return GroebnerBasis(ring, ())
     leads = [g.leading()[0] for g in basis]
     sevs = [_support(e) for e in leads]
+    monos = [len(g.terms) == 1 for g in basis]
     unit = GroebnerBasis(ring, (ring.const(1),))
     if not all(sevs):
         return unit  # a constant member (its lead has empty support)
+    done: set[tuple[int, int]] = set()
 
-    def entry(i: int, j: int) -> tuple:
-        return sum(map(max, leads[i], leads[j])), (i, j)
+    def make_pairs(i: int) -> list:
+        """Settle the pairs (i, j), j < i, whose S-polynomial reduces to
+        zero (coprime leads, or two monomials) and key the rest."""
+        keyed = []
+        si, li, mi = sevs[i], leads[i], monos[i]
+        for j in range(i):
+            if not si & sevs[j] or mi and monos[j]:
+                done.add((i, j))
+            else:
+                keyed.append((sum(map(max, li, leads[j])), (i, j)))
+        return keyed
 
     def is_done(pair: tuple[int, int]) -> bool:
         return pair[0] < m or pair in done
 
-    pairs = [entry(i, j) for i in range(m, len(basis)) for j in range(i)]
+    pairs = [e for i in range(m, len(basis)) for e in make_pairs(i)]
     heapq.heapify(pairs)
-    done: set[tuple[int, int]] = set()
 
     while pairs:
         _check_deadline(deadline)
         _, (i, j) = heapq.heappop(pairs)
         done.add((i, j))
-        if not sevs[i] & sevs[j]:
-            continue  # coprime leading monomials
         l = _expo_lcm(leads[i], leads[j])
         outside = ~(sevs[i] | sevs[j])
         chain = False
@@ -519,10 +537,11 @@ def _complete(
         basis.append(Polynomial(ring, r))
         leads.append(basis[k].leading()[0])
         sevs.append(_support(leads[k]))
+        monos.append(len(r) == 1)
         if not sevs[k]:
             return unit
-        for t in range(k):
-            heapq.heappush(pairs, entry(k, t))
+        for e in make_pairs(k):
+            heapq.heappush(pairs, e)
     # minimalize: drop members whose lead is divisible by another lead
     keep = [
         i

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -194,6 +195,30 @@ def test_poisson_scan(capsys):
     assert code == 0
     assert data["witness_charts"] == ["123", "321"]
     assert len(data["charts"]) == 6
+
+
+def test_poisson_scan_has_one_budget(capsys):
+    # 0.05 s cannot cover the 120 SL5 charts, although each one fits
+    code, data = run_json(capsys, "poisson", "scan", "A4", "--timeout-secs", "0.05")
+    assert code == 2
+    flags = [c["timeout"] for c in data["charts"]]
+    first = flags.index(True)
+    # once the budget is spent, no later chart gets any of it
+    assert all(flags[first:])
+    code, data = run_json(
+        capsys, "poisson", "scan", "A4", "--timeout-secs", "0.05", "--workers", "2"
+    )
+    assert code == 2
+    assert any(c["timeout"] for c in data["charts"])
+
+
+def test_poisson_scan_default_budget_output_is_frozen(capsys):
+    # SHA-256 of the text report, computed when each chart had its own budget
+    code, out = run(capsys, "poisson", "scan", "A4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "312f3d6251f792948116e65d682b4b5f2418ce9155bd870b7e7ef4ad2ba10ef2"
+    )
 
 
 def test_poisson_scan_timeout_exits_2(capsys, monkeypatch):

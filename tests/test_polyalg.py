@@ -1,15 +1,19 @@
 """Exact multivariate polynomials over the rationals: orders, arithmetic,
 parsing, Groebner bases, and the ideal operations built on them."""
 
+import heapq
 import itertools
 import random
 import re
+import sys
 import time
+import types
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.orderings import ProductOrder, grevlex
 
 from flagloci import polyalg
 from flagloci.poissonlab import build_chart, degeneracy_ideal, nonreduced_witness
@@ -163,12 +167,21 @@ def test_timeout_raises():
         buchberger(Ideal(r, (x * x + y, y * y + x)), deadline=time.monotonic() - 1.0)
 
 
+def sympy_order(order):
+    """The sympy form of a ring order: ("block", k) is grevlex on the first
+    k variables, ties broken by grevlex on the rest."""
+    if not isinstance(order, tuple):
+        return order
+    k = order[1]
+    return ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+
+
 def sympy_gb(var_names, texts, order):
     syms = sympy.symbols(" ".join(var_names))
     if not isinstance(syms, tuple):
         syms = (syms,)
     polys = [sympy.sympify(t.replace("^", "**")) for t in texts]
-    return sympy.groebner(polys, *syms, order=order)
+    return sympy.groebner(polys, *syms, order=sympy_order(order))
 
 
 def to_sympy(p):
@@ -203,7 +216,7 @@ def assert_matches_sympy(names, texts, order):
     theirs = set()
     for g in ref.exprs:
         gp = sympy.Poly(g, *ref.gens)
-        lc = gp.coeff_monomial(gp.LM(order=order))
+        lc = gp.coeff_monomial(gp.LM(order=sympy_order(order)))
         theirs.add(sympy.expand(g / lc))
     assert mine == theirs
     return gb
@@ -300,6 +313,102 @@ def test_radical_membership_matches_oracle_on_random_ideals(order):
             assert got == radical_oracle(f, ideal), ([str(g) for g in gens], str(f))
             seen.add(got)
     assert seen == {True, False}
+
+
+def mostly_monomial(r, rng):
+    """2 to 5 generators, each a monomial of degree 1 to 3 with
+    probability 0.7, else a `random_poly`."""
+    n = len(r.variables)
+    gens = []
+    for _ in range(rng.randint(2, 5)):
+        if rng.random() < 0.7:
+            e = [0] * n
+            for _ in range(rng.randint(1, 3)):
+                e[rng.randrange(n)] += 1
+            gens.append(Polynomial(r, {tuple(e): rng.choice([-2, 1, 3, Fraction(1, 2)])}))
+        else:
+            gens.append(random_poly(r, rng))
+    return gens
+
+
+ORDERS = ["grevlex", "lex", ("block", 1), ("block", 2)]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_mostly_monomial_ideals_match_sympy(order):
+    rng = random.Random(f"monomial:{order}")
+    names = ("x", "y", "z", "w")
+    r = ring(*names, order=order)
+    monomials = total = 0
+    for _ in range(25):
+        gens = mostly_monomial(r, rng)
+        monomials += sum(len(g.terms) == 1 for g in gens)
+        total += len(gens)
+        assert_matches_sympy(names, tuple(str(g) for g in gens), order)
+    assert 0.6 < monomials / total < 0.85
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_radical_membership_matches_oracle_on_mostly_monomial_ideals(order):
+    rng = random.Random(f"monomial-radical:{order}")
+    r = ring("x", "y", "z", order=order)
+    seen = set()
+    for _ in range(30):
+        ideal = Ideal(r, tuple(mostly_monomial(r, rng)))
+        for f in [r.var(n) for n in r.variables] + [random_poly(r, rng)]:
+            got = radical_membership(f, ideal)
+            assert got == radical_oracle(f, ideal), ([str(g) for g in ideal.generators], str(f))
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_monomial_ideal_builds_no_s_polynomial(monkeypatch):
+    # every pair of two monomials is settled when it is made, so the only
+    # reductions are the (empty) tails of the kept members
+    reductions = []
+    reduce_terms = polyalg._reduce_terms
+
+    def recorder(p, *args):
+        reductions.append(dict(p))
+        return reduce_terms(p, *args)
+
+    monkeypatch.setattr(polyalg, "_reduce_terms", recorder)
+    r = ring("x", "y", "z")
+    gens = tuple(parse_polynomial(r, t) for t in ("x^2*y", "x*y^2", "y*z", "2*x*z^2", "y^3"))
+    gb = buchberger(Ideal(r, gens))
+    assert [str(p) for p in gb.polys] == ["y*z", "x*z^2", "y^3", "x*y^2", "x^2*y"]
+    assert reductions == [{}] * len(gb.polys)
+
+
+def record_pops(monkeypatch):
+    """Wrap the heap pop of the completion loop: each popped pair is
+    recorded with its two basis members, read off the loop's ``basis``."""
+    pops = []
+
+    def heappop(heap):
+        item = heapq.heappop(heap)
+        i, j = item[1]
+        basis = sys._getframe(1).f_locals["basis"]
+        pops.append((basis[i], basis[j]))
+        return item
+
+    monkeypatch.setattr(
+        polyalg,
+        "heapq",
+        types.SimpleNamespace(heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop),
+    )
+    return pops
+
+
+def test_no_popped_pair_is_coprime_or_two_monomials_on_sl4_charts(monkeypatch):
+    pops = record_pops(monkeypatch)
+    for p in itertools.permutations("1234"):
+        buchberger(degeneracy_ideal(build_chart(3, "".join(p))).ideal)
+    assert pops  # the wrapper sees the loop
+    for f, g in pops:
+        (ef, _), (eg, _) = f.leading(), g.leading()
+        assert any(a and b for a, b in zip(ef, eg)), (str(f), str(g))
+        assert len(f.terms) > 1 or len(g.terms) > 1, (str(f), str(g))
 
 
 def record_completions(monkeypatch):
