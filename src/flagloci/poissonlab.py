@@ -316,16 +316,13 @@ class DegeneracyIdeal:
 
 
 def degeneracy_ideal(chart: Chart, pm: Optional[PoissonMatrix] = None) -> DegeneracyIdeal:
-    """Ideal generated by the bivector coefficients, deduplicated."""
+    """Ideal generated by the nonzero bivector coefficients below the
+    diagonal, in row-major order, each kept at its first occurrence."""
     if pm is None:
         pm = poisson_matrix(chart)
-    gens: list[Polynomial] = []
-    for a in range(len(chart.ring.variables)):
-        for b in range(a):
-            g = pm.entries[a][b]
-            if g.is_zero() or g in gens:
-                continue
-            gens.append(g)
+    gens = dict.fromkeys(
+        g for a, row in enumerate(pm.entries) for g in row[:a] if not g.is_zero()
+    )
     return DegeneracyIdeal(chart, Ideal(chart.ring, tuple(gens)))
 
 
@@ -343,10 +340,9 @@ def nonreduced_witness(
     return None
 
 
-def _scan_one(args) -> dict:
+def _scan_one(n: int, oneline: str, secs: float) -> dict:
     """One chart of a scan, given the seconds left of the scan's budget;
     a chart that gets none, or runs out of it, is marked ``timeout``."""
-    n, oneline, secs = args
     deadline = monotonic() + secs
     record = {"v": oneline, "witness": None, "generators": 0, "timeout": secs <= 0}
     if record["timeout"]:
@@ -385,11 +381,11 @@ def scan_cells(n: int, timeout_secs: float = 60.0, workers: int = 1) -> dict:
             for v in perms:
                 if len(running) == size:
                     _, running = wait(running, return_when=FIRST_COMPLETED)
-                futures.append(pool.submit(_scan_one, (n, v, deadline - monotonic())))
+                futures.append(pool.submit(_scan_one, n, v, deadline - monotonic()))
                 running.add(futures[-1])
         charts = [f.result() for f in futures]
     else:
-        charts = [_scan_one((n, v, deadline - monotonic())) for v in perms]
+        charts = [_scan_one(n, v, deadline - monotonic()) for v in perms]
     witness_charts = [c["v"] for c in charts if c["witness"] is not None]
     return {"n": n, "charts": charts, "witness_charts": witness_charts}
 

@@ -18,19 +18,19 @@ callers that ask again all read one basis; the basis keeps the leading
 monomials and support masks that `membership` reduces with.
 
 One completion loop, `_complete`, serves every basis: it takes a prefix
-that is already a Groebner basis plus new generators, and never pushes a
-pair inside the prefix (such a pair reduces to zero by the prefix, so it
-also counts as done for the chain criterion).  `buchberger` runs it with
-an empty prefix; `radical_membership` runs it on the ideal's kept basis,
-lifted, with 1 - y*f as the only new member.  Next to each basis member
-the loop keeps the support mask of its leading monomial (bit t set iff
-variable t occurs), which gives the coprime test and rules out most
-divisibility tests with one ``&``.  A pair whose S-polynomial is known to
-reduce to zero (coprime leads, or two monomials) is settled when it is
-made; the others wait in a heap keyed by (degree of the lcm of the leads,
-pair).  The keys are unique, so the pair order is fixed.  A member that
-is a nonzero constant ends the loop at once: the reduced basis is then
-(1).
+that is already a Groebner basis plus new generators, and never makes a
+pair inside the prefix (such a pair reduces to zero by the prefix).
+`buchberger` runs it with an empty prefix; `radical_membership` runs it on
+the ideal's kept basis, lifted, with 1 - y*f as the only new member.  Next
+to each basis member the loop keeps the support mask of its leading
+monomial (bit t set iff variable t occurs), which gives the coprime test
+and rules out most divisibility tests with one ``&``.  A pair whose
+S-polynomial is known to reduce to zero (coprime leads, or two monomials)
+is settled when it is made; only the others are recorded, as pending
+pairs in a heap keyed by (degree of the lcm of the leads, pair), and a
+pair is treated iff it is not pending.  The keys are unique, so the pair
+order is fixed.  A constant member ends the loop at once with basis (1).
+Minimalization runs in ascending lead order and yields the output order.
 
 Reduction works on one mutable terms dict: an S-polynomial is built as a
 dict and each division step subtracts its multiple of a basis member in
@@ -461,24 +461,24 @@ def _complete(
 ) -> GroebnerBasis:
     """Reduced basis of the ideal generated by ``prefix`` and ``new``, where
     ``prefix`` is already a Groebner basis: every pair inside it reduces to
-    zero by it, so those pairs are never made and count as done for the
-    chain criterion.  A basis member that is a nonzero constant ends the
-    run at once with the basis (1).
+    zero by it, so those pairs are never made.  A basis member that is a
+    nonzero constant ends the run at once with the basis (1).
 
     ``leads``, the support masks ``sevs`` and the flags ``monos`` (the
     member is a single term) run parallel to ``basis``.  Each pair is
     decided when it is made.  If the two leads are coprime (their masks
     are disjoint; Buchberger's first criterion) or both members are
-    monomials (their S-polynomial is exactly zero), the pair goes straight
-    into ``done`` and is never keyed, pushed or popped.  It counts as
-    treated for the chain criterion because its S-polynomial has a
-    standard representation, which is all that criterion asks of a
-    treated pair.  Every other pair is keyed by its lcm degree and pushed
-    on a heap, popped smallest degree first with ties broken by the
-    pair's indices, dropped if the chain criterion applies, and else
-    reduced.  A lead whose mask has a bit outside the mask of a monomial
-    cannot divide it, so the masks settle most divisibility tests before
-    `_divides` runs."""
+    monomials (their S-polynomial is exactly zero), the pair is settled
+    and never recorded.  Every other pair is keyed by its lcm degree,
+    pushed on a heap and kept in ``pending`` until it is popped, smallest
+    degree first with ties broken by the pair's indices; it is then
+    dropped if the chain criterion applies, and else reduced.  A pair of
+    members is treated iff it is not pending, which is all the chain
+    criterion asks (Gebauer and Moeller, J. Symbolic Comput. 6, 1988).  A
+    lead whose mask has a bit outside the mask of a monomial cannot divide
+    it, so the masks settle most divisibility tests before `_divides`
+    runs.  Minimalization walks the members once in ascending (lead,
+    index) order, keeping those no kept lead divides: the output order."""
     m = len(prefix)
     basis = list(prefix) + [g for g in new if not g.is_zero()]
     if not basis:
@@ -489,22 +489,19 @@ def _complete(
     unit = GroebnerBasis(ring, (ring.const(1),))
     if not all(sevs):
         return unit  # a constant member (its lead has empty support)
-    done: set[tuple[int, int]] = set()
+    pending: set[tuple[int, int]] = set()
 
     def make_pairs(i: int) -> list:
-        """Settle the pairs (i, j), j < i, whose S-polynomial reduces to
-        zero (coprime leads, or two monomials) and key the rest."""
+        """Key the pairs (i, j), j < i, whose S-polynomial is not known to
+        reduce to zero (coprime leads, or two monomials), and mark them
+        pending."""
         keyed = []
         si, li, mi = sevs[i], leads[i], monos[i]
         for j in range(i):
-            if not si & sevs[j] or mi and monos[j]:
-                done.add((i, j))
-            else:
+            if si & sevs[j] and not (mi and monos[j]):
                 keyed.append((sum(map(max, li, leads[j])), (i, j)))
+                pending.add((i, j))
         return keyed
-
-    def is_done(pair: tuple[int, int]) -> bool:
-        return pair[0] < m or pair in done
 
     pairs = [e for i in range(m, len(basis)) for e in make_pairs(i)]
     heapq.heapify(pairs)
@@ -512,14 +509,15 @@ def _complete(
     while pairs:
         _check_deadline(deadline)
         _, (i, j) = heapq.heappop(pairs)
-        done.add((i, j))
+        pending.remove((i, j))
         l = _expo_lcm(leads[i], leads[j])
         outside = ~(sevs[i] | sevs[j])
         chain = False
         for k, (sk, lk) in enumerate(zip(sevs, leads)):
             if sk & outside or k == i or k == j or not _divides(lk, l):
                 continue
-            if is_done((max(i, k), min(i, k))) and is_done((max(j, k), min(j, k))):
+            ik, jk = (max(i, k), min(i, k)), (max(j, k), min(j, k))
+            if ik not in pending and jk not in pending:
                 chain = True
                 break
         if chain:
@@ -542,33 +540,28 @@ def _complete(
             return unit
         for e in make_pairs(k):
             heapq.heappush(pairs, e)
-    # minimalize: drop members whose lead is divisible by another lead
-    keep = [
-        i
-        for i in range(len(basis))
-        if not any(
-            j != i
-            and not sevs[j] & ~sevs[i]
-            and _divides(leads[j], leads[i])
-            and (leads[j] != leads[i] or j < i)
-            for j in range(len(basis))
-        )
-    ]
+    # minimalize in ascending lead order: a lead divisible by another is
+    # larger, or equal with a later index, so it meets a kept divisor first
+    keep: list[int] = []
+    for i in sorted(range(len(basis)), key=lambda i: (ring.key(leads[i]), i)):
+        outside = ~sevs[i]
+        if not any(not sevs[j] & outside and _divides(leads[j], leads[i]) for j in keep):
+            keep.append(i)
     basis = [basis[i] for i in keep]
     leads = [leads[i] for i in keep]
     sevs = [sevs[i] for i in keep]
     # inter-reduce tails and normalize: no kept lead divides another, nor
     # (being larger) any term below its own lead, so reducing a tail by
-    # the whole list is reducing it by the other members
+    # the whole list is reducing it by the other members; the kept leads
+    # ascend, which is the output order
     reduced = []
     for g, e in zip(basis, leads):
         tail = dict(g.terms)
         c = tail.pop(e)
         rem = _reduce_terms(tail, basis, leads, sevs, ring.key)
         terms = {e: 1} | {t: _div(v, c) for t, v in rem.items()}
-        reduced.append((ring.key(e), Polynomial(ring, terms)))
-    reduced.sort(key=lambda kg: kg[0])
-    return GroebnerBasis(ring, tuple(g for _, g in reduced))
+        reduced.append(Polynomial(ring, terms))
+    return GroebnerBasis(ring, tuple(reduced))
 
 
 def membership(

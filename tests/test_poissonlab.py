@@ -420,9 +420,9 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, job):
+    def submit(self, fn, *args):
         future = concurrent.futures.Future()
-        future.set_result(fn(job))
+        future.set_result(fn(*args))
         return future
 
 
@@ -431,7 +431,7 @@ def test_scan_pool_size(monkeypatch):
     monkeypatch.setattr(
         poissonlab,
         "_scan_one",
-        lambda job: {"v": job[1], "witness": None, "generators": 0, "timeout": False},
+        lambda n, v, secs: {"v": v, "witness": None, "generators": 0, "timeout": False},
     )
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     for cpus, workers in ((4, 64), (64, 64), (1, 64), (4, 1), (None, 8)):

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 import types
 from collections import Counter
 from fractions import Fraction
@@ -362,6 +363,66 @@ def test_radical_membership_matches_oracle_on_mostly_monomial_ideals(order):
     assert seen == {True, False}
 
 
+# Minimalization inputs: each tuple of texts has the stated leads in every
+# order of ORDERS on (x, y, z).
+MINIMALIZATION_CASES = [
+    # three generators share the leading monomial x*y
+    ("x*y + z", "2*x*y - z^2", "x*y - x + 1"),
+    # a chain of divisible leads: x*y | x*y*z | x^2*y*z
+    ("x^2*y*z - z", "x*y*z + y", "x*y + z^2"),
+]
+
+
+def lead(p):
+    return p.leading()[0]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_minimalization_inputs_match_sympy(order):
+    r = ring("x", "y", "z", order=order)
+    shared, chain = MINIMALIZATION_CASES
+    assert {lead(parse_polynomial(r, t)) for t in shared} == {(1, 1, 0)}
+    assert [lead(parse_polynomial(r, t)) for t in chain] == [(2, 1, 1), (1, 1, 1), (1, 1, 0)]
+    for texts in (shared, chain, shared + chain):
+        assert_matches_sympy(r.variables, texts, order)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_radical_completion_with_new_leads_over_prefix_leads_matches_sympy(
+    monkeypatch, order
+):
+    # 1 - y*f has the lead y*lead(f); with lead(f) a lead of the kept basis,
+    # the minimalization of the completion meets a new member whose lead a
+    # lifted prefix lead divides
+    calls = []
+    complete = polyalg._complete
+
+    def recorder(ring, prefix, new, deadline):
+        calls.append((ring, prefix, new, complete(ring, prefix, new, deadline)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(polyalg, "_complete", recorder)
+    r = ring("x", "y", "z", order=order)
+    gens = ("x*y + z", "x^2 - y", "z^2")
+    ideal = Ideal(r, tuple(parse_polynomial(r, t) for t in gens))
+    x, z = r.var("x"), r.var("z")
+    seen = set()
+    for g in buchberger(ideal).polys:
+        for f in (g + r.const(1), x * g + z):
+            got = radical_membership(f, ideal)
+            big, prefix, new, gb = calls[-1]
+            assert got == radical_oracle(f, ideal), str(f)
+            seen.add(got)
+            assert len(new) == 1 and any(
+                all(a <= b for a, b in zip(lead(p), lead(new[0]))) for p in prefix
+            )
+            if not got:
+                texts = tuple(str(p) for p in (*prefix, *new))
+                mine = assert_matches_sympy(big.variables, texts, order)
+                assert mine.polys == gb.polys
+    assert seen == {True, False}
+
+
 def test_monomial_ideal_builds_no_s_polynomial(monkeypatch):
     # every pair of two monomials is settled when it is made, so the only
     # reductions are the (empty) tails of the kept members
@@ -409,6 +470,54 @@ def test_no_popped_pair_is_coprime_or_two_monomials_on_sl4_charts(monkeypatch):
         (ef, _), (eg, _) = f.leading(), g.leading()
         assert any(a and b for a, b in zip(ef, eg)), (str(f), str(g))
         assert len(f.terms) > 1 or len(g.terms) > 1, (str(f), str(g))
+
+
+def record_reductions(monkeypatch):
+    """Wrap `_reduce_terms`: each call appends whether its remainder is
+    empty."""
+    zeros = []
+    reduce_terms = polyalg._reduce_terms
+
+    def recorder(p, *args):
+        rem = reduce_terms(p, *args)
+        zeros.append(not rem)
+        return rem
+
+    monkeypatch.setattr(polyalg, "_reduce_terms", recorder)
+    return zeros
+
+
+def test_witness_searches_make_frozen_reductions(monkeypatch):
+    # the number of reductions, and of those to zero, changes with any
+    # chain-criterion decision even where the bases and witnesses do not
+    zeros = record_reductions(monkeypatch)
+
+    def witness_reductions(n, charts):
+        count = zero = 0
+        for v in charts:
+            chart = build_chart(n, v)
+            di = degeneracy_ideal(chart)
+            zeros.clear()
+            nonreduced_witness(chart, 60.0, di)
+            count, zero = count + len(zeros), zero + sum(zeros)
+        return count, zero
+
+    sl4 = ["".join(p) for p in itertools.permutations("1234")]
+    assert witness_reductions(3, sl4) == (638, 422)
+    assert witness_reductions(6, [None]) == (821, 734)
+
+
+def test_completion_state_stays_small_on_the_sl7_big_cell():
+    # the loop records only its pending pairs; a record of every treated
+    # pair, settled ones included, peaked at about 1.6 MB on this ideal
+    ideal = degeneracy_ideal(build_chart(6)).ideal
+    tracemalloc.start()
+    try:
+        buchberger(ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6e6
 
 
 def record_completions(monkeypatch):
