@@ -227,6 +227,8 @@ def _rpoly_record(v: WeylElement, w: WeylElement) -> dict:
 
 def cmd_rpoly(rs: RootSystem, args) -> Report:
     if args.sample:
+        if args.v is not None or args.w is not None:
+            raise InputError("--v and --w do not apply with --sample")
         elements = enumerate_group(rs, cap=args.cap)
         rng = random.Random(args.seed)
         records = []
@@ -331,6 +333,8 @@ def cmd_poisson(rs: RootSystem, args) -> Report:
     if not is_type_a(rs):
         raise InputError("poisson subcommands support single type-A systems only")
     if args.action == "scan":
+        if args.cell is not None:
+            raise InputError("--cell does not apply to scan, which runs every chart")
         report = scan_cells(rs.rank, timeout_secs=args.timeout_secs, workers=args.workers)
         payload = dict(report)
         payload["type"] = str(rs.cartan_type)

@@ -249,10 +249,8 @@ def build_top_pair(rs: RootSystem) -> TopPair:
                     f"pair ({mu}, {nu}) of {node.gamma} hit {got} times"
                 )
             cert.append((node.gamma, mu, nu, mu if mu in inv else nu))
+    # l(w0 v) = N - l(v), so the length check above makes the gap m
     w = multiply(longest_element(rs), v)
-    d = length(w) - length(v)
-    if d != m:
-        raise ConstructError(f"length gap {d} != cascade size {m}")
     if not is_gcr_cond3(v, w):
         raise ConstructError("(v, w0 v) fails the eigenvalue membership test")
-    return TopPair(v, w, d, tuple(cert))
+    return TopPair(v, w, m, tuple(cert))

@@ -13,16 +13,18 @@ cond6 checks it independently), and cond3 and cond4 stay the independent
 oracles.  Maximality is decided from the pairs one gap up that share v or
 w (``GcrPoset.maximal_pairs``).
 
-Every ``GcrPair`` is built by its own constructor and validated in two
-parts (``_Host``).  The per-host part runs once per host word, which
-``_host`` keeps per root system: the host word is reduced, it multiplies
-to w, and it gives the inversion roots b_k.  The per-pair part runs for
-every pair: d equals l(w) - l(v) and the number of removals, the kept
-letters are a reduced word of v, there are as many removed roots as
-positions, each removed root is the b_k at its position, and the removed
-roots are pairwise orthogonal.  That the removed reflections carry w to
-v follows and is not checked: removing positions p_1 < ... < p_d leaves
-t_{p_1} ... t_{p_d} w, and orthogonal reflections commute.
+Every ``GcrPair`` stores its witness once, as the host word of w and the
+removed positions in it: d is their number, and the removed roots are the
+host's inversion roots b_k at those positions, read on demand.  Each pair
+is built by its own constructor and validated in two parts (``_Host``).
+The per-host part runs once per host word, which ``_host`` keeps per root
+system: the host word is reduced, it multiplies to w, and it gives the
+inversion roots b_k.  The per-pair part runs for every pair: the positions
+strictly ascend inside the host word, the kept letters are a reduced word
+of v (so d = l(w) - l(v)), and the removed roots are pairwise orthogonal.
+That the removed reflections carry w to v follows and is not checked:
+removing positions p_1 < ... < p_d leaves t_{p_1} ... t_{p_d} w, and
+orthogonal reflections commute.
 Orthogonality of positive roots is read off one bitmask per root system
 (``rootsys.orthogonality_masks``); ``is_gcr_cond6`` calls ``orthogonal``
 itself, so that it stays an independent oracle.
@@ -66,8 +68,8 @@ __all__ = [
     "verify_powerset_interval",
 ]
 
-# (host_word, removed_positions, removed_roots)
-Witness = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple, ...]]
+# (host_word, removed_positions)
+Witness = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def is_gcr_cond3(v: WeylElement, w: WeylElement) -> bool:
@@ -93,9 +95,9 @@ def is_gcr_cond6(v: WeylElement, w: WeylElement) -> Optional[Witness]:
     """Search a reduced word of w for a reduced subword equal to v whose
     removed inversion roots are pairwise orthogonal.
 
-    Returns (host_word, removed_positions, removed_roots) for the
-    lexicographically first removal set, or None.  The search is a policy
-    over ``bruhat.walk_subwords``; it is the independent oracle that the
+    Returns (host_word, removed_positions) for the lexicographically first
+    removal set, or None.  The search is a policy over
+    ``bruhat.walk_subwords``; it is the independent oracle that the
     enumeration (``_removal_walk``, a walker of its own) is tested against,
     so the two share no walk.
     """
@@ -118,10 +120,7 @@ def is_gcr_cond6(v: WeylElement, w: WeylElement) -> Optional[Witness]:
         return may_remove, may_keep
 
     hit = next(walk_subwords(rs, word, v, step), None)
-    if hit is None:
-        return None
-    positions = hit[0]
-    return word, positions, tuple(betas[p - 1] for p in positions)
+    return None if hit is None else (word, hit[0])
 
 
 def _removal_walk(host: _Host) -> dict[WeylElement, tuple[int, ...]]:
@@ -171,13 +170,21 @@ class GcrPair:
 
     v: WeylElement
     w: WeylElement
-    d: int
     host_word: tuple[int, ...]
     removed_positions: tuple[int, ...]
-    removed_roots: tuple[tuple, ...]
 
     def __post_init__(self):
         _host(self.w, self.host_word).check(self)
+
+    @property
+    def d(self) -> int:
+        return len(self.removed_positions)
+
+    @property
+    def removed_roots(self) -> tuple[tuple, ...]:
+        """The host word's inversion roots at the removed positions."""
+        betas = _host(self.w, self.host_word).betas
+        return tuple(betas[p - 1] for p in self.removed_positions)
 
     def key(self):
         return (self.w.sort_key(), self.v.sort_key())
@@ -186,9 +193,10 @@ class GcrPair:
 class _Host:
     """A host word of w that passed the per-host checks of ``GcrPair``: it
     is reduced (``roots_of_word`` gives its inversion roots b_k) and it
-    multiplies to w.  ``check`` runs the per-pair checks on it.  The
-    enumeration derives the roots b_k here only: ``_removal_walk`` reads
-    them from the host, and every pair on the host shares its word."""
+    multiplies to w.  ``check`` runs the per-pair checks on it.  The roots
+    b_k are derived here only: ``_removal_walk`` and
+    ``GcrPair.removed_roots`` read them from the host, and every pair on
+    the host shares its word."""
 
     __slots__ = ("w", "word", "betas")
 
@@ -200,24 +208,20 @@ class _Host:
         self.word = word
 
     def check(self, pair: GcrPair) -> None:
-        rs, w, v = self.w.rs, self.w, pair.v
-        positions, roots = pair.removed_positions, pair.removed_roots
-        if not pair.d == length(w) - length(v) == len(positions):
+        rs, v, positions = self.w.rs, pair.v, pair.removed_positions
+        bounds = (0, *positions, len(self.word) + 1)
+        if not all(a < b for a, b in zip(bounds, bounds[1:])):
             raise ValueError(
-                f"gap d={pair.d} must equal l(w) - l(v) and the number of removals"
+                f"removed positions {positions} do not strictly ascend"
+                f" inside 1..{len(self.word)}"
             )
+        # the host word is reduced, so this also makes d = l(w) - l(v)
         kept = tuple(s for k, s in enumerate(self.word, start=1) if k not in positions)
         if from_word(rs, kept) != v or len(kept) != length(v):
             raise ValueError("kept letters are not a reduced word of v")
-        if len(roots) != len(positions):
-            raise ValueError(
-                f"{len(roots)} removed roots for {len(positions)} removed positions"
-            )
-        for k, p in enumerate(positions):
-            if self.betas[p - 1] != roots[k]:
-                raise ValueError(f"removed root {k + 1} is not the inversion root at {p}")
-        # from here on the removed roots are inversion roots, hence positive
+        # inversion roots of a reduced word are positive
         orth, index = orthogonality_masks(rs), rs.root_index
+        roots = [self.betas[p - 1] for p in positions]
         for a, b in itertools.combinations(roots, 2):
             if not orth[index[a]] >> index[b] & 1:
                 raise ValueError(f"removed roots {a} and {b} are not orthogonal")
@@ -239,8 +243,7 @@ def make_gcr_pair(v: WeylElement, w: WeylElement) -> GcrPair:
     witness = is_gcr_cond6(v, w)
     if witness is None:
         raise ValueError("pair admits no orthogonal removal witness")
-    host, positions, roots = witness
-    return GcrPair(v, w, len(positions), host, positions, roots)
+    return GcrPair(v, w, *witness)
 
 
 def pair_encloses(outer: GcrPair, inner: GcrPair) -> bool:
@@ -308,10 +311,7 @@ def _search(elements: list[WeylElement]) -> tuple[GcrPair, ...]:
     pairs = []
     for w in elements:
         host = _host(w, reduced_word(w))
-        pairs.extend(
-            GcrPair(v, w, len(pos), host.word, pos, tuple(host.betas[p - 1] for p in pos))
-            for v, pos in _removal_walk(host).items()
-        )
+        pairs.extend(GcrPair(v, w, host.word, pos) for v, pos in _removal_walk(host).items())
     return tuple(sorted(pairs, key=lambda p: p.key()))
 
 

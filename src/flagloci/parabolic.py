@@ -13,10 +13,8 @@ from .rootsys import RootSystem
 from .weyl import (
     WeylElement,
     act,
-    from_word,
     inverse,
     is_right_descent,
-    length,
     multiply,
     simple_reflection,
 )
@@ -57,15 +55,10 @@ def min_coset_rep(w: WeylElement, J: Iterable[int]) -> tuple[WeylElement, WeylEl
     of minimal length in the coset (no right descent inside J)."""
     rs = w.rs
     js = _norm_j(rs, J)
-    stripped: list[int] = []
     cur = w
     while (j := _first_descent(cur, js)) is not None:
         cur = multiply(cur, simple_reflection(rs, j))
-        stripped.append(j)
-    w_p = from_word(rs, tuple(reversed(stripped)))
-    if multiply(cur, w_p) != w or length(cur) + length(w_p) != length(w):
-        raise RuntimeError("coset factorization is not length-additive")
-    return cur, w_p
+    return cur, multiply(inverse(cur), w)
 
 
 def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:

@@ -340,12 +340,13 @@ def nonreduced_witness(
     return None
 
 
-def _scan_one(n: int, oneline: str, secs: float) -> dict:
-    """One chart of a scan, given the seconds left of the scan's budget;
-    a chart that gets none, or runs out of it, is marked ``timeout``."""
-    deadline = monotonic() + secs
-    record = {"v": oneline, "witness": None, "generators": 0, "timeout": secs <= 0}
-    if record["timeout"]:
+def _scan_one(n: int, oneline: str, deadline: float) -> dict:
+    """One chart of a scan, given the scan's ``monotonic()`` deadline (a
+    system-wide clock, so a worker process reads it too); a chart that
+    starts after it, or runs past it, is marked ``timeout``."""
+    late = monotonic() >= deadline
+    record = {"v": oneline, "witness": None, "generators": 0, "timeout": late}
+    if late:
         return record
     try:
         chart = build_chart(n, oneline)
@@ -361,9 +362,8 @@ def scan_cells(n: int, timeout_secs: float = 60.0, workers: int = 1) -> dict:
     """Witness scan over every chart of SL(n+1)/B+, 2 <= n <= 5, on at most
     ``workers`` processes (never more than the CPUs or the charts).
 
-    The whole scan has one budget of ``timeout_secs``: each chart gets the
-    seconds left when it starts.  On a pool a chart is handed to a worker
-    only when one is free, so the seconds it is given are still left."""
+    The whole scan has one budget of ``timeout_secs``, held as one
+    deadline that each chart reads when it starts."""
     if not 2 <= n <= 5:
         raise ValueError("scan supports 2 <= n <= 5 only")
     if workers < 1:
@@ -373,19 +373,13 @@ def scan_cells(n: int, timeout_secs: float = 60.0, workers: int = 1) -> dict:
     size = min(workers, os.cpu_count() or 1, len(perms))
     if size > 1:
         # imported here, so that no other run loads multiprocessing
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures import ProcessPoolExecutor
 
-        futures: list = []
-        running: set = set()
         with ProcessPoolExecutor(max_workers=size) as pool:
-            for v in perms:
-                if len(running) == size:
-                    _, running = wait(running, return_when=FIRST_COMPLETED)
-                futures.append(pool.submit(_scan_one, n, v, deadline - monotonic()))
-                running.add(futures[-1])
-        charts = [f.result() for f in futures]
+            args = (itertools.repeat(n), perms, itertools.repeat(deadline))
+            charts = list(pool.map(_scan_one, *args))
     else:
-        charts = [_scan_one(n, v, deadline - monotonic()) for v in perms]
+        charts = [_scan_one(n, v, deadline) for v in perms]
     witness_charts = [c["v"] for c in charts if c["witness"] is not None]
     return {"n": n, "charts": charts, "witness_charts": witness_charts}
 

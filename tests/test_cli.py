@@ -335,6 +335,23 @@ def test_negative_sample_exits_1(capsys):
     assert "agreement" not in capsys.readouterr().out
 
 
+def test_sample_refuses_a_given_pair(capsys):
+    # --sample draws its own pairs: a pair given with it is refused, not ignored
+    for extra in (["--v", "123"], ["--w", "213"], ["--v", "123", "--w", "213"]):
+        assert main(["rpoly", "A2", "--sample", "2", *extra]) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--v and --w do not apply with --sample" in captured.err
+
+
+def test_scan_refuses_a_cell(capsys):
+    # a scan runs every chart: a --cell given with it is refused, not ignored
+    assert main(["poisson", "scan", "A2", "--cell", "132"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cell does not apply to scan" in captured.err
+
+
 def test_powerset_builds_its_table_under_cap(capsys):
     # |A1xA6| = 10080: the table behind the interval is built under --cap
     code, out = run(capsys, "gcr", "powerset", "A1xA6", "--v", "e", "--w", "1")

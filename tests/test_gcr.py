@@ -111,7 +111,7 @@ def test_enumeration_matches_characterizations():
                 ), (t, v, w)
                 if c6 is not None:
                     p = found[v, w]
-                    assert (p.host_word, p.removed_positions, p.removed_roots) == c6
+                    assert (p.host_word, p.removed_positions) == c6
         assert candidates > len(found)
 
 
@@ -225,6 +225,8 @@ def test_b3_pair_is_the_expected_witness():
         ((1, 0, 0), (1, 2, 2), (0, 0, 1)),
     )
     assert replace(p) == p  # a direct rebuild passes every check
+    # the witness is stored once: d and the removed roots are derived
+    assert [f.name for f in fields(GcrPair)] == ["v", "w", "host_word", "removed_positions"]
 
 
 def _corruptions(p: GcrPair) -> dict[str, tuple[dict, str]]:
@@ -247,28 +249,28 @@ def _corruptions(p: GcrPair) -> dict[str, tuple[dict, str]]:
             ),
             r"word \(1, 1, 1, 2, 3, 2, 1, 3\) is not reduced",
         ),
+        # the same removal set in another order: a second form of one witness
+        "removed positions are not sorted": (
+            dict(removed_positions=(5, 1, 6)),
+            r"removed positions \(5, 1, 6\) do not strictly ascend inside 1..6",
+        ),
+        "a removed position is repeated": (
+            dict(removed_positions=(1, 5, 5, 6)),
+            r"removed positions \(1, 5, 5, 6\) do not strictly ascend",
+        ),
+        # the kept letters are still 2.3.2, a reduced word of v
+        "a removed position is outside the host word": (
+            dict(removed_positions=(1, 5, 6, 7)),
+            r"removed positions \(1, 5, 6, 7\) do not strictly ascend inside 1..6",
+        ),
         "kept letters are not a reduced word of v": (
             dict(removed_positions=(2, 5, 6)),
             "kept letters are not a reduced word of v",
         ),
-        "a removed root is not its inversion root": (
-            dict(removed_roots=((1, 1, 0),) + p.removed_roots[1:]),
-            "removed root 1 is not the inversion root at 1",
-        ),
-        # a negative root with no position of its own
-        "an extra removed root": (
-            dict(removed_roots=p.removed_roots + ((0, -1, 0),)),
-            "4 removed roots for 3 removed positions",
-        ),
-        "a missing removed root": (
-            dict(removed_roots=p.removed_roots[:1]),
-            "1 removed roots for 3 removed positions",
-        ),
         "removed roots are not orthogonal": (
-            dict(v=v12, d=2, removed_positions=(1, 2), removed_roots=((1, 0, 0), (1, 1, 0))),
+            dict(v=v12, removed_positions=(1, 2)),
             r"removed roots \(1, 0, 0\) and \(1, 1, 0\) are not orthogonal",
         ),
-        "wrong gap": (dict(d=2), "gap d=2 must equal"),
     }
 
 
@@ -284,7 +286,7 @@ def test_each_corruption_trips_its_own_check(case):
     # the per-host checks run first, then the per-pair ones in order, so
     # each corruption names the check it breaks.  "The removed reflections
     # carry w to v" is no check of its own: orthogonal reflections commute,
-    # so it follows from the kept-letter, root and orthogonality checks.
+    # so it follows from the kept-letter and orthogonality checks.
     p = _b3_pair()
     changed, message = _corruptions(p)[case]
     with pytest.raises(ValueError, match=message):
@@ -301,7 +303,7 @@ def test_enumerated_pairs_equal_the_direct_witness(t):
 
 def test_pair_validation_survives_optimize():
     # under python -O every bare assert is gone; GcrPair must still refuse
-    # a gap that does not match its elements
+    # a removal that does not match its elements
     code = (
         "import sys\n"
         "from flagloci.gcr import GcrPair\n"
@@ -310,7 +312,7 @@ def test_pair_validation_survives_optimize():
         "rs = build_root_system('A2')\n"
         "assert False, 'asserts are live'\n"
         "try:\n"
-        "    GcrPair(identity(rs), from_word(rs, (1, 2)), 5, (1, 2), (1, 2), ((1, 0), (1, 1)))\n"
+        "    GcrPair(identity(rs), from_word(rs, (1, 2)), (1, 2), (1,))\n"
         "except ValueError:\n"
         "    print('ValueError', sys.flags.optimize)\n"
     )

@@ -420,10 +420,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_scan_pool_size(monkeypatch):
@@ -431,7 +429,7 @@ def test_scan_pool_size(monkeypatch):
     monkeypatch.setattr(
         poissonlab,
         "_scan_one",
-        lambda n, v, secs: {"v": v, "witness": None, "generators": 0, "timeout": False},
+        lambda n, v, deadline: {"v": v, "witness": None, "generators": 0, "timeout": False},
     )
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     for cpus, workers in ((4, 64), (64, 64), (1, 64), (4, 1), (None, 8)):
