@@ -11,7 +11,6 @@ reference back to the root system, so the memo adds no cycle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .rootsys import (
@@ -89,19 +88,28 @@ def descendants(rs: RootSystem, gamma) -> list[tuple]:
     return _descendants(rs, gamma, support_subsystem(rs, gamma)[1])
 
 
-@dataclass(frozen=True)
 class CascadeNode:
-    gamma: tuple
-    support: tuple[int, ...]
-    E_set: tuple[tuple, ...]
-    pairs: tuple[tuple[tuple, tuple], ...]
-    children: tuple["CascadeNode", ...]
+    __slots__ = ("gamma", "support", "E_set", "pairs", "children")
+
+    def __init__(
+        self,
+        gamma: tuple,
+        support: tuple[int, ...],
+        E_set: tuple[tuple, ...],
+        pairs: tuple[tuple[tuple, tuple], ...],
+        children: tuple[CascadeNode, ...],
+    ):
+        self.gamma = gamma
+        self.support = support
+        self.E_set = E_set
+        self.pairs = pairs
+        self.children = children
 
 
-@dataclass(frozen=True)
 class Cascade:
-    rs: RootSystem
-    forest: tuple[CascadeNode, ...]
+    def __init__(self, rs: RootSystem, forest: tuple[CascadeNode, ...]):
+        self.rs = rs
+        self.forest = forest
 
     @cached_property
     def roots(self) -> tuple[tuple, ...]:

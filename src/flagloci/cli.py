@@ -15,7 +15,6 @@ import os
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from time import monotonic
 from typing import Optional
 
@@ -84,14 +83,24 @@ def _root_str(root) -> str:
     return "(" + ",".join(str(c) for c in root) + ")"
 
 
-@dataclass
 class Report:
-    payload: dict
-    text: list[str]
-    csv: Optional[tuple[list[str], list[list]]] = None
-    dot: Optional[str] = None
-    code: int = 0
-    checks: dict[str, bool] = field(default_factory=dict)  # property -> held
+    __slots__ = ("payload", "text", "csv", "dot", "code", "checks")
+
+    def __init__(
+        self,
+        payload: dict,
+        text: list[str],
+        csv: Optional[tuple[list[str], list[list]]] = None,
+        dot: Optional[str] = None,
+        code: int = 0,
+        checks: Optional[dict[str, bool]] = None,
+    ):
+        self.payload = payload
+        self.text = text
+        self.csv = csv
+        self.dot = dot
+        self.code = code
+        self.checks = {} if checks is None else checks  # property -> held
 
 
 def _emit(report: Report, fmt: str) -> str:
@@ -124,6 +133,10 @@ def _read_pair(rs: RootSystem, args) -> tuple[WeylElement, WeylElement]:
 
 def cmd_gcr(rs: RootSystem, args) -> Report:
     if args.action in ("enumerate", "components"):
+        if args.v is not None or args.w is not None:
+            raise InputError(
+                f"--v and --w do not apply to {args.action}, which sweeps the whole group"
+            )
         poset = enumerate_gcr(rs, cap=args.cap)
         pairs = poset.pairs if args.action == "enumerate" else poset.maximal_pairs()
         # every element is named once, and each format reads the rows
@@ -230,13 +243,15 @@ def cmd_rpoly(rs: RootSystem, args) -> Report:
         if args.v is not None or args.w is not None:
             raise InputError("--v and --w do not apply with --sample")
         elements = enumerate_group(rs, cap=args.cap)
-        rng = random.Random(args.seed)
+        rng = random.Random(0 if args.seed is None else args.seed)
         records = []
         for _ in range(args.sample):
             v = elements[rng.randrange(len(elements))]
             w = elements[rng.randrange(len(elements))]
             records.append(_rpoly_record(v, w))
     else:
+        if args.seed is not None:
+            raise InputError("--seed applies only with --sample")
         records = [_rpoly_record(*_read_pair(rs, args))]
     all_agree = all(r["agree"] for r in records)
     payload = {"type": str(rs.cartan_type), "pairs": records, "all_agree": all_agree}
@@ -446,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v")
     p.add_argument("--w")
     p.add_argument("--sample", type=_at_least(0), default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of --sample's draws (default 0)")
     p.set_defaults(handler=cmd_rpoly)
 
     p = sub.add_parser("parabolic", help="quotient-side pair tables and checks")

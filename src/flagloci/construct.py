@@ -5,7 +5,6 @@ inversion set of v picks exactly one member of every matched pair."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -101,16 +100,24 @@ def build_u_for_theta(rs: RootSystem) -> tuple[int, ...]:
     return word_t
 
 
-@dataclass(frozen=True)
 class Subsystem:
     """The roots orthogonal to ``fixed_root``, repackaged as a standalone
     root system; ``pi_prime`` lists the ambient coordinates of the child's
     simple roots in the child's labeling order."""
 
-    rs: RootSystem
-    fixed_root: tuple
-    pi_prime: tuple[tuple, ...]
-    child: Optional[RootSystem]
+    __slots__ = ("rs", "fixed_root", "pi_prime", "child")
+
+    def __init__(
+        self,
+        rs: RootSystem,
+        fixed_root: tuple,
+        pi_prime: tuple[tuple, ...],
+        child: Optional[RootSystem],
+    ):
+        self.rs = rs
+        self.fixed_root = fixed_root
+        self.pi_prime = pi_prime
+        self.child = child
 
     def to_ambient(self, child_root) -> tuple:
         n = len(self.rs.cartan)
@@ -215,15 +222,23 @@ def build_v(rs: RootSystem) -> WeylElement:
     return v
 
 
-@dataclass(frozen=True)
 class TopPair:
     """(v, w0 v) with the per-pair certificate: for every matched pair
     (mu, nu) of every cascade node, which twin lies in the inversion set."""
 
-    v: WeylElement
-    w: WeylElement
-    d: int
-    certificate: tuple[tuple[tuple, tuple, tuple, tuple], ...]
+    __slots__ = ("v", "w", "d", "certificate")
+
+    def __init__(
+        self,
+        v: WeylElement,
+        w: WeylElement,
+        d: int,
+        certificate: tuple[tuple[tuple, tuple, tuple, tuple], ...],
+    ):
+        self.v = v
+        self.w = w
+        self.d = d
+        self.certificate = certificate
 
 
 def build_top_pair(rs: RootSystem) -> TopPair:

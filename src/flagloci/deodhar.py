@@ -4,7 +4,6 @@ over distinguished subwords and by the classical descent recurrence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bruhat import leq, walk_subwords
@@ -32,11 +31,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LaurentFreePolynomial:
     """Integer polynomial in q, coefficients stored low-to-high."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LaurentFreePolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @staticmethod
     def of(coeffs: Sequence[int]) -> "LaurentFreePolynomial":
@@ -115,7 +122,6 @@ def q_minus_one_power(k: int) -> LaurentFreePolynomial:
     return out
 
 
-@dataclass(frozen=True)
 class DistinguishedSubword:
     """A keep/remove pattern on ``host`` whose kept letters multiply to the
     target, recorded with the full partial-product trace.
@@ -123,11 +129,21 @@ class DistinguishedSubword:
     n_stat counts steps with sigma unchanged (the removals), m_stat counts
     kept steps where sigma drops; n_stat + 2*m_stat is the length gap."""
 
-    host: tuple[int, ...]
-    removed: tuple[int, ...]
-    sigma_trace: tuple[WeylElement, ...]
-    n_stat: int
-    m_stat: int
+    __slots__ = ("host", "removed", "sigma_trace", "n_stat", "m_stat")
+
+    def __init__(
+        self,
+        host: tuple[int, ...],
+        removed: tuple[int, ...],
+        sigma_trace: tuple[WeylElement, ...],
+        n_stat: int,
+        m_stat: int,
+    ):
+        self.host = host
+        self.removed = removed
+        self.sigma_trace = sigma_trace
+        self.n_stat = n_stat
+        self.m_stat = m_stat
 
 
 def _kept_descents(trace: Sequence[WeylElement]) -> int:

@@ -33,7 +33,6 @@ itself, so that it stays an independent oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bruhat import interval, leq, require_table, walk_subwords
@@ -162,19 +161,50 @@ def _removal_walk(host: _Host) -> dict[WeylElement, tuple[int, ...]]:
     }
 
 
-@dataclass(frozen=True)
 class GcrPair:
     """A witnessed pair: removing ``removed_positions`` from ``host_word``
     (a reduced word of w) leaves a reduced word of v, and the removed
-    inversion roots are pairwise orthogonal."""
+    inversion roots are pairwise orthogonal.
 
-    v: WeylElement
-    w: WeylElement
-    host_word: tuple[int, ...]
-    removed_positions: tuple[int, ...]
+    A pair is read-only: the constructor is the one place its fields are
+    set, so every pair handed out has passed the checks."""
 
-    def __post_init__(self):
-        _host(self.w, self.host_word).check(self)
+    __slots__ = ("v", "w", "host_word", "removed_positions")
+
+    def __init__(
+        self,
+        v: WeylElement,
+        w: WeylElement,
+        host_word: tuple[int, ...],
+        removed_positions: tuple[int, ...],
+    ):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "host_word", host_word)
+        object.__setattr__(self, "removed_positions", removed_positions)
+        _host(w, host_word).check(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GcrPair is read-only: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GcrPair is read-only: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # a copy or an unpickled pair is rebuilt, and so checked, by __init__
+        return GcrPair, (self.v, self.w, self.host_word, self.removed_positions)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, GcrPair)
+            and self.v == other.v
+            and self.w == other.w
+            and self.host_word == other.host_word
+            and self.removed_positions == other.removed_positions
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.v, self.w, self.host_word, self.removed_positions))
 
     @property
     def d(self) -> int:

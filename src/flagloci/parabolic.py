@@ -4,7 +4,6 @@ the parabolic checks for witnessed orthogonal-removal pairs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .bruhat import BruhatTable, closure, require_table
@@ -91,13 +90,26 @@ def p_bruhat_leq(v: WeylElement, w: WeylElement, J: Iterable[int]) -> bool:
     return bool(down[table.index[w]] >> table.index[v] & 1)
 
 
-@dataclass(frozen=True)
 class PairClass:
     """Canonical representative (v w_P^{-1}, w^P) of a pair class."""
 
-    v: WeylElement
-    w: WeylElement
-    J: tuple[int, ...]
+    __slots__ = ("v", "w", "J")
+
+    def __init__(self, v: WeylElement, w: WeylElement, J: tuple[int, ...]):
+        self.v = v
+        self.w = w
+        self.J = J
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PairClass)
+            and self.v == other.v
+            and self.w == other.w
+            and self.J == other.J
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.v, self.w, self.J))
 
 
 def canonicalize_pair(v: WeylElement, w: WeylElement, J: Iterable[int]) -> PairClass:

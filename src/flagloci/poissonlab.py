@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from time import monotonic
 from typing import Optional, Sequence
@@ -57,16 +56,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Chart:
     """Affine chart v.U_-B+/B+ with row-major coordinates x_ij, i > j."""
 
-    n: int
-    v_oneline: str
-    ring: PolyRing
-    # the chosen lift of v, a signed permutation matrix: column b is
-    # sign * e_row, stored as representative[b] = (row, sign), 0-based rows
-    representative: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "v_oneline", "ring", "representative")
+
+    def __init__(
+        self,
+        n: int,
+        v_oneline: str,
+        ring: PolyRing,
+        representative: tuple[tuple[int, int], ...],
+    ):
+        self.n = n
+        self.v_oneline = v_oneline
+        self.ring = ring
+        # the chosen lift of v, a signed permutation matrix: column b is
+        # sign * e_row, stored as representative[b] = (row, sign), 0-based rows
+        self.representative = representative
 
     @property
     def size(self) -> int:
@@ -185,23 +192,21 @@ def _negates(p: Polynomial, q: Polynomial) -> bool:
     return len(p.terms) == len(tq) and all(tq.get(e) == -c for e, c in p.terms.items())
 
 
-@dataclass(frozen=True)
 class PoissonMatrix:
-    chart: Chart
-    entries: tuple  # entries[a][b] = {x_a, x_b}, antisymmetric
+    __slots__ = ("chart", "entries")
 
-    def __post_init__(self):
-        k = len(self.chart.ring.variables)
-        if len(self.entries) != k:
-            raise ValueError(
-                f"bracket matrix has {len(self.entries)} rows, chart has {k} variables"
-            )
+    def __init__(self, chart: Chart, entries: tuple):
+        k = len(chart.ring.variables)
+        if len(entries) != k:
+            raise ValueError(f"bracket matrix has {len(entries)} rows, chart has {k} variables")
         for a in range(k):
-            if not self.entries[a][a].is_zero():
+            if not entries[a][a].is_zero():
                 raise ValueError(f"bracket matrix has a nonzero diagonal entry at {a}")
             for b in range(a):
-                if not _negates(self.entries[a][b], self.entries[b][a]):
+                if not _negates(entries[a][b], entries[b][a]):
                     raise ValueError(f"bracket matrix is not antisymmetric at ({a}, {b})")
+        self.chart = chart
+        self.entries = entries  # entries[a][b] = {x_a, x_b}, antisymmetric
 
     def bracket(self, name_a: str, name_b: str) -> Polynomial:
         ring = self.chart.ring
@@ -309,10 +314,12 @@ def poisson_matrix(chart: Chart, scale: Fraction = Fraction(1)) -> PoissonMatrix
     return PoissonMatrix(chart, tuple(tuple(row) for row in entries))
 
 
-@dataclass(frozen=True)
 class DegeneracyIdeal:
-    chart: Chart
-    ideal: Ideal
+    __slots__ = ("chart", "ideal")
+
+    def __init__(self, chart: Chart, ideal: Ideal):
+        self.chart = chart
+        self.ideal = ideal
 
 
 def degeneracy_ideal(chart: Chart, pm: Optional[PoissonMatrix] = None) -> DegeneracyIdeal:

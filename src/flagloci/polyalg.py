@@ -45,7 +45,6 @@ from __future__ import annotations
 import heapq
 import re
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress
@@ -97,20 +96,30 @@ def _grevlex_key(e: Expo):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-@dataclass(frozen=True)
 class PolyRing:
-    variables: tuple[str, ...]
-    order: OrderTag = "grevlex"
+    __slots__ = ("variables", "order")
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(self, variables: tuple[str, ...], order: OrderTag = "grevlex"):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        if isinstance(self.order, tuple):
-            tag, k = self.order
-            if tag != "block" or not 0 < k < len(self.variables):
-                raise ValueError(f"bad order {self.order}")
-        elif self.order not in ("grevlex", "lex"):
-            raise ValueError(f"bad order {self.order}")
+        if isinstance(order, tuple):
+            tag, k = order
+            if tag != "block" or not 0 < k < len(variables):
+                raise ValueError(f"bad order {order}")
+        elif order not in ("grevlex", "lex"):
+            raise ValueError(f"bad order {order}")
+        self.variables = variables
+        self.order = order
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PolyRing)
+            and self.variables == other.variables
+            and self.order == other.order
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.variables, self.order))
 
     def key(self, e: Expo):
         """Sort key: ascending in the ring's monomial order."""
@@ -246,29 +255,42 @@ class Polynomial:
         return f"<{self}>"
 
 
-@dataclass(frozen=True)
 class Ideal:
     """An ideal given by its generators.  `buchberger` computes its reduced
     basis once, on first use, and keeps it in ``_basis``, which takes no
     part in ``==``, ``hash`` or ``repr`` (nothing mutates ``generators``)."""
 
-    ring: PolyRing
-    generators: tuple[Polynomial, ...]
-    _basis: Optional[GroebnerBasis] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    __slots__ = ("ring", "generators", "_basis")
+
+    def __init__(self, ring: PolyRing, generators: tuple[Polynomial, ...]):
+        self.ring = ring
+        self.generators = generators
+        self._basis: Optional[GroebnerBasis] = None
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Ideal)
+            and self.ring == other.ring
+            and self.generators == other.generators
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.generators))
+
+    def __repr__(self) -> str:
+        ring = self.ring
+        return f"Ideal(PolyRing({ring.variables!r}, {ring.order!r}), {self.generators!r})"
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
     """A basis and the data every reduction by it reads: the leading
     monomials of its members (``leads``) and their support masks
     (``sevs``), computed on first use and kept, so a basis that nothing is
-    reduced by never computes them.  They take no part in ``==``, ``hash``
-    or ``repr``."""
+    reduced by never computes them."""
 
-    ring: PolyRing
-    polys: tuple[Polynomial, ...]
+    def __init__(self, ring: PolyRing, polys: tuple[Polynomial, ...]):
+        self.ring = ring
+        self.polys = polys
 
     @cached_property
     def leads(self) -> tuple[Expo, ...]:
@@ -448,8 +470,7 @@ def buchberger(
     dict and returns (1) as soon as a member is a nonzero constant."""
     _check_deadline(deadline)
     if ideal._basis is None:
-        gb = _complete(ideal.ring, (), ideal.generators, deadline)
-        object.__setattr__(ideal, "_basis", gb)
+        ideal._basis = _complete(ideal.ring, (), ideal.generators, deadline)
     return ideal._basis
 
 

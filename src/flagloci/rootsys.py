@@ -13,7 +13,6 @@ of semisimple types in sorted order ("G2xB2" and "B2xG2" agree).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -45,11 +44,19 @@ _RANK_MAX = {"A": None, "B": None, "C": None, "D": None, "E": 8, "F": 4, "G": 2}
 _TOKEN = re.compile(r"^([A-Ga-g])([0-9]+)$")
 
 
-@dataclass(frozen=True)
 class CartanType:
     """A semisimple Cartan type: ordered tuple of (letter, rank) components."""
 
-    components: tuple[tuple[str, int], ...]
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[tuple[str, int], ...]):
+        self.components = components
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CartanType) and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash(self.components)
 
     @staticmethod
     def parse(text: str) -> "CartanType":

@@ -344,6 +344,30 @@ def test_sample_refuses_a_given_pair(capsys):
         assert "--v and --w do not apply with --sample" in captured.err
 
 
+def test_enumerate_refuses_a_given_pair(capsys):
+    # enumerate sweeps the whole group: a pair given with it is refused, not ignored
+    assert main(["gcr", "enumerate", "A2", "--v", "123", "--w", "321"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--v and --w do not apply to enumerate" in captured.err
+
+
+def test_components_refuses_a_given_pair(capsys):
+    # components sweeps the whole group: a pair given with it is refused, not ignored
+    assert main(["gcr", "components", "A2", "--v", "123"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--v and --w do not apply to components" in captured.err
+
+
+def test_seed_without_sample_is_refused(capsys):
+    # --seed seeds only --sample's draws: given for one pair it is refused, not ignored
+    assert main(["rpoly", "A2", "--v", "e", "--w", "1.2.1", "--seed", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed applies only with --sample" in captured.err
+
+
 def test_scan_refuses_a_cell(capsys):
     # a scan runs every chart: a --cell given with it is refused, not ignored
     assert main(["poisson", "scan", "A2", "--cell", "132"]) == 1

@@ -1,10 +1,11 @@
 """Witnessed orthogonal-removal pairs: the three characterizations, the
 enumeration counts, and the boolean-interval structure."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -224,9 +225,33 @@ def test_b3_pair_is_the_expected_witness():
         (1, 5, 6),
         ((1, 0, 0), (1, 2, 2), (0, 0, 1)),
     )
-    assert replace(p) == p  # a direct rebuild passes every check
+    assert _rebuild(p) == p  # a direct rebuild passes every check
     # the witness is stored once: d and the removed roots are derived
-    assert [f.name for f in fields(GcrPair)] == ["v", "w", "host_word", "removed_positions"]
+    assert GcrPair.__slots__ == ("v", "w", "host_word", "removed_positions")
+    assert not hasattr(p, "__dict__")
+
+
+def test_pair_is_read_only():
+    # the constructor is the one place a pair's fields are set, so every
+    # pair handed out has passed its checks
+    p = _b3_pair()
+    for name in ("v", "w", "host_word", "removed_positions"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+
+
+def test_pair_copies_and_pickles():
+    p = _b3_pair()
+    assert copy.copy(p) == p
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def _rebuild(p: GcrPair, **changed) -> GcrPair:
+    """A pair built by the constructor from p's fields, with ``changed``
+    replacing some of them."""
+    fields = dict(v=p.v, w=p.w, host_word=p.host_word, removed_positions=p.removed_positions)
+    fields.update(changed)
+    return GcrPair(**fields)
 
 
 def _corruptions(p: GcrPair) -> dict[str, tuple[dict, str]]:
@@ -278,7 +303,7 @@ def _corruptions(p: GcrPair) -> dict[str, tuple[dict, str]]:
 def test_pair_validation_refuses_each_corruption(case):
     p = _b3_pair()
     with pytest.raises(ValueError):
-        replace(p, **_corruptions(p)[case][0])
+        _rebuild(p, **_corruptions(p)[case][0])
 
 
 @pytest.mark.parametrize("case", sorted(_corruptions(_b3_pair())))
@@ -290,12 +315,12 @@ def test_each_corruption_trips_its_own_check(case):
     p = _b3_pair()
     changed, message = _corruptions(p)[case]
     with pytest.raises(ValueError, match=message):
-        replace(p, **changed)
+        _rebuild(p, **changed)
 
 
 @pytest.mark.parametrize("t", ("A3", "B3", "G2xA1"))
 def test_enumerated_pairs_equal_the_direct_witness(t):
-    names = [f.name for f in fields(GcrPair)]
+    names = GcrPair.__slots__
     for p in enumerate_gcr(build_root_system(t)).pairs:
         q = make_gcr_pair(p.v, p.w)
         assert [getattr(p, n) for n in names] == [getattr(q, n) for n in names]

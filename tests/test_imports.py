@@ -130,13 +130,24 @@ def test_handlers_leave_verdicts_to_main():
     assert offences == []
 
 
-def test_import_leaves_multiprocessing_unloaded():
-    # only a scan on more than one process needs the process pool
+def _loaded_by_import(modules: set[str]) -> list[str]:
+    """Those of ``modules`` that importing the package and its CLI loads,
+    in a fresh interpreter."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, flagloci, flagloci.cli; print('multiprocessing' in sys.modules)"
+    code = f"import sys, flagloci, flagloci.cli; print(sorted({modules!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout == "False\n"
+    return ast.literal_eval(proc.stdout)
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a scan on more than one process needs the process pool
+    assert _loaded_by_import({"multiprocessing"}) == []
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # the records are plain classes: a CLI process pays for neither module
+    assert _loaded_by_import({"dataclasses", "inspect"}) == []
