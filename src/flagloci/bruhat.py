@@ -53,7 +53,7 @@ from .weyl import (
     length,
     leq_by_descents,
     reflection,
-    simple_reflection,
+    times_simple,
 )
 
 __all__ = [
@@ -232,10 +232,9 @@ def walk_subwords(
     if not is_reduced(rs, word):
         raise ValueError(f"word {word} is not reduced")
     l = len(word)
-    gens = [simple_reflection(rs, i) for i in word]
     rsuffix = [identity(rs)] * (l + 1)  # rsuffix[k] = value of reversed(word[k:])
     for k in range(l - 1, -1, -1):
-        rsuffix[k] = rsuffix[k + 1] * gens[k]
+        rsuffix[k] = times_simple(rsuffix[k + 1], word[k])
     removed: list[int] = []
     trace = [identity(rs)]
 
@@ -249,7 +248,7 @@ def walk_subwords(
             return
         sigma = trace[-1]
         may_remove, may_keep = step(k, sigma, removed)
-        # s = gens[k] is a right descent of u = rsuffix[k], and y <= u: if s
+        # s = s_{word[k]} is a right descent of u = rsuffix[k], and y <= u: if s
         # is an ascent of y then y <= us, else ys <= us (lifting property)
         ascent = not is_right_descent(y, word[k])
         if may_remove:
@@ -259,8 +258,8 @@ def walk_subwords(
             trace.pop()
             removed.pop()
         if may_keep:
-            trace.append(sigma * gens[k])
-            yield from walk(k + 1, y * gens[k], not ascent)
+            trace.append(times_simple(sigma, word[k]))
+            yield from walk(k + 1, times_simple(y, word[k]), not ascent)
             trace.pop()
 
     return walk(0, inverse(target), False)

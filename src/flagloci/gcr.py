@@ -51,7 +51,7 @@ from .weyl import (
     reflection,
     reflection_length,
     roots_of_word,
-    simple_reflection,
+    times_simple,
 )
 
 __all__ = [
@@ -142,7 +142,6 @@ def _removal_walk(host: _Host) -> dict[WeylElement, tuple[int, ...]]:
     # a reduced word are distinct, so it names the positions as well
     orth = orthogonality_masks(rs)
     ids = [rs.root_index[b] for b in host.betas]
-    gens = [simple_reflection(rs, i) for i in word]
     first: dict[WeylElement, int] = {}  # v -> mask of its first removal set
     stack = [(0, identity(rs), 0)]
     while stack:
@@ -152,7 +151,7 @@ def _removal_walk(host: _Host) -> dict[WeylElement, tuple[int, ...]]:
             continue
         # keep is pushed first, so the removal branch is walked first
         if not is_right_descent(sigma, word[k]):
-            stack.append((k + 1, sigma * gens[k], mask))
+            stack.append((k + 1, times_simple(sigma, word[k]), mask))
         if not mask & ~orth[ids[k]]:
             stack.append((k + 1, sigma, mask | 1 << ids[k]))
     return {
@@ -180,9 +179,11 @@ class GcrPair:
     ):
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "host_word", host_word)
-        object.__setattr__(self, "removed_positions", removed_positions)
-        _host(w, host_word).check(self)
+        # stored as tuples before the checks, so a pair given lists hashes
+        # and compares like the same pair given tuples
+        object.__setattr__(self, "host_word", tuple(host_word))
+        object.__setattr__(self, "removed_positions", tuple(removed_positions))
+        _host(w, self.host_word).check(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GcrPair is read-only: cannot assign to {name!r}")
@@ -261,7 +262,6 @@ def _host(w: WeylElement, word: tuple[int, ...]) -> _Host:
     """The checked host word ``word`` of w, kept in
     ``rs.cache["gcr_hosts"]`` under (w, word): its per-host checks run for
     the first pair on it, and every later pair on it reuses them."""
-    word = tuple(word)  # a host word given as a list is accepted; keys hash
     hosts = w.rs.cache.setdefault("gcr_hosts", {})
     host = hosts.get((w, word))
     if host is None:

@@ -15,7 +15,7 @@ from .weyl import (
     inverse,
     is_right_descent,
     multiply,
-    simple_reflection,
+    times_simple,
 )
 
 __all__ = [
@@ -52,11 +52,10 @@ def _first_descent(w: WeylElement, js: tuple[int, ...]) -> Optional[int]:
 def min_coset_rep(w: WeylElement, J: Iterable[int]) -> tuple[WeylElement, WeylElement]:
     """Factor w = w^P * w_P with w_P in the subgroup generated by J and w^P
     of minimal length in the coset (no right descent inside J)."""
-    rs = w.rs
-    js = _norm_j(rs, J)
+    js = _norm_j(w.rs, J)
     cur = w
     while (j := _first_descent(cur, js)) is not None:
-        cur = multiply(cur, simple_reflection(rs, j))
+        cur = times_simple(cur, j)
     return cur, multiply(inverse(cur), w)
 
 

@@ -15,8 +15,13 @@ length) and the action on a vector that is not a root.
 Once a group has been enumerated there is one object per element: every
 constructor goes through ``_make``, which returns the object recorded by
 ``enumerate_group`` in ``rs.cache["elements"]``, so an element's length,
-reduced word and matrix are computed once per group element.  A group that
-is never enumerated has no pool, and each product is a fresh object.
+reduced word and matrix are computed once per group element.  A pooled
+element also keeps its right neighbours w s_1, ..., w s_n, which the
+enumeration forms anyway, so ``times_simple`` steps by one lookup, with
+no permutation product and no pool lookup; ``identity``,
+``simple_reflection`` and ``from_word`` read the pool the same way.  A
+group that is never enumerated has no pool, and each product is a fresh
+object.
 
 The representation is private to this module: other modules see only the
 functions below, and they key dicts and sets on the elements themselves
@@ -38,6 +43,7 @@ __all__ = [
     "simple_reflection",
     "reflection",
     "multiply",
+    "times_simple",
     "inverse",
     "act",
     "length",
@@ -135,7 +141,7 @@ def _mat_vec(m: Matrix, v: Sequence) -> tuple:
 
 
 class WeylElement:
-    __slots__ = ("rs", "perm", "_hash", "_len", "_rword", "_matrix")
+    __slots__ = ("rs", "perm", "_hash", "_len", "_rword", "_matrix", "_right")
 
     def __init__(self, rs: RootSystem, perm: Perm):
         self.rs = rs
@@ -144,6 +150,8 @@ class WeylElement:
         self._len: Optional[int] = None
         self._rword: Optional[tuple[int, ...]] = None
         self._matrix: Optional[Matrix] = None
+        # w s_1, ..., w s_n, set by enumerate_group on pooled elements only
+        self._right: Optional[tuple[WeylElement, ...]] = None
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, WeylElement) and self.perm == other.perm)
@@ -194,6 +202,9 @@ def _make(rs: RootSystem, perm: Perm) -> WeylElement:
 
 
 def identity(rs: RootSystem) -> WeylElement:
+    pool = rs.cache.get("elements")
+    if pool is not None:
+        return next(iter(pool.values()))  # the pool starts at length 0
     return _make(rs, tuple(range(len(rs.roots))))
 
 
@@ -206,6 +217,8 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """s_i for a 1-based simple index: it changes only coordinate i of a
     root, b_i -> b_i - sum_j c_ij b_j."""
     _check_letter(rs, i)
+    if rs.cache.get("elements") is not None:
+        return identity(rs)._right[i - 1]
     return _make(rs, _simple(rs)[0][i - 1])
 
 
@@ -219,6 +232,16 @@ def reflection(rs: RootSystem, b: Sequence) -> WeylElement:
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
     return a * b
+
+
+def times_simple(w: WeylElement, i: int) -> WeylElement:
+    """w s_i for a 1-based simple index: the neighbour a pooled element
+    keeps, else one permutation product."""
+    _check_letter(w.rs, i)
+    right = w._right
+    if right is not None:
+        return right[i - 1]
+    return _make(w.rs, _simple(w.rs)[2][i - 1](w.perm))
 
 
 def _inverse_perm(perm: Perm) -> Perm:
@@ -332,7 +355,13 @@ def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
 
 
 def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
-    """The product s_{i_1}...s_{i_m}, composed on the permutations."""
+    """The product s_{i_1}...s_{i_m}: a walk over the neighbours in a
+    pooled group, else composed on the permutations."""
+    if rs.cache.get("elements") is not None:
+        w = identity(rs)
+        for i in word:
+            w = times_simple(w, i)
+        return w
     times = _simple(rs)[2]
     w = range(len(rs.roots))
     for i in word:
@@ -417,24 +446,34 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
 
     The first enumeration of a root system records its elements as the pool
     ``rs.cache["elements"]`` (perm -> element, in this order), and every
-    element of rs made afterwards is a pooled object."""
+    element of rs made afterwards is a pooled object.  The breadth-first
+    search forms every w s_i once, so it hands each element its right
+    neighbours as it goes."""
     order = weyl_order(rs.cartan_type)
     if order > cap:
         raise GroupTooLargeError(order, cap)
     pool = rs.cache.get("elements")
     if pool is not None:
         return list(pool.values())
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    times = _simple(rs)[2]
     layer = [identity(rs)]
-    seen = set(layer)
+    seen = {layer[0].perm: layer[0]}
     out = []
     depth = 0
     while layer:
+        nxt = []
         for w in layer:
             w._len = depth  # BFS depth over simple generators is the length
+            right = []
+            for g in times:
+                perm = g(w.perm)
+                x = seen.get(perm)
+                if x is None:
+                    x = seen[perm] = _make(rs, perm)
+                    nxt.append(x)
+                right.append(x)
+            w._right = tuple(right)
         out.extend(layer)
-        nxt = {w * s for w in layer for s in gens} - seen
-        seen |= nxt
         layer = sorted(nxt, key=lambda x: x.matrix)
         depth += 1
     if len(out) != order:

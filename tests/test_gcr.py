@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flagloci import gcr
+from flagloci import gcr, weyl
 from flagloci.bruhat import get_table
 from flagloci.gcr import (
     GcrPair,
@@ -27,6 +27,7 @@ from flagloci.rootsys import build_root_system, orthogonal
 from flagloci.weyl import (
     enumerate_group,
     from_word,
+    identity,
     length,
     longest_element,
     multiply,
@@ -35,6 +36,7 @@ from flagloci.weyl import (
     reduced_word,
     reflection,
     reflection_length,
+    simple_reflection,
 )
 
 S4_D2_PAIRS = {
@@ -246,6 +248,17 @@ def test_pair_copies_and_pickles():
     assert pickle.loads(pickle.dumps(p)) == p
 
 
+def test_pair_given_lists_equals_the_pair_given_tuples():
+    # the fields are stored as tuples, so the pair hashes and compares like
+    # the one built from tuples
+    rs = build_root_system("A2")
+    v, w = identity(rs), simple_reflection(rs, 1)
+    from_lists, from_tuples = GcrPair(v, w, [1], [1]), GcrPair(v, w, (1,), (1,))
+    assert from_lists.host_word == (1,) and from_lists.removed_positions == (1,)
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+
+
 def _rebuild(p: GcrPair, **changed) -> GcrPair:
     """A pair built by the constructor from p's fields, with ``changed``
     replacing some of them."""
@@ -368,3 +381,24 @@ def test_enumeration_builds_one_host_per_w(monkeypatch):
     assert [w for w, _ in walked] == get_table(rs).elements
     assert all(hosts == {reduced_word(w)} for w, hosts in walked)
     assert {reduced_word(w) for w, _ in walked} == {p.host_word for p in pairs}
+
+
+def test_walks_on_a_pooled_group_step_by_lookup(monkeypatch):
+    # once the group is enumerated, the removal walk and the subword walk
+    # step over the pooled neighbours: the enumeration builds no element,
+    # and each witness search builds only the inverse of its target
+    rs = build_root_system("B3")
+    get_table(rs)
+    made = []
+    real = weyl._make
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weyl, "_make", counting)
+    maximal = enumerate_gcr(rs).maximal_pairs()
+    assert made == []
+    assert len(maximal) == 48
+    assert all(is_gcr_cond6(p.v, p.w) for p in maximal)
+    assert len(made) == 48

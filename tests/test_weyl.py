@@ -43,6 +43,7 @@ from flagloci.weyl import (
     roots_of_word,
     simple_reflection,
     smallest_right_descent,
+    times_simple,
 )
 from flagloci.weyl import _reflection_perm
 
@@ -422,9 +423,45 @@ def test_enumerated_group_has_one_object_per_element(t):
             assert s * w is own(s * w)
 
 
+@pytest.mark.parametrize("t", ["A3", "B3", "G2xA1"])
+def test_pooled_elements_know_their_simple_neighbours(t):
+    rs = build_root_system(t)
+    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    for w in enumerate_group(rs):
+        for i, s in enumerate(gens, 1):
+            assert times_simple(w, i) is w * s
+            assert times_simple(times_simple(w, i), i) is w
+
+
+def test_times_simple_without_a_pool_is_the_product():
+    rs = build_root_system("E6")
+    rng = random.Random(26)
+    for _ in range(5):
+        w = from_word(rs, [rng.randint(1, 6) for _ in range(rng.randint(0, 20))])
+        for i in range(1, 7):
+            assert times_simple(w, i) == w * simple_reflection(rs, i)
+    assert "elements" not in rs.cache
+
+
+@pytest.mark.parametrize("t", ["B3", "E6"])
+def test_simple_index_out_of_range_is_refused(t):
+    # B3 is pooled and E6 is not; on a pooled element an index of 0 would
+    # otherwise read the last neighbour
+    rs = build_root_system(t)
+    if t == "B3":
+        enumerate_group(rs)
+    w = from_word(rs, (1, 2))
+    for i in (0, rs.rank + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            times_simple(w, i)
+        with pytest.raises(ValueError, match="out of range"):
+            from_word(rs, (i,))
+    assert ("elements" in rs.cache) == (t == "B3")
+
+
 def test_inverse_leaves_no_cyclic_garbage():
-    # elements hold no references to each other, so reference counting
-    # alone frees an inverted element
+    # elements outside a pool hold no references to each other, so
+    # reference counting alone frees an inverted element
     rs = build_root_system("A3")
     gc.collect()
     gc.disable()
