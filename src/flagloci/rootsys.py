@@ -272,6 +272,12 @@ class RootSystem:
                 return comp
         raise ValueError(i)
 
+    def __reduce__(self):
+        # a copy or an unpickled root system is rebuilt from its type, with
+        # an empty cache: the cache keys dicts on elements of this system,
+        # which cannot be hashed before their own state is restored
+        return RootSystem, (self.cartan_type,)
+
     def __repr__(self) -> str:
         return f"RootSystem({self.cartan_type})"
 

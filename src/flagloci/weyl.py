@@ -18,10 +18,11 @@ constructor goes through ``_make``, which returns the object recorded by
 reduced word and matrix are computed once per group element.  A pooled
 element also keeps its right neighbours w s_1, ..., w s_n, which the
 enumeration forms anyway, so ``times_simple`` steps by one lookup, with
-no permutation product and no pool lookup; ``identity``,
-``simple_reflection`` and ``from_word`` read the pool the same way.  A
-group that is never enumerated has no pool, and each product is a fresh
-object.
+no permutation product and no pool lookup; ``identity`` and
+``from_word`` read the pool the same way.  A group that is never
+enumerated has no pool, and each product is a fresh object.  An unpickled
+or deep-copied element is made again from its permutation on a root
+system rebuilt from its type, so it equals the original but is not pooled.
 
 The representation is private to this module: other modules see only the
 functions below, and they key dicts and sets on the elements themselves
@@ -159,6 +160,11 @@ class WeylElement:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # a copy or an unpickled element is made again from its permutation,
+        # so the neighbours of a pooled element are not walked depth-first
+        return _make, (self.rs, self.perm)
+
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise ValueError("elements of different groups")
@@ -217,8 +223,6 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """s_i for a 1-based simple index: it changes only coordinate i of a
     root, b_i -> b_i - sum_j c_ij b_j."""
     _check_letter(rs, i)
-    if rs.cache.get("elements") is not None:
-        return identity(rs)._right[i - 1]
     return _make(rs, _simple(rs)[0][i - 1])
 
 

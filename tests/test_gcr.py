@@ -248,6 +248,15 @@ def test_pair_copies_and_pickles():
     assert pickle.loads(pickle.dumps(p)) == p
 
 
+def test_pooled_pairs_copy_and_pickle():
+    # enumerate_gcr builds its pairs on a pooled group, whose root system
+    # caches dicts keyed on its elements
+    pairs = enumerate_gcr(build_root_system("D4")).pairs
+    assert pickle.loads(pickle.dumps(pairs)) == pairs
+    assert copy.deepcopy(pairs[-1]) == pairs[-1]
+    assert copy.copy(pairs[-1]) == pairs[-1]
+
+
 def test_pair_given_lists_equals_the_pair_given_tuples():
     # the fields are stored as tuples, so the pair hashes and compares like
     # the one built from tuples

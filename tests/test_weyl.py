@@ -2,7 +2,9 @@
 the integer-matrix view checked against matrix arithmetic."""
 
 import ast
+import copy
 import gc
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -477,6 +479,18 @@ def test_inverse_leaves_no_cyclic_garbage():
         gc.garbage.clear()
         gc.enable()
     assert leaked == []
+
+
+def test_pooled_elements_pickle_and_copy():
+    # a pooled element keeps its neighbours; pickling them as its state
+    # would walk F4's 1152 elements depth-first, past the recursion limit
+    rs = build_root_system("F4")
+    ws = enumerate_group(rs)
+    back = pickle.loads(pickle.dumps(ws))
+    assert back == ws
+    assert back[0].rs is not rs and "elements" not in back[0].rs.cache
+    assert all(copy.copy(w) is w for w in ws[:50])
+    assert copy.deepcopy(ws[-1]) == ws[-1]
 
 
 def _mat_mul(a, b):
