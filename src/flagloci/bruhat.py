@@ -105,7 +105,9 @@ def closure(covers_down: list[list[int]]) -> tuple[list[int], list[int]]:
 
 
 class BruhatTable:
-    """Reachability over the covering graph of a fully enumerated group."""
+    """Reachability over the covering graph of a fully enumerated group.
+    ``elements`` are in ``enumerate_group`` order, which is ``sort_key``
+    order, so sorting by table index sorts by ``sort_key``."""
 
     def __init__(self, rs: RootSystem, cap: int = 60000):
         self.rs = rs
@@ -170,12 +172,9 @@ def covers(v: WeylElement, w: WeylElement) -> bool:
 
 def covering_pairs(rs: RootSystem, cap: int = 60000) -> list[tuple[WeylElement, WeylElement]]:
     table = require_table(rs, cap)
-    out = []
-    for k, w in enumerate(table.elements):
-        for j in table.covers_down[k]:
-            out.append((table.elements[j], w))
-    out.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    return out
+    els = table.elements
+    pairs = sorted((j, k) for k, js in enumerate(table.covers_down) for j in js)
+    return [(els[j], els[k]) for j, k in pairs]
 
 
 def interval(
@@ -187,17 +186,11 @@ def interval(
     table = require_table(v.rs)
     if not table.leq(v, w):
         raise ValueError("lower element is not below upper element in Bruhat order")
-    idxs = table.interval_indices(v, w)
+    idxs = table.interval_indices(v, w)  # ascending
     inside = set(idxs)
-    elements = [table.elements[k] for k in idxs]
-    edges = []
-    for k in idxs:
-        for j in table.covers_down[k]:
-            if j in inside:
-                edges.append((table.elements[j], table.elements[k]))
-    elements.sort(key=lambda x: x.sort_key())
-    edges.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    return elements, edges
+    pairs = sorted((j, k) for k in idxs for j in table.covers_down[k] if j in inside)
+    els = table.elements
+    return [els[k] for k in idxs], [(els[j], els[k]) for j, k in pairs]
 
 
 Step = Callable[[int, WeylElement, list[int]], tuple[bool, bool]]

@@ -12,9 +12,8 @@ from .weyl import (
     WeylElement,
     is_right_descent,
     length,
-    multiply,
     reduced_word,
-    simple_reflection,
+    simple_times,
     smallest_left_descent,
 )
 
@@ -216,9 +215,8 @@ def r_polynomial_recurrence(v: WeylElement, w: WeylElement) -> LaurentFreePolyno
         if got is not None:
             return got
         i = smallest_left_descent(b)
-        s = simple_reflection(rs, i)
-        sb = multiply(s, b)
-        sa = multiply(s, a)
+        sb = simple_times(i, b)
+        sa = simple_times(i, a)
         if length(sa) < length(a):
             out = rec(sa, sb)
         else:

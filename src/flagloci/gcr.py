@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
-from .bruhat import interval, leq, require_table, walk_subwords
+from .bruhat import BruhatTable, interval, leq, require_table, walk_subwords
 from .rootsys import RootSystem, orthogonal, orthogonality_masks
 from .weyl import (
     WeylElement,
@@ -217,9 +217,6 @@ class GcrPair:
         betas = _host(self.w, self.host_word).betas
         return tuple(betas[p - 1] for p in self.removed_positions)
 
-    def key(self):
-        return (self.w.sort_key(), self.v.sort_key())
-
 
 class _Host:
     """A host word of w that passed the per-host checks of ``GcrPair``: it
@@ -283,7 +280,8 @@ def pair_encloses(outer: GcrPair, inner: GcrPair) -> bool:
 
 class GcrPoset:
     """All witnessed pairs of a finite group, ordered by interval enclosure;
-    ``pairs`` is a list of its own, in ``GcrPair.key`` order."""
+    ``pairs`` is a list of its own, ordered by w and then by v, each by
+    ``sort_key``."""
 
     def __init__(self, rs: RootSystem, pairs: Iterable[GcrPair]):
         self.rs = rs
@@ -326,23 +324,27 @@ def enumerate_gcr(rs: RootSystem, cap: int = 60000) -> GcrPoset:
     table = require_table(rs, cap)
     pairs = rs.cache.get("gcr_pairs")
     if pairs is None:
-        pairs = rs.cache["gcr_pairs"] = _search(table.elements)
+        pairs = rs.cache["gcr_pairs"] = _search(table)
     return GcrPoset(rs, pairs)
 
 
-def _search(elements: list[WeylElement]) -> tuple[GcrPair, ...]:
+def _search(table: BruhatTable) -> tuple[GcrPair, ...]:
     """The pairs of ``_removal_walk`` over every w of the enumerated group,
-    in ``GcrPair.key`` order.  Every v the walk reaches is already the
-    group's own element (an enumerated group keeps one object per
+    ordered by w and then by v, each by ``sort_key``: the table lists the
+    elements in that order, so the w come in order and each w's pairs are
+    sorted by the table index of v.  Every v the walk reaches is already
+    the group's own element (an enumerated group keeps one object per
     element).  The host word reduced_word(w) passes its checks and gives
     its inversion roots once per w (``_host``); each pair is built by the
     ``GcrPair`` constructor, whose lookup finds that host again and runs
     the per-pair checks alone."""
+    index = table.index
     pairs = []
-    for w in elements:
+    for w in table.elements:
         host = _host(w, reduced_word(w))
-        pairs.extend(GcrPair(v, w, host.word, pos) for v, pos in _removal_walk(host).items())
-    return tuple(sorted(pairs, key=lambda p: p.key()))
+        found = sorted(_removal_walk(host).items(), key=lambda item: index[item[0]])
+        pairs.extend(GcrPair(v, w, host.word, pos) for v, pos in found)
+    return tuple(pairs)
 
 
 def _subset_products(pair: GcrPair, x: WeylElement) -> dict[tuple[int, ...], WeylElement]:

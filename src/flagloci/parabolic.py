@@ -49,14 +49,18 @@ def _first_descent(w: WeylElement, js: tuple[int, ...]) -> Optional[int]:
     return None
 
 
+def _coset_rep(w: WeylElement, js: tuple[int, ...]) -> WeylElement:
+    """w^P for a normalized J: strip right descents inside J."""
+    while (j := _first_descent(w, js)) is not None:
+        w = times_simple(w, j)
+    return w
+
+
 def min_coset_rep(w: WeylElement, J: Iterable[int]) -> tuple[WeylElement, WeylElement]:
     """Factor w = w^P * w_P with w_P in the subgroup generated by J and w^P
     of minimal length in the coset (no right descent inside J)."""
-    js = _norm_j(w.rs, J)
-    cur = w
-    while (j := _first_descent(cur, js)) is not None:
-        cur = times_simple(cur, j)
-    return cur, multiply(inverse(cur), w)
+    top = _coset_rep(w, _norm_j(w.rs, J))
+    return top, multiply(inverse(top), w)
 
 
 def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:
@@ -65,17 +69,28 @@ def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:
 
 def levi_contains(rs: RootSystem, root: Sequence, J: Iterable[int]) -> bool:
     """Whether a (positive or negative) root lies in the subsystem spanned by J."""
-    js = set(_norm_j(rs, J))
-    supp = {i + 1 for i, c in enumerate(root) if c != 0}
-    return supp <= js
+    return _support(root) <= set(_norm_j(rs, J))
+
+
+def _support(root: Sequence) -> set[int]:
+    return {i + 1 for i, c in enumerate(root) if c != 0}
 
 
 def _p_masks(table: BruhatTable, J: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Down-set and up-set bitmasks of the parabolic order (reflexive
-    transitive closure of Bruhat covers that change J-coset)."""
+    transitive closure of Bruhat covers that change J-coset).
+
+    The coset of each element is named by the table index of x^J, placed
+    in one pass in table order: x^J = x when x has no right descent in J,
+    else x^J = (x s_j)^J for such a descent j, and x s_j is shorter, so it
+    is placed already."""
     cache = table.rs.cache.setdefault("p_masks", {})
     if J not in cache:
-        coset = [min_coset_rep(x, J)[0] for x in table.elements]
+        index = table.index
+        coset: list[int] = []
+        for k, x in enumerate(table.elements):
+            j = _first_descent(x, J)
+            coset.append(k if j is None else coset[index[times_simple(x, j)]])
         cache[J] = closure(
             [[j for j in js if coset[j] != coset[k]] for k, js in enumerate(table.covers_down)]
         )
@@ -83,9 +98,8 @@ def _p_masks(table: BruhatTable, J: tuple[int, ...]) -> tuple[list[int], list[in
 
 
 def p_bruhat_leq(v: WeylElement, w: WeylElement, J: Iterable[int]) -> bool:
-    js = _norm_j(v.rs, J)
     table = require_table(v.rs)
-    down, _ = _p_masks(table, js)
+    down, _ = _p_masks(table, _norm_j(v.rs, J))
     return bool(down[table.index[w]] >> table.index[v] & 1)
 
 
@@ -112,19 +126,24 @@ class PairClass:
 
 
 def canonicalize_pair(v: WeylElement, w: WeylElement, J: Iterable[int]) -> PairClass:
-    rs = v.rs
-    js = _norm_j(rs, J)
+    js = _norm_j(v.rs, J)
     if not p_bruhat_leq(v, w, js):
         raise ValueError("pair is not related in the parabolic order")
-    w_top, w_bot = min_coset_rep(w, js)
-    return PairClass(multiply(v, inverse(w_bot)), w_top, js)
+    return _canonical(v, w, js)
+
+
+def _canonical(v: WeylElement, w: WeylElement, js: tuple[int, ...]) -> PairClass:
+    """The class of (v, w) for a normalized J, without the comparability
+    check: w = w^P w_P, so v w_P^{-1} = v w^{-1} w^P."""
+    top = _coset_rep(w, js)
+    return PairClass(multiply(v, multiply(inverse(w), top)), top, js)
 
 
 def gcr_p(rs: RootSystem, J: Iterable[int], cap: int = 60000) -> list[GcrPair]:
     """Witnessed pairs whose upper element is a minimal coset representative."""
     js = _norm_j(rs, J)
     poset = enumerate_gcr(rs, cap)
-    return [p for p in poset.pairs if is_min_rep(p.w, js)]
+    return [p for p in poset.pairs if _first_descent(p.w, js) is None]
 
 
 def verify_p_interval(pair: GcrPair, J: Iterable[int]) -> bool:
@@ -149,15 +168,18 @@ def verify_classes_distinct(pair: GcrPair, J: Iterable[int]) -> bool:
     (A, B), so their classes need no count: a repeated one fails first."""
     rs = pair.w.rs
     js = _norm_j(rs, J)
-    w_inv = inverse(pair.w)
+    w_inv, levi = inverse(pair.w), set(js)
     for beta in pair.removed_roots:
-        if levi_contains(rs, act(w_inv, beta), js):
+        if _support(act(w_inv, beta)) <= levi:
             return False
+    table = require_table(rs)
+    index = table.index
+    down, _ = _p_masks(table, js)
     seen: set[PairClass] = set()
     for _, _, va, wb in sub_pairs(pair):
-        if not p_bruhat_leq(va, wb, js):
+        if not down[index[wb]] >> index[va] & 1:
             return False
-        cls = canonicalize_pair(va, wb, js)
+        cls = _canonical(va, wb, js)
         if cls in seen:
             return False
         seen.add(cls)

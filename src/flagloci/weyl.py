@@ -16,13 +16,17 @@ Once a group has been enumerated there is one object per element: every
 constructor goes through ``_make``, which returns the object recorded by
 ``enumerate_group`` in ``rs.cache["elements"]``, so an element's length,
 reduced word and matrix are computed once per group element.  A pooled
-element also keeps its right neighbours w s_1, ..., w s_n, which the
-enumeration forms anyway, so ``times_simple`` steps by one lookup, with
-no permutation product and no pool lookup; ``identity`` and
+element also keeps its right neighbours w s_1, ..., w s_n and its
+right-descent bitmask, which the enumeration forms anyway, and its
+inverse, which ``inverse`` links both ways on first use.  So on a pooled
+group ``times_simple``, ``inverse`` and the descent tests are lookups,
+with no permutation product and no pool lookup; a left step s_i w goes
+through ``simple_times`` as (w^{-1} s_i)^{-1}, and ``identity`` and
 ``from_word`` read the pool the same way.  A group that is never
-enumerated has no pool, and each product is a fresh object.  An unpickled
-or deep-copied element is made again from its permutation on a root
-system rebuilt from its type, so it equals the original but is not pooled.
+enumerated has no pool, and each product is a fresh object that holds no
+reference to another element.  An unpickled or deep-copied element is
+made again from its permutation on a root system rebuilt from its type,
+so it equals the original but is not pooled.
 
 The representation is private to this module: other modules see only the
 functions below, and they key dicts and sets on the elements themselves
@@ -45,6 +49,7 @@ __all__ = [
     "reflection",
     "multiply",
     "times_simple",
+    "simple_times",
     "inverse",
     "act",
     "length",
@@ -142,7 +147,7 @@ def _mat_vec(m: Matrix, v: Sequence) -> tuple:
 
 
 class WeylElement:
-    __slots__ = ("rs", "perm", "_hash", "_len", "_rword", "_matrix", "_right")
+    __slots__ = ("rs", "perm", "_hash", "_len", "_rword", "_matrix", "_right", "_desc", "_inv")
 
     def __init__(self, rs: RootSystem, perm: Perm):
         self.rs = rs
@@ -151,8 +156,12 @@ class WeylElement:
         self._len: Optional[int] = None
         self._rword: Optional[tuple[int, ...]] = None
         self._matrix: Optional[Matrix] = None
-        # w s_1, ..., w s_n, set by enumerate_group on pooled elements only
+        # set on pooled elements only: w s_1, ..., w s_n and the mask of the
+        # right descents (bit i - 1 for s_i) by enumerate_group, the inverse
+        # by inverse on first use
         self._right: Optional[tuple[WeylElement, ...]] = None
+        self._desc: Optional[int] = None
+        self._inv: Optional[WeylElement] = None
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, WeylElement) and self.perm == other.perm)
@@ -248,6 +257,16 @@ def times_simple(w: WeylElement, i: int) -> WeylElement:
     return _make(w.rs, _simple(w.rs)[2][i - 1](w.perm))
 
 
+def simple_times(i: int, w: WeylElement) -> WeylElement:
+    """s_i w for a 1-based simple index: (w^{-1} s_i)^{-1} on a pooled
+    element, whose inverse and neighbours are lookups, else one
+    permutation product."""
+    if w._right is not None:
+        return inverse(times_simple(inverse(w), i))
+    _check_letter(w.rs, i)
+    return _make(w.rs, itemgetter(*w.perm)(_simple(w.rs)[0][i - 1]))
+
+
 def _inverse_perm(perm: Perm) -> Perm:
     inv = [0] * len(perm)
     for k, j in enumerate(perm):
@@ -256,7 +275,14 @@ def _inverse_perm(perm: Perm) -> Perm:
 
 
 def inverse(a: WeylElement) -> WeylElement:
-    return _make(a.rs, _inverse_perm(a.perm))
+    """a^{-1}: a pooled element links it both ways on first use, and an
+    element outside a pool stays free of references to other elements."""
+    inv = a._inv
+    if inv is None:
+        inv = _make(a.rs, _inverse_perm(a.perm))
+        if a._right is not None:
+            a._inv, inv._inv = inv, a
+    return inv
 
 
 def act(a: WeylElement, v: Sequence) -> tuple:
@@ -288,6 +314,9 @@ def _scan_simple_images(rs: RootSystem, perm: Perm, negative: bool = True) -> It
 
 
 def right_descents(w: WeylElement) -> list[int]:
+    desc = w._desc
+    if desc is not None:
+        return [i for i in range(1, w.rs.rank + 1) if desc >> (i - 1) & 1]
     return list(_scan_simple_images(w.rs, w.perm))
 
 
@@ -295,10 +324,16 @@ def is_right_descent(w: WeylElement, i: int) -> bool:
     """Whether s_i is a right descent of w (w sends a_i to a negative root):
     one lookup, where ``i in right_descents(w)`` scans every simple root."""
     _check_letter(w.rs, i)
+    desc = w._desc
+    if desc is not None:
+        return bool(desc >> (i - 1) & 1)
     return w.perm[_simple(w.rs)[1][i - 1]] >= len(w.perm) // 2
 
 
 def smallest_right_descent(w: WeylElement) -> Optional[int]:
+    desc = w._desc
+    if desc is not None:
+        return (desc & -desc).bit_length() or None
     return next(_scan_simple_images(w.rs, w.perm), None)
 
 
@@ -364,7 +399,8 @@ def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     if rs.cache.get("elements") is not None:
         w = identity(rs)
         for i in word:
-            w = times_simple(w, i)
+            _check_letter(rs, i)
+            w = w._right[i - 1]
         return w
     times = _simple(rs)[2]
     w = range(len(rs.roots))
@@ -452,7 +488,8 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
     ``rs.cache["elements"]`` (perm -> element, in this order), and every
     element of rs made afterwards is a pooled object.  The breadth-first
     search forms every w s_i once, so it hands each element its right
-    neighbours as it goes."""
+    neighbours and its right descents (the s_i with w s_i found one layer
+    down) as it goes."""
     order = weyl_order(rs.cartan_type)
     if order > cap:
         raise GroupTooLargeError(order, cap)
@@ -460,6 +497,7 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
     if pool is not None:
         return list(pool.values())
     times = _simple(rs)[2]
+    bits = [1 << i for i in range(rs.rank)]
     layer = [identity(rs)]
     seen = {layer[0].perm: layer[0]}
     out = []
@@ -469,14 +507,18 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
         for w in layer:
             w._len = depth  # BFS depth over simple generators is the length
             right = []
-            for g in times:
+            desc = 0
+            for bit, g in zip(bits, times):
                 perm = g(w.perm)
                 x = seen.get(perm)
                 if x is None:
                     x = seen[perm] = _make(rs, perm)
                     nxt.append(x)
+                elif x._len == depth - 1:
+                    desc |= bit
                 right.append(x)
             w._right = tuple(right)
+            w._desc = desc
         out.extend(layer)
         layer = sorted(nxt, key=lambda x: x.matrix)
         depth += 1

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from flagloci import gcr, weyl
-from flagloci.bruhat import get_table
+from flagloci.bruhat import covering_pairs, get_table, interval
 from flagloci.gcr import (
     GcrPair,
     enumerate_gcr,
@@ -28,6 +28,7 @@ from flagloci.weyl import (
     enumerate_group,
     from_word,
     identity,
+    inverse,
     length,
     longest_element,
     multiply,
@@ -392,10 +393,28 @@ def test_enumeration_builds_one_host_per_w(monkeypatch):
     assert {reduced_word(w) for w, _ in walked} == {p.host_word for p in pairs}
 
 
+@pytest.mark.parametrize("t", ["A3", "B3", "G2xA1"])
+def test_pairs_and_intervals_come_in_sort_key_order(t):
+    # the enumeration and interval sort by table index, which is sort_key
+    # order
+    rs = build_root_system(t)
+    pairs = enumerate_gcr(rs).pairs
+    keys = [(p.w.sort_key(), p.v.sort_key()) for p in pairs]
+    assert keys == sorted(set(keys))
+    pair_key = lambda e: (e[0].sort_key(), e[1].sort_key())
+    for p in pairs:
+        elements, edges = interval(p.v, p.w)
+        assert elements == sorted(elements, key=lambda x: x.sort_key())
+        assert edges == sorted(edges, key=pair_key)
+    covers = covering_pairs(rs)
+    assert covers == sorted(covers, key=pair_key)
+
+
 def test_walks_on_a_pooled_group_step_by_lookup(monkeypatch):
     # once the group is enumerated, the removal walk and the subword walk
     # step over the pooled neighbours: the enumeration builds no element,
-    # and each witness search builds only the inverse of its target
+    # and the witness searches look up the inverse of each target once, as
+    # a pooled element keeps its inverse (and is its inverse's inverse)
     rs = build_root_system("B3")
     get_table(rs)
     made = []
@@ -410,4 +429,5 @@ def test_walks_on_a_pooled_group_step_by_lookup(monkeypatch):
     assert made == []
     assert len(maximal) == 48
     assert all(is_gcr_cond6(p.v, p.w) for p in maximal)
-    assert len(made) == 48
+    targets = {frozenset((p.v, inverse(p.v))) for p in maximal}
+    assert len(made) == len(targets) == 26

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from flagloci import gcr
-from flagloci.bruhat import covering_pairs, get_table
+from flagloci.bruhat import closure, covering_pairs, get_table
 from flagloci.parabolic import (
     canonicalize_pair,
     gcr_p,
@@ -17,6 +17,7 @@ from flagloci.parabolic import (
     verify_classes_distinct,
     verify_p_interval,
 )
+from flagloci.parabolic import _p_masks
 from flagloci.rootsys import build_root_system
 from flagloci.weyl import (
     enumerate_group,
@@ -91,6 +92,18 @@ def test_p_leq_matches_closure_oracle():
                 for w in els:
                     expected = pos[w.matrix] in reach[pos[v.matrix]]
                     assert p_bruhat_leq(v, w, J) == expected
+
+
+@pytest.mark.parametrize("t", ["A3", "B3"])
+def test_p_masks_match_min_coset_rep(t):
+    # the one-pass placement of the coset representatives gives the masks
+    # that min_coset_rep's descent stripping gives
+    rs = build_root_system(t)
+    table = get_table(rs)
+    for J in all_subsets(rs.rank):
+        coset = [min_coset_rep(x, J)[0] for x in table.elements]
+        covers = [[j for j in js if coset[j] != coset[k]] for k, js in enumerate(table.covers_down)]
+        assert _p_masks(table, J) == closure(covers)
 
 
 def test_p_leq_empty_j_is_bruhat():

@@ -44,6 +44,8 @@ from flagloci.weyl import (
     right_descents,
     roots_of_word,
     simple_reflection,
+    simple_times,
+    smallest_left_descent,
     smallest_right_descent,
     times_simple,
 )
@@ -349,15 +351,16 @@ def test_simple_reflection_as_transposition():
 
 
 def test_matrix_is_private_to_weyl():
-    # only weyl.py may read an element's permutation or matrix, or import
-    # weyl's private names
+    # only weyl.py may read an element's permutation, matrix or private
+    # slots, or import weyl's private names
     src = Path(__file__).resolve().parents[1] / "src" / "flagloci"
+    private = ("matrix", "perm", "_right", "_inv", "_desc", "_len", "_rword")
     offences = []
     for path in sorted(src.glob("*.py")):
         if path.name == "weyl.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in ("matrix", "perm"):
+            if isinstance(node, ast.Attribute) and node.attr in private:
                 offences.append(f"{path.name}:{node.lineno} reads .{node.attr}")
             if (
                 isinstance(node, ast.ImportFrom)
@@ -435,6 +438,50 @@ def test_pooled_elements_know_their_simple_neighbours(t):
             assert times_simple(times_simple(w, i), i) is w
 
 
+@pytest.mark.parametrize("t", ["A3", "B3", "G2xA1"])
+def test_pooled_lookups_match_an_unpooled_group(t):
+    # the facts a pooled element keeps (inverse, descents, neighbours)
+    # answer as the permutation products of a group without a pool do
+    pooled, fresh = build_root_system(t), build_root_system(t)
+    els = enumerate_group(pooled)
+    assert "elements" not in fresh.cache
+    n = pooled.rank
+    for w in els:
+        word = reduced_word(w)
+        u = from_word(fresh, word)
+        assert from_word(pooled, word) is w and u._right is None
+        assert inverse(inverse(w)) is w
+        assert inverse(w).perm == inverse(u).perm
+        assert right_descents(w) == right_descents(u)
+        assert smallest_right_descent(w) == smallest_right_descent(u)
+        assert left_descents(w) == left_descents(u)
+        assert smallest_left_descent(w) == smallest_left_descent(u)
+        for i in range(1, n + 1):
+            assert is_right_descent(w, i) == is_right_descent(u, i)
+            assert simple_times(i, w).perm == simple_times(i, u).perm
+            assert from_word(pooled, word + (i,)).perm == from_word(fresh, word + (i,)).perm
+        for i in (0, n + 1):
+            for x in (w, u):
+                with pytest.raises(ValueError, match="out of range"):
+                    simple_times(i, x)
+                with pytest.raises(ValueError, match="out of range"):
+                    is_right_descent(x, i)
+    assert "elements" not in fresh.cache
+
+
+def test_simple_times_without_a_pool_is_the_product():
+    rs = build_root_system("E6")
+    rng = random.Random(27)
+    for _ in range(5):
+        w = from_word(rs, [rng.randint(1, 6) for _ in range(rng.randint(0, 20))])
+        for i in range(1, 7):
+            assert simple_times(i, w) == simple_reflection(rs, i) * w
+        for i in (0, 7):
+            with pytest.raises(ValueError, match="out of range"):
+                simple_times(i, w)
+    assert "elements" not in rs.cache
+
+
 def test_times_simple_without_a_pool_is_the_product():
     rs = build_root_system("E6")
     rng = random.Random(26)
@@ -482,10 +529,12 @@ def test_inverse_leaves_no_cyclic_garbage():
 
 
 def test_pooled_elements_pickle_and_copy():
-    # a pooled element keeps its neighbours; pickling them as its state
-    # would walk F4's 1152 elements depth-first, past the recursion limit
+    # a pooled element keeps its neighbours and its inverse; pickling them
+    # as its state would walk F4's 1152 elements depth-first, past the
+    # recursion limit
     rs = build_root_system("F4")
     ws = enumerate_group(rs)
+    assert all(inverse(inverse(w)) is w for w in ws)
     back = pickle.loads(pickle.dumps(ws))
     assert back == ws
     assert back[0].rs is not rs and "elements" not in back[0].rs.cache
