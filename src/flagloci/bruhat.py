@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional, Sequence
 
-from .rootsys import RootSystem, weyl_order
+from .rootsys import RootSystem, simple_lowering, weyl_order
 from .weyl import (
     GroupTooLargeError,
     WeylElement,
@@ -52,7 +52,7 @@ from .weyl import (
     is_type_a,
     length,
     leq_by_descents,
-    reflection,
+    simple_reflection,
     times_simple,
 )
 
@@ -107,22 +107,35 @@ def closure(covers_down: list[list[int]]) -> tuple[list[int], list[int]]:
 class BruhatTable:
     """Reachability over the covering graph of a fully enumerated group.
     ``elements`` are in ``enumerate_group`` order, which is ``sort_key``
-    order, so sorting by table index sorts by ``sort_key``."""
+    order, so sorting by table index sorts by ``sort_key``.
+
+    w covers t w for each reflection t with l(t w) = l(w) - 1.  The left
+    products by reflections are formed on table indices: s_i w is one
+    permutation product per simple i and element, and for any other
+    positive root b, with s_i and b' = s_i b from ``simple_lowering``,
+    t_b = s_i t_{b'} s_i gives the index of t_b w as S_i[L_{b'}[S_i[k]]]."""
 
     def __init__(self, rs: RootSystem, cap: int = 60000):
         self.rs = rs
         self.elements = enumerate_group(rs, cap)
-        self.index = {w: k for k, w in enumerate(self.elements)}
+        self.index = index = {w: k for k, w in enumerate(self.elements)}
         n = len(self.elements)
-        refls = [reflection(rs, b) for b in rs.positive_roots]
+        lengths = [length(w) for w in self.elements]
         # covers_down[k] = indices of elements covered by element k
         self.covers_down: list[list[int]] = [[] for _ in range(n)]
-        for k, w in enumerate(self.elements):
-            lw = length(w)
-            for t in refls:
-                tw = t * w
-                if length(tw) == lw - 1:
-                    self.covers_down[k].append(self.index[tw])
+        left: dict[tuple, tuple[int, ...]] = {}  # b -> (index of t_b w_k)_k
+        for b in rs.positive_roots:
+            if sum(b) == 1:
+                s = simple_reflection(rs, b.index(1) + 1)
+                lb = tuple(index[s * w] for w in self.elements)
+            else:
+                i, lower = simple_lowering(rs, b)
+                si, lo = left[rs.simple_root(i)], left[lower]
+                lb = tuple([si[lo[j]] for j in si])
+            left[b] = lb
+            for k, j in enumerate(lb):
+                if lengths[j] == lengths[k] - 1:
+                    self.covers_down[k].append(j)
         for lst in self.covers_down:
             lst.sort()
         self.down, self.up = closure(self.covers_down)

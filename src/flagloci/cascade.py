@@ -7,7 +7,10 @@ E-sets partition the positive roots, |E| = 2 h-dual - 3).
 The forest is built once per root system and memoized in its cache
 (``rs.cache["cascade"]``); every ``build_cascade`` call wraps it in a fresh
 ``Cascade``.  Only the forest is kept, which holds root tuples and no
-reference back to the root system, so the memo adds no cycle."""
+reference back to the root system, so the memo adds no cycle.  A node
+pairs the roots of its support subsystem with gamma in one pass, reading
+the form image of gamma once, and its E-set (pairing > 0) and descendants
+(pairing = 0) share that pass."""
 
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from .rootsys import (
     is_positive_root,
     nonorthogonal_components,
     pairing,
+    pairings_with,
     strongly_orthogonal,
 )
 from .weyl import (
@@ -69,12 +73,13 @@ def support_subsystem(rs: RootSystem, beta) -> tuple[tuple[int, ...], list[tuple
     return tuple(i + 1 for i, c in enumerate(beta) if c), roots
 
 
-def _descendants(rs: RootSystem, gamma: tuple, sub: list[tuple]) -> list[tuple]:
-    """``descendants`` given the support subsystem ``sub`` of gamma."""
+def _descendants(rs: RootSystem, gamma: tuple, sub: list[tuple], values: list) -> list[tuple]:
+    """``descendants`` given the support subsystem ``sub`` of gamma and the
+    pairings ``values[k] = (sub[k], gamma)``."""
     h = rs.height(gamma)
     if any(rs.height(d) >= h for d in sub if d != gamma):
         raise ValueError(f"{gamma} is not the highest root of its support subsystem")
-    orth = [d for d in sub if pairing(rs, d, gamma) == 0]
+    orth = [d for d, p in zip(sub, values) if p == 0]
     comps = nonorthogonal_components(rs, orth)
     tops = [max(c, key=lambda r: (rs.height(r), r)) for c in comps]
     tops.sort(key=lambda r: (-rs.height(r), r))
@@ -85,7 +90,8 @@ def descendants(rs: RootSystem, gamma) -> list[tuple]:
     """Highest roots of the components of the part of the support subsystem
     orthogonal to gamma."""
     gamma = tuple(gamma)
-    return _descendants(rs, gamma, support_subsystem(rs, gamma)[1])
+    sub = support_subsystem(rs, gamma)[1]
+    return _descendants(rs, gamma, sub, pairings_with(rs, sub, gamma))
 
 
 class CascadeNode:
@@ -117,18 +123,20 @@ class Cascade:
         return tuple(node.gamma for node in iter_nodes(self))
 
 
-def _e_set(rs: RootSystem, gamma: tuple, sub: list[tuple]) -> tuple[tuple, ...]:
-    es = [m for m in sub if pairing(rs, m, gamma) > 0]
+def _e_set(rs: RootSystem, sub: list[tuple], values: list) -> tuple[tuple, ...]:
+    """The roots of ``sub`` with ``values[k] = (sub[k], gamma) > 0``."""
+    es = [m for m, p in zip(sub, values) if p > 0]
     es.sort(key=lambda r: (rs.height(r), r))
     return tuple(es)
 
 
 def _match_pairs(rs: RootSystem, gamma: tuple, e_set) -> tuple:
-    rest = [m for m in e_set if m != gamma]
+    rest = set(e_set)
+    rest.discard(gamma)
     seen = set()
     out = []
-    for m in rest:
-        if m in seen:
+    for m in e_set:
+        if m == gamma or m in seen:
             continue
         partner = tuple(g - c for g, c in zip(gamma, m))
         if partner not in rest or partner == m:
@@ -143,9 +151,10 @@ def _match_pairs(rs: RootSystem, gamma: tuple, e_set) -> tuple:
 
 def _build_node(rs: RootSystem, gamma: tuple) -> CascadeNode:
     supp, sub = support_subsystem(rs, gamma)
-    e_set = _e_set(rs, gamma, sub)
+    values = pairings_with(rs, sub, gamma)  # the one pairing pass of the node
+    e_set = _e_set(rs, sub, values)
     pairs = _match_pairs(rs, gamma, e_set)
-    children = tuple(_build_node(rs, d) for d in _descendants(rs, gamma, sub))
+    children = tuple(_build_node(rs, d) for d in _descendants(rs, gamma, sub, values))
     return CascadeNode(gamma, supp, e_set, pairs, children)
 
 
@@ -211,12 +220,11 @@ def verify_kostant(rs: RootSystem, c: Cascade) -> dict:
             raise KostantCheckError(
                 f"|E({node.gamma})| = {len(node.E_set)} but 2h-3 = {2 * h - 3}"
             )
-        for m in node.E_set:
+        den = pairing(rs, node.gamma, node.gamma)
+        for m, p in zip(node.E_set, pairings_with(rs, node.E_set, node.gamma)):
             if m == node.gamma:
                 continue
-            num = 2 * pairing(rs, node.gamma, m)
-            den = pairing(rs, node.gamma, node.gamma)
-            if num != den:
+            if 2 * p != den:
                 raise KostantCheckError(
                     f"2(gamma,mu)/|gamma|^2 != 1 for gamma={node.gamma}, mu={m}"
                 )

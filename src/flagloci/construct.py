@@ -19,6 +19,7 @@ from .rootsys import (
     is_positive_root,
     nonorthogonal_components,
     pairing,
+    pairings_with,
     reflect,
 )
 from .weyl import (
@@ -57,7 +58,8 @@ def _require_simple(rs: RootSystem) -> tuple[str, int]:
 
 
 def _e_of_theta(rs: RootSystem, theta) -> set:
-    return {m for m in rs.positive_roots if pairing(rs, m, theta) > 0}
+    pos = rs.positive_roots
+    return {m for m, p in zip(pos, pairings_with(rs, pos, theta)) if p > 0}
 
 
 def build_u_for_theta(rs: RootSystem) -> tuple[int, ...]:
@@ -135,12 +137,16 @@ class Subsystem:
 
 
 def _indecomposables(rs: RootSystem, pos: list[tuple]) -> list[tuple]:
+    """The roots of ``pos`` that are not a sum of two of its roots, for
+    ``pos`` the positive roots of a closed subsystem in increasing height.
+    The indecomposables are the simple roots of the subsystem, a positive
+    root that is not simple is a simple root plus a positive root, and a
+    sum is higher than its terms, so each root is tested against the
+    indecomposables found before it only."""
     pos_set = set(pos)
-    out = []
+    out: list[tuple] = []
     for b in pos:
-        if not any(
-            a != b and tuple(x - y for x, y in zip(b, a)) in pos_set for a in pos
-        ):
+        if not any(tuple(x - y for x, y in zip(b, a)) in pos_set for a in out):
             out.append(b)
     return out
 
@@ -151,7 +157,8 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement, theta) -> Subsystem:
     cascade correspondence."""
     _require_simple(rs)
     fixed = act(inverse(u), theta)
-    pos = [b for b in rs.positive_roots if pairing(rs, b, fixed) == 0]
+    roots = rs.positive_roots
+    pos = [b for b, p in zip(roots, pairings_with(rs, roots, fixed)) if not p]
     if not pos:
         return Subsystem(rs, fixed, (), None)
     comps = nonorthogonal_components(rs, _indecomposables(rs, pos))
@@ -161,8 +168,9 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement, theta) -> Subsystem:
         m = len(comp)
         cm = [[0] * m for _ in range(m)]
         for i in range(m):
+            row = pairings_with(rs, comp, comp[i])  # (comp[j], comp[i]) = (comp[i], comp[j])
             for j in range(m):
-                val = Fraction(2 * pairing(rs, comp[i], comp[j]), pairing(rs, comp[i], comp[i]))
+                val = Fraction(2 * row[j], row[i])
                 if val.denominator != 1:
                     raise ConstructError("non-integral Cartan entry in the subsystem")
                 cm[i][j] = int(val)

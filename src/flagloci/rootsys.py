@@ -8,6 +8,17 @@ are ints, form values are ints, general vectors may carry Fractions.
 
 Simple roots are labeled 1..n following the Bourbaki numbering, components
 of semisimple types in sorted order ("G2xB2" and "B2xG2" agree).
+
+The enumeration of the positive roots carries each root's coroot pairings
+<b, a_i^v> = sum_j c_ij b_j, as p(b + a_i) = p(b) + column i of the Cartan
+matrix, and keeps them in ``RootSystem.coroot_pairings``.  They are the one
+source of what is derived from a root's pairings: its form image
+F b = (d_i <b, a_i^v>)_i (``_form_image``), its simple reflections
+s_i b = b - <b, a_i^v> a_i (``weyl``) and the step ``simple_lowering`` to a
+root of lower height.  What other modules derive from the roots (form
+images, reflection permutations, masks, the cascade forest, the longest
+element's permutation) is built on first use and kept in
+``RootSystem.cache``.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 __all__ = [
@@ -23,6 +34,8 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "pairing",
+    "pairings_with",
+    "simple_lowering",
     "reflect",
     "is_root",
     "add_roots",
@@ -201,7 +214,8 @@ class RootSystem:
                 if form[i][j] != form[j][i]:
                     raise ValueError("symmetrizers do not symmetrize the Cartan matrix")
         self.form = tuple(tuple(row) for row in form)
-        self.positive_roots = self._enumerate_positive()
+        # coroot_pairings[k][i] = <b, a_{i+1}^v> for positive root b = k
+        self.positive_roots, self.coroot_pairings = self._enumerate_positive()
         # all 2N roots, positives first: root k + N is -(root k)
         self.roots = self.positive_roots + tuple(
             tuple(-c for c in b) for b in self.positive_roots
@@ -211,10 +225,11 @@ class RootSystem:
         # element pool "elements" of an enumerated group, witnessed pairs,
         # the "gcr_hosts" checked host words of pairs under (w, word),
         # parabolic masks, R-polynomials, reflection permutations, one per
-        # positive root, the "form_images" F y of roots read by pairing,
-        # orthogonality masks, the "highest_roots", the cascade forest and
-        # the cascade's "support_masks"), one entry per name, living as long
-        # as the root system
+        # positive root, the permutation of the "longest" element, the
+        # "form_images" F y of roots read by pairing, orthogonality masks,
+        # the "highest_roots", the cascade forest and the cascade's
+        # "support_masks"), one entry per name, living as long as the root
+        # system
         self.cache: dict = {}
         expected = sum(
             _POSITIVE_COUNT[letter](r) for letter, r in cartan_type.components
@@ -224,37 +239,43 @@ class RootSystem:
                 f"positive root count {len(self.positive_roots)} != classical {expected}"
             )
 
-    def _enumerate_positive(self) -> tuple[Coords, ...]:
+    def _enumerate_positive(self) -> tuple[tuple[Coords, ...], tuple[tuple[int, ...], ...]]:
         # closure from the simple roots, level by level in height, using the
         # root-string condition: b + a_i is a root iff p - <b, a_i^v> > 0
         # where p = max k with b - k*a_i a root.
         # The string below b is probed only as far as the condition needs.
+        # Each root's pairings (<b, a_i^v>)_i come along: a_i has column i of
+        # the Cartan matrix, and b + a_i has b's pairings plus that column.
         n = self.rank
-        rows = [[(j, c) for j, c in enumerate(row) if c] for row in self.cartan]
+        cols = tuple(zip(*self.cartan))
         simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        found = set(simple)
+        found = dict(zip(simple, cols))  # root -> its coroot pairings
         levels: list[list[Coords]] = [sorted(simple)]
         while True:
-            nxt = set()
+            nxt: dict = {}
             for b in levels[-1]:
-                for i, row in enumerate(rows):
-                    room = -sum(c * b[j] for j, c in row)  # p - <b, a_i^v> at p = 0
-                    probe = list(b)
-                    while room <= 0:
-                        probe[i] -= 1
-                        if tuple(probe) not in found:
-                            break
-                        room += 1
+                pb = found[b]
+                for i, col in enumerate(cols):
+                    room = -pb[i]  # p - <b, a_i^v> at p = 0
+                    if room <= 0 and b[i]:  # else b - a_i is no root
+                        probe = list(b)
+                        while room <= 0:
+                            probe[i] -= 1
+                            if tuple(probe) not in found:
+                                break
+                            room += 1
                     if room > 0:
-                        nxt.add(b[:i] + (b[i] + 1,) + b[i + 1 :])
+                        up = b[:i] + (b[i] + 1,) + b[i + 1 :]
+                        if up not in nxt:
+                            nxt[up] = tuple(map(add, pb, col))
             if not nxt:
                 break
-            found |= nxt
+            found.update(nxt)
             levels.append(sorted(nxt))
         out: list[Coords] = []
         for level in levels:
             out.extend(level)
-        return tuple(out)
+        return tuple(out), tuple(found[b] for b in out)
 
     def simple_root(self, i: int) -> Coords:
         """Simple root a_i, 1-based index."""
@@ -290,9 +311,11 @@ def build_root_system(t: CartanType | str) -> RootSystem:
 
 def _form_image(rs: RootSystem, y: Sequence) -> tuple:
     """The vector F y, with F the symmetrized Cartan matrix ``rs.form``, so
-    (x, y) = sum_i x_i (F y)_i.  The image of a root is computed once and
-    kept in ``rs.cache["form_images"]`` under the root's tuple (at most 2N
-    entries); any other vector is computed afresh and not kept."""
+    (x, y) = sum_i x_i (F y)_i.  The image of a root b is
+    (d_i <b, a_i^v>)_i, read off its carried pairings (negated for a
+    negative root) once and kept in ``rs.cache["form_images"]`` under the
+    root's tuple (at most 2N entries, int entries); any other vector is
+    computed afresh and not kept."""
     images = rs.cache.get("form_images")
     if images is None:
         images = rs.cache["form_images"] = {}
@@ -300,11 +323,13 @@ def _form_image(rs: RootSystem, y: Sequence) -> tuple:
     fy = images.get(key)
     if fy is None:
         k = rs.root_index.get(key)
-        if k is not None:  # store under the root itself, with int entries
-            key = rs.roots[k]
-        fy = tuple(sum(map(mul, row, key)) for row in rs.form)
-        if k is not None:
-            images[key] = fy
+        if k is None:
+            return tuple(sum(map(mul, row, key)) for row in rs.form)
+        n_pos = len(rs.positive_roots)
+        sign = 1 if k < n_pos else -1
+        fy = images[rs.roots[k]] = tuple(
+            sign * d * p for d, p in zip(rs.symmetrizers, rs.coroot_pairings[k % n_pos])
+        )
     return fy
 
 
@@ -315,6 +340,22 @@ def pairing(rs: RootSystem, x: Sequence, y: Sequence):
     if len(x) != n or len(y) != n:
         raise ValueError("vector length does not match rank")
     return sum(map(mul, x, _form_image(rs, y)))
+
+
+def pairings_with(rs: RootSystem, xs: Sequence, y: Sequence) -> list:
+    """[(x, y) for x in xs], reading the form image of y once: the loop for
+    one fixed vector against many."""
+    fy = _form_image(rs, y)
+    return [sum(map(mul, x, fy)) for x in xs]
+
+
+def simple_lowering(rs: RootSystem, b: Coords) -> tuple[int, Coords]:
+    """For a positive root b of height > 1: the smallest 1-based i with
+    <b, a_i^v> > 0, and s_i b = b - <b, a_i^v> a_i, a positive root of lower
+    height.  Such an i exists, as 0 < (b, b) = sum_i b_i (b, a_i)."""
+    p = rs.coroot_pairings[rs.root_index[b]]
+    i = next(i for i, c in enumerate(p) if c > 0 and b[i])
+    return i + 1, b[:i] + (b[i] - p[i],) + b[i + 1 :]
 
 
 def reflect(rs: RootSystem, b: Coords, x: Sequence) -> tuple:
@@ -357,10 +398,8 @@ def orthogonality_masks(rs: RootSystem) -> tuple[int, ...]:
     masks = rs.cache.get("orthogonality_masks")
     if masks is None:
         pos = rs.positive_roots
-        forms = [_form_image(rs, b) for b in pos]
         masks = rs.cache["orthogonality_masks"] = tuple(
-            sum(1 << j for j, g in enumerate(pos) if not sum(x * c for x, c in zip(fb, g)))
-            for fb in forms
+            sum(1 << j for j, p in enumerate(pairings_with(rs, pos, b)) if not p) for b in pos
         )
     return masks
 
@@ -385,8 +424,8 @@ def nonorthogonal_components(rs: RootSystem, roots: Sequence) -> list[list[tuple
             x = stack.pop()
             comp.append(x)
             still = []
-            for y in remaining:
-                if pairing(rs, x, y) != 0:
+            for y, p in zip(remaining, pairings_with(rs, remaining, x)):
+                if p != 0:
                     stack.append(y)
                 else:
                     still.append(y)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .rootsys import RootSystem, is_root, weyl_order
+from .rootsys import RootSystem, is_root, simple_lowering, weyl_order
 
 __all__ = [
     "WeylElement",
@@ -93,11 +93,13 @@ def _reflection_perm(rs: RootSystem, b: tuple) -> Perm:
     root system's cache.
 
     A simple reflection s_i changes only coordinate i of a root,
-    r_i -> r_i - sum_j c_ij r_j, and sends -r to the negative of the image
-    of r.  Any other positive root b has a simple i with <b, a_i^v> > 0, so
-    s_i b is a positive root of lower height, and s_b = s_i s_{s_i b} s_i
-    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.2) is composed
-    on the permutations, with no form arithmetic."""
+    r -> r - <r, a_i^v> a_i, read off the pairings the root enumeration
+    carries (a root with <r, a_i^v> = 0 is fixed, and no tuple is built for
+    it), and sends -r to the negative of the image of r.  Any other positive
+    root b is s_i b' for the root b' = s_i b of lower height that
+    ``simple_lowering`` picks, and s_b = s_i s_{b'} s_i (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.2) is composed on the
+    permutations, with no form arithmetic."""
     perms = rs.cache.setdefault("reflections", {})
     n_pos = len(rs.positive_roots)
     k = rs.root_index[b]
@@ -106,21 +108,18 @@ def _reflection_perm(rs: RootSystem, b: tuple) -> Perm:
     perm = perms.get(b)
     if perm is not None:
         return perm
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in rs.cartan]
     if sum(b) == 1:
         i = b.index(1)
         index = rs.root_index
         images = [
-            index[r[:i] + (r[i] - sum(c * r[j] for j, c in rows[i]),) + r[i + 1 :]]
-            for r in rs.positive_roots
+            index[r[:i] + (r[i] - p[i],) + r[i + 1 :]] if p[i] else m
+            for m, (r, p) in enumerate(zip(rs.positive_roots, rs.coroot_pairings))
         ]
         perm = tuple(images + [(j + n_pos) % (2 * n_pos) for j in images])
     else:
-        i = next(i for i, row in enumerate(rows) if b[i] and sum(c * b[j] for j, c in row) > 0)
-        lower = list(b)
-        lower[i] -= sum(c * b[j] for j, c in rows[i])
-        s = _reflection_perm(rs, rs.simple_root(i + 1))
-        middle = _reflection_perm(rs, tuple(lower))
+        i, lower = simple_lowering(rs, b)
+        s = _reflection_perm(rs, rs.simple_root(i))
+        middle = _reflection_perm(rs, lower)
         perm = itemgetter(*itemgetter(*s)(middle))(s)  # s[middle[s[k]]]
     perms[b] = perm
     return perm
@@ -473,11 +472,17 @@ def is_involution(w: WeylElement) -> bool:
 
 def longest_element(rs: RootSystem) -> WeylElement:
     """Greedy ascent: right-multiply by the smallest non-descent until all
-    simple roots map to negatives, composed on the permutation."""
-    times = _simple(rs)[2]
-    w = tuple(range(len(rs.roots)))
-    while (i := next(_scan_simple_images(rs, w, negative=False), None)) is not None:
-        w = times[i - 1](w)
+    simple roots map to negatives, composed on the permutation.  The
+    permutation is kept in ``rs.cache["longest"]``, so the ascent runs once
+    per root system; each call hands it to ``_make``, which gives the
+    pooled object on an enumerated group."""
+    w = rs.cache.get("longest")
+    if w is None:
+        times = _simple(rs)[2]
+        w = tuple(range(len(rs.roots)))
+        while (i := next(_scan_simple_images(rs, w, negative=False), None)) is not None:
+            w = times[i - 1](w)
+        rs.cache["longest"] = w
     return _make(rs, w)
 
 

@@ -35,6 +35,7 @@ from flagloci.weyl import (
     length,
     longest_element,
     reduced_word,
+    reflection,
     right_descents,
     simple_reflection,
 )
@@ -267,6 +268,20 @@ def test_lifting_property_on_table(t):
                     assert table.leq(y, us)
                 else:
                     assert table.leq(ys, us)
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "G2xA1", "F4"])
+def test_table_covers_match_the_direct_products(t):
+    # the table forms t w on indices through s_i t_{s_i b} s_i; the direct
+    # route multiplies by every reflection
+    rs = build_root_system(t)
+    table = get_table(rs)
+    refls = [reflection(rs, b) for b in rs.positive_roots]
+    want = [
+        sorted(table.index[r * w] for r in refls if length(r * w) == length(w) - 1)
+        for w in table.elements
+    ]
+    assert table.covers_down == want
 
 
 # leq calls of the top-pair witness search with a test at every node

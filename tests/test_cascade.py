@@ -10,10 +10,17 @@ from flagloci.cascade import (
     build_cascade,
     descendants,
     iter_nodes,
+    support_subsystem,
     verify_kostant,
 )
 from flagloci.construct import build_top_pair
-from flagloci.rootsys import RootSystem, build_root_system, strongly_orthogonal
+from flagloci.rootsys import (
+    RootSystem,
+    build_root_system,
+    highest_roots,
+    pairing,
+    strongly_orthogonal,
+)
 
 
 def test_cascade_roots_a3():
@@ -135,3 +142,52 @@ def test_forest_memo_holds_no_root_system():
         assert not isinstance(obj, RootSystem)
         assert len(seen) < 100000
         stack.extend(gc.get_referents(obj))
+
+
+def _by_height(r):
+    return (sum(r), r)
+
+
+def _reference_node(rs, gamma):
+    # the node from its definition, with one pairing call per root and per
+    # pair of roots: (gamma, support, E-set, pairs, children)
+    supp, sub = support_subsystem(rs, gamma)
+    e_set = tuple(sorted((m for m in sub if pairing(rs, m, gamma) > 0), key=_by_height))
+    pairs = {
+        tuple(sorted((m, tuple(g - c for g, c in zip(gamma, m))), key=_by_height))
+        for m in e_set
+        if m != gamma
+    }
+    remaining = [d for d in sub if pairing(rs, d, gamma) == 0]
+    tops = []
+    while remaining:
+        stack, comp = [remaining.pop(0)], []
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            stack.extend(y for y in remaining if pairing(rs, x, y) != 0)
+            remaining = [y for y in remaining if pairing(rs, x, y) == 0]
+        tops.append(max(comp, key=_by_height))
+    tops.sort(key=lambda r: (-sum(r), r))
+    children = tuple(_reference_node(rs, d) for d in tops)
+    return gamma, supp, e_set, tuple(sorted(pairs, key=lambda p: _by_height(p[0]))), children
+
+
+def _as_tuple(node):
+    children = tuple(_as_tuple(ch) for ch in node.children)
+    return node.gamma, node.support, node.E_set, node.pairs, children
+
+
+@pytest.mark.parametrize(
+    "t",
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "G2xA1", "B2xG2", "A1xA1xA1"],
+)
+def test_forest_matches_a_pairing_per_root_reference(t):
+    rs = build_root_system(t)
+    got = tuple(_as_tuple(node) for node in build_cascade(rs).forest)
+    want = tuple(_reference_node(rs, th) for th in highest_roots(rs))
+    assert got == want

@@ -17,9 +17,12 @@ from flagloci.rootsys import (
     orthogonality_masks,
     pairing,
     reflect,
+    simple_lowering,
     strongly_orthogonal,
     weyl_order,
 )
+from flagloci.rootsys import _form_image
+from flagloci.weyl import _reflection_perm
 
 
 def test_cartan_matrices():
@@ -181,6 +184,50 @@ def test_reflect_matches_fraction_formula(t):
             assert got == want
             if all(c.denominator == 1 for c in want):
                 assert all(type(c) is int for c in got)
+
+
+# every simple type up to the ranks the workloads reach, and three products
+DERIVED_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "G2xA1", "B2xG2", "A1xA1xA1"]
+)
+
+
+@pytest.mark.parametrize("t", DERIVED_TYPES)
+def test_derived_root_data_match_the_form(t):
+    # the pairings carried by the enumeration, the form images read off
+    # them and the simple reflections built from them, each against its
+    # definition
+    rs = build_root_system(t)
+    n = rs.rank
+    assert len(rs.coroot_pairings) == len(rs.positive_roots)
+    for b, p in zip(rs.positive_roots, rs.coroot_pairings):
+        assert p == tuple(sum(rs.cartan[i][j] * b[j] for j in range(n)) for i in range(n))
+    for b in rs.roots:
+        image = _form_image(rs, b)
+        assert image == tuple(sum(rs.form[i][j] * b[j] for j in range(n)) for i in range(n))
+        assert all(type(c) is int for c in image)
+    assert set(rs.cache["form_images"]) == set(rs.roots)
+    for i in range(1, n + 1):
+        perm = _reflection_perm(rs, rs.simple_root(i))
+        for k, r in enumerate(rs.roots):
+            assert rs.roots[perm[k]] == reflect(rs, rs.simple_root(i), r)
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "C4", "G2xA1", "F4", "E6"])
+def test_simple_lowering_steps_down_by_one_reflection(t):
+    rs = build_root_system(t)
+    for b in rs.positive_roots:
+        if sum(b) == 1:
+            continue
+        i, lower = simple_lowering(rs, b)
+        assert lower == reflect(rs, rs.simple_root(i), b)
+        assert is_positive_root(rs, lower) and sum(lower) < sum(b)
+        # the smallest such i
+        assert all(pairing(rs, b, rs.simple_root(j)) <= 0 for j in range(1, i))
 
 
 def test_add_roots():

@@ -78,6 +78,26 @@ def test_longest_element():
         assert not right_descents(multiply(w0, w0))
 
 
+@pytest.mark.parametrize("t", ["A3", "B3", "G2xA1", "F4", "E6"])
+def test_longest_element_is_kept_per_root_system(t):
+    rs = build_root_system(t)
+    w0 = longest_element(rs)
+    assert rs.cache["longest"] == w0.perm
+    assert longest_element(rs) == w0 and longest_element(rs) == w0
+    assert length(w0) == len(rs.positive_roots)
+    assert all(not is_positive_root(rs, act(w0, b)) for b in rs.positive_roots)
+    # a pickled copy starts with an empty cache and builds an equal element
+    back = pickle.loads(pickle.dumps(rs))
+    assert "longest" not in back.cache
+    assert longest_element(back).perm == w0.perm
+    assert back.cache["longest"] == w0.perm
+    if t != "E6":
+        # on an enumerated group it is the pooled object, the last element,
+        # also where the permutation was kept before the enumeration
+        group = enumerate_group(rs)
+        assert longest_element(rs) is group[-1] is longest_element(rs)
+
+
 def test_reduced_word_round_trip():
     rs = build_root_system("B3")
     for w in enumerate_group(rs):
