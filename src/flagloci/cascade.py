@@ -14,8 +14,6 @@ the form image of gamma once, and its E-set (pairing > 0) and descendants
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .rootsys import (
     RootSystem,
     classify_component,
@@ -113,14 +111,12 @@ class CascadeNode:
 
 
 class Cascade:
+    __slots__ = ("rs", "forest", "roots")
+
     def __init__(self, rs: RootSystem, forest: tuple[CascadeNode, ...]):
         self.rs = rs
         self.forest = forest
-
-    @cached_property
-    def roots(self) -> tuple[tuple, ...]:
-        """The roots gamma of the nodes, in preorder."""
-        return tuple(node.gamma for node in iter_nodes(self))
+        self.roots = tuple(node.gamma for node in iter_nodes(self))  # in preorder
 
 
 def _e_set(rs: RootSystem, sub: list[tuple], values: list) -> tuple[tuple, ...]:

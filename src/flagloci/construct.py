@@ -1,11 +1,13 @@
 """Constructive pipeline for a top-dimensional witnessed pair (v, w0 v):
-build a short element u whose inversion set sits inside E(theta), pass to
-the subsystem orthogonal to u^{-1}(theta), recurse, and certify that the
-inversion set of v picks exactly one member of every matched pair."""
+build a short element u (by ``simple_lowering`` steps from theta in the
+single-laced types) whose inversion set sits inside E(theta), the E-set of
+the cascade's root node, pass to the subsystem orthogonal to u^{-1}(theta),
+recurse, and certify that the inversion set of v picks exactly one member
+of every matched pair."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .cascade import build_cascade, iter_nodes
@@ -18,9 +20,8 @@ from .rootsys import (
     highest_roots,
     is_positive_root,
     nonorthogonal_components,
-    pairing,
     pairings_with,
-    reflect,
+    simple_lowering,
 )
 from .weyl import (
     WeylElement,
@@ -57,31 +58,20 @@ def _require_simple(rs: RootSystem) -> tuple[str, int]:
     return rs.cartan_type.components[0]
 
 
-def _e_of_theta(rs: RootSystem, theta) -> set:
-    pos = rs.positive_roots
-    return {m for m, p in zip(pos, pairings_with(rs, pos, theta)) if p > 0}
-
-
 def build_u_for_theta(rs: RootSystem) -> tuple[int, ...]:
     """Word of an element u with l(u) = h_dual - 2 and all inversions inside
-    E(theta) minus theta itself.  Greedy height descent for the single-laced
-    types, fixed words otherwise; the postcondition is always checked."""
+    E(theta) minus theta itself, E(theta) being the E-set of the cascade's
+    root node.  Single-laced types take h_dual - 2 ``simple_lowering`` steps
+    down from theta (height h_dual - 1), each one level lower; fixed words
+    otherwise.  The postcondition is always checked."""
     letter, n = _require_simple(rs)
-    theta = highest_roots(rs)[0]
     target_len = dual_coxeter_number(letter, n) - 2
     if letter in ("A", "D", "E"):
         word: list[int] = []
-        cur = theta
+        cur = highest_roots(rs)[0]
         for _ in range(target_len):
-            pick = None
-            for i in range(1, n + 1):
-                if cur[i - 1] != 0 and pairing(rs, rs.simple_root(i), cur) > 0:
-                    pick = i
-                    break
-            if pick is None:
-                raise ConstructError(f"greedy descent stuck at {cur}")
-            word.append(pick)
-            cur = reflect(rs, rs.simple_root(pick), cur)
+            i, cur = simple_lowering(rs, cur)
+            word.append(i)
     elif letter == "C":
         word = list(range(1, n))
     elif letter == "B":
@@ -96,8 +86,8 @@ def build_u_for_theta(rs: RootSystem) -> tuple[int, ...]:
     if len(word_t) != target_len or not is_reduced(rs, word_t):
         raise ConstructError(f"u word {word_t} is not reduced of length {target_len}")
     u = from_word(rs, word_t)
-    allowed = _e_of_theta(rs, theta) - {theta}
-    if not inversion_set(u) <= allowed:
+    top = build_cascade(rs).forest[0]  # gamma = theta for a simple system
+    if not inversion_set(u) <= set(top.E_set) - {top.gamma}:
         raise ConstructError(f"inversions of u escape E(theta): {word_t}")
     return word_t
 
@@ -122,12 +112,7 @@ class Subsystem:
         self.child = child
 
     def to_ambient(self, child_root) -> tuple:
-        n = len(self.rs.cartan)
-        out = [0] * n
-        for c, beta in zip(child_root, self.pi_prime):
-            for k in range(n):
-                out[k] += c * beta[k]
-        return tuple(out)
+        return tuple(sum(map(mul, child_root, col)) for col in zip(*self.pi_prime))
 
     def lift(self, x: WeylElement) -> WeylElement:
         out = identity(self.rs)
@@ -156,7 +141,8 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement, theta) -> Subsystem:
     the inclusion u(positives) inside the ambient positives and of the
     cascade correspondence."""
     _require_simple(rs)
-    fixed = act(inverse(u), theta)
+    u_inv = inverse(u)
+    fixed = act(u_inv, theta)
     roots = rs.positive_roots
     pos = [b for b, p in zip(roots, pairings_with(rs, roots, fixed)) if not p]
     if not pos:
@@ -170,10 +156,9 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement, theta) -> Subsystem:
         for i in range(m):
             row = pairings_with(rs, comp, comp[i])  # (comp[j], comp[i]) = (comp[i], comp[j])
             for j in range(m):
-                val = Fraction(2 * row[j], row[i])
-                if val.denominator != 1:
+                cm[i][j], rem = divmod(2 * row[j], row[i])
+                if rem:
                     raise ConstructError("non-integral Cartan entry in the subsystem")
-                cm[i][j] = int(val)
         letter, rank, order = classify_component(cm, range(m))
         typed.append((letter, rank, [comp[k] for k in order]))
     typed.sort(key=lambda t: (t[0], t[1], t[2]))
@@ -181,15 +166,14 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement, theta) -> Subsystem:
     child = build_root_system(name)
     pi_prime = tuple(b for _, _, roots in typed for b in roots)
     sub = Subsystem(rs, fixed, pi_prime, child)
-    images = {sub.to_ambient(b) for b in child.positive_roots}
-    if images != set(pos):
+    images = list(map(sub.to_ambient, child.positive_roots))
+    if set(images) != set(pos):
         raise ConstructError("child positive roots do not cover the subsystem")
-    for b in images:
-        if not is_positive_root(rs, act(u, b)):
-            raise ConstructError("u does not carry the subsystem into the positives")
+    if not all(is_positive_root(rs, act(u, b)) for b in images):
+        raise ConstructError("u does not carry the subsystem into the positives")
     amb = build_cascade(rs)  # preorder starts at theta for a simple system
-    want = {act(inverse(u), g) for g in amb.roots[1:]}
-    got = {sub.to_ambient(g) for g in build_cascade(child).roots}
+    want = {act(u_inv, g) for g in amb.roots[1:]}
+    got = {images[child.root_index[g]] for g in build_cascade(child).roots}
     if got != want:
         raise ConstructError("subsystem cascade does not match the ambient one")
     return sub
@@ -197,8 +181,7 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement, theta) -> Subsystem:
 
 def _build_v_simple(rs: RootSystem) -> WeylElement:
     theta = highest_roots(rs)[0]
-    u_word = build_u_for_theta(rs)
-    u = from_word(rs, u_word)
+    u = from_word(rs, build_u_for_theta(rs))
     sub = orthogonal_subsystem(rs, u, theta)
     if sub.child is None:
         return u

@@ -46,7 +46,7 @@ import heapq
 import re
 import time
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import compress
 from operator import add, le, sub
 from typing import Optional, Sequence, Union
@@ -285,20 +285,21 @@ class Ideal:
 class GroebnerBasis:
     """A basis and the data every reduction by it reads: the leading
     monomials of its members (``leads``) and their support masks
-    (``sevs``), computed on first use and kept, so a basis that nothing is
-    reduced by never computes them."""
+    (``sevs``), which the completion loop that built it already holds."""
 
-    def __init__(self, ring: PolyRing, polys: tuple[Polynomial, ...]):
+    __slots__ = ("ring", "polys", "leads", "sevs")
+
+    def __init__(
+        self,
+        ring: PolyRing,
+        polys: tuple[Polynomial, ...],
+        leads: tuple[Expo, ...],
+        sevs: tuple[int, ...],
+    ):
         self.ring = ring
         self.polys = polys
-
-    @cached_property
-    def leads(self) -> tuple[Expo, ...]:
-        return tuple(g.leading()[0] for g in self.polys)
-
-    @cached_property
-    def sevs(self) -> tuple[int, ...]:
-        return tuple(map(_support, self.leads))
+        self.leads = leads
+        self.sevs = sevs
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
@@ -503,11 +504,11 @@ def _complete(
     m = len(prefix)
     basis = list(prefix) + [g for g in new if not g.is_zero()]
     if not basis:
-        return GroebnerBasis(ring, ())
+        return GroebnerBasis(ring, (), (), ())
     leads = [g.leading()[0] for g in basis]
     sevs = [_support(e) for e in leads]
     monos = [len(g.terms) == 1 for g in basis]
-    unit = GroebnerBasis(ring, (ring.const(1),))
+    unit = GroebnerBasis(ring, (ring.const(1),), ((0,) * len(ring.variables),), (0,))
     if not all(sevs):
         return unit  # a constant member (its lead has empty support)
     pending: set[tuple[int, int]] = set()
@@ -582,7 +583,7 @@ def _complete(
         rem = _reduce_terms(tail, basis, leads, sevs, ring.key)
         terms = {e: 1} | {t: _div(v, c) for t, v in rem.items()}
         reduced.append(Polynomial(ring, terms))
-    return GroebnerBasis(ring, tuple(reduced))
+    return GroebnerBasis(ring, tuple(reduced), tuple(leads), tuple(sevs))
 
 
 def membership(

@@ -387,7 +387,7 @@ def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
         return [()]
     out = []
     for i in left_descents(w):
-        shorter = simple_reflection(w.rs, i) * w
+        shorter = simple_times(i, w)
         out.extend((i,) + tail for tail in all_reduced_words(shorter))
     return sorted(out)
 

@@ -30,6 +30,18 @@ def test_u_words_frozen():
     assert build_u_for_theta(build_root_system("C3")) == (1, 2)
     assert build_u_for_theta(build_root_system("B3")) == (2, 3, 1)
     assert build_u_for_theta(build_root_system("F4")) == (1, 2, 3, 4, 2, 3, 1)
+    # the single-laced words come from the greedy height descent
+    greedy = {
+        "A2": (1,),
+        "A5": (1, 2, 3, 4),
+        "D4": (2, 1, 3, 2),
+        "D5": (2, 1, 3, 2, 4, 3),
+        "E6": (2, 4, 3, 1, 5, 4, 2, 3, 4, 5),
+        "E7": (1, 3, 4, 2, 5, 4, 3, 1, 6, 5, 4, 2, 3, 4, 5, 6),
+        "E8": (8, 7, 6, 5, 4, 2, 3, 1, 4, 3, 5, 4, 2, 6, 5, 4, 3, 1, 7, 6, 5, 4, 2, 3, 4, 5, 6, 7),
+    }
+    for t, word in greedy.items():
+        assert build_u_for_theta(build_root_system(t)) == word, t
 
 
 def test_u_inversions_inside_e_theta():
@@ -69,10 +81,15 @@ def test_orthogonal_subsystem_types():
         assert sub.child.cartan == tuple(
             tuple(Fraction(2 * pairing(rs, a, b), pairing(rs, a, a)) for b in pi) for a in pi
         )
-        # ambient images of child roots are honest roots orthogonal to theta
+        # ambient images of child roots are honest roots orthogonal to theta,
+        # the combination sum_k beta_k pi_prime[k] of the child's simple roots
         for beta in sub.child.positive_roots:
             amb = sub.to_ambient(beta)
             assert is_positive_root(rs, amb)
+            want = [0] * rs.rank
+            for c, alpha in zip(beta, pi):
+                want = [x + c * y for x, y in zip(want, alpha)]
+            assert amb == tuple(want)
 
 
 def test_top_pair_d_values():

@@ -57,8 +57,10 @@ def test_unused_import_is_caught():
 def test_private_names_stay_home():
     # only bruhat names its table's cache key, poissonlab imports from
     # polyalg only public names and the three term-level helpers it shares,
-    # and construct takes from gcr only the membership test, never the
-    # pair enumeration
+    # construct takes from gcr only the membership test, never the pair
+    # enumeration, and from rootsys neither pairing nor reflect (the descent
+    # from theta is rootsys.simple_lowering); no module imports
+    # cached_property, as every record is filled in its constructor
     allowed = set(polyalg.__all__) | {"_add_product", "_coef", "_div"}
     offences = []
     for path in sorted((ROOT / "src" / "flagloci").glob("*.py")):
@@ -90,6 +92,14 @@ def test_private_names_stay_home():
                     parts = f"{module}.{a.name}".strip(".").split(".")
                     if "gcr" in parts and parts[-1] != "is_gcr_cond3":
                         offences.append(f"{path.name}:{node.lineno} imports {'.'.join(parts)}")
+                    if "rootsys" in parts and parts[-1] in ("pairing", "reflect"):
+                        offences.append(f"{path.name}:{node.lineno} imports {'.'.join(parts)}")
+            # "from functools import cached_property" or "functools.cached_property"
+            if (
+                isinstance(node, ast.ImportFrom)
+                and any(a.name == "cached_property" for a in node.names)
+            ) or (isinstance(node, ast.Attribute) and node.attr == "cached_property"):
+                offences.append(f"{path.name}:{node.lineno} uses cached_property")
     assert offences == []
 
 
