@@ -1,9 +1,11 @@
 """Constructive pipeline for a top-dimensional witnessed pair (v, w0 v):
-build a short element u (by ``simple_lowering`` steps from theta in the
-single-laced types) whose inversion set sits inside E(theta), the E-set of
-the cascade's root node, pass to the subsystem orthogonal to u^{-1}(theta),
-recurse, and certify that the inversion set of v picks exactly one member
-of every matched pair."""
+build a short element u (by ``simple_lowering`` steps from theta_c in the
+single-laced components) whose inversion set sits inside the union of the
+E(theta_c), the E-sets of the cascade's tree tops, pass to the subsystem
+orthogonal to every u^{-1}(theta_c), recurse, and certify that the
+inversion set of v picks exactly one member of every matched pair.  A
+reducible system needs no separate path: its components' recursions run
+side by side, one child root system per level."""
 
 from __future__ import annotations
 
@@ -52,62 +54,62 @@ class ConstructError(Exception):
     """A postcondition of the constructive pipeline failed."""
 
 
-def _require_simple(rs: RootSystem) -> tuple[str, int]:
-    if len(rs.cartan_type.components) != 1:
-        raise ValueError("expected a simple (one-component) root system")
-    return rs.cartan_type.components[0]
-
-
 def build_u_for_theta(rs: RootSystem) -> tuple[int, ...]:
-    """Word of an element u with l(u) = h_dual - 2 and all inversions inside
-    E(theta) minus theta itself, E(theta) being the E-set of the cascade's
-    root node.  Single-laced types take h_dual - 2 ``simple_lowering`` steps
-    down from theta (height h_dual - 1), each one level lower; fixed words
-    otherwise.  The postcondition is always checked."""
-    letter, n = _require_simple(rs)
-    target_len = dual_coxeter_number(letter, n) - 2
-    if letter in ("A", "D", "E"):
-        word: list[int] = []
-        cur = highest_roots(rs)[0]
-        for _ in range(target_len):
-            i, cur = simple_lowering(rs, cur)
-            word.append(i)
-    elif letter == "C":
-        word = list(range(1, n))
-    elif letter == "B":
-        word = list(range(2, n + 1)) + list(range(1, n - 1))
-    elif letter == "G":
-        # short root first under Bourbaki labels; (1, 2) fails the
-        # postcondition because a_1 is orthogonal to theta here
-        word = [2, 1]
-    else:  # F4
-        word = [1, 2, 3, 4, 2, 3, 1]
+    """Word of an element u, one factor per simple component in component
+    order and in ambient labels, with l(u) = sum_c (h_dual_c - 2) and all
+    inversions inside the union of E(theta_c) minus theta_c, E(theta_c)
+    being the E-set of the cascade's tree for component c.  Single-laced
+    components take h_dual - 2 ``simple_lowering`` steps down from their
+    theta (height h_dual - 1), each one level lower; the others have fixed
+    words shifted onto their labels.  The postcondition is always checked."""
+    word: list[int] = []
+    target_len = 0
+    for (letter, n), comp, cur in zip(rs.cartan_type.components, rs.components, highest_roots(rs)):
+        steps = dual_coxeter_number(letter, n) - 2
+        target_len += steps
+        if letter in ("A", "D", "E"):
+            for _ in range(steps):
+                i, cur = simple_lowering(rs, cur)
+                word.append(i)
+            continue
+        if letter == "C":
+            local = list(range(1, n))
+        elif letter == "B":
+            local = list(range(2, n + 1)) + list(range(1, n - 1))
+        elif letter == "G":
+            # short root first under Bourbaki labels; (1, 2) fails the
+            # postcondition because a_1 is orthogonal to theta here
+            local = [2, 1]
+        else:  # F4
+            local = [1, 2, 3, 4, 2, 3, 1]
+        word.extend(i + comp[0] for i in local)  # comp[0] labels precede this component
     word_t = tuple(word)
     if len(word_t) != target_len or not is_reduced(rs, word_t):
         raise ConstructError(f"u word {word_t} is not reduced of length {target_len}")
     u = from_word(rs, word_t)
-    top = build_cascade(rs).forest[0]  # gamma = theta for a simple system
-    if not inversion_set(u) <= set(top.E_set) - {top.gamma}:
+    # the forest has one tree per component, with theta_c at its top
+    allowed = {m for top in build_cascade(rs).forest for m in top.E_set if m != top.gamma}
+    if not inversion_set(u) <= allowed:
         raise ConstructError(f"inversions of u escape E(theta): {word_t}")
     return word_t
 
 
 class Subsystem:
-    """The roots orthogonal to ``fixed_root``, repackaged as a standalone
-    root system; ``pi_prime`` lists the ambient coordinates of the child's
-    simple roots in the child's labeling order."""
+    """The roots orthogonal to u^{-1}(theta_c) for every highest root
+    theta_c, repackaged as a standalone root system ``child``, or None if
+    there are none; ``pi_prime`` lists the ambient coordinates of the
+    child's simple roots in the child's labeling order, and ``lift`` is the
+    embedding of the child's Weyl group into the ambient one."""
 
-    __slots__ = ("rs", "fixed_root", "pi_prime", "child")
+    __slots__ = ("rs", "pi_prime", "child")
 
     def __init__(
         self,
         rs: RootSystem,
-        fixed_root: tuple,
         pi_prime: tuple[tuple, ...],
         child: Optional[RootSystem],
     ):
         self.rs = rs
-        self.fixed_root = fixed_root
         self.pi_prime = pi_prime
         self.child = child
 
@@ -136,17 +138,19 @@ def _indecomposables(rs: RootSystem, pos: list[tuple]) -> list[tuple]:
     return out
 
 
-def orthogonal_subsystem(rs: RootSystem, u: WeylElement, theta) -> Subsystem:
-    """Subsystem of roots orthogonal to u^{-1}(theta), with verification of
-    the inclusion u(positives) inside the ambient positives and of the
-    cascade correspondence."""
-    _require_simple(rs)
+def orthogonal_subsystem(rs: RootSystem, u: WeylElement) -> Subsystem:
+    """Subsystem of roots orthogonal to u^{-1}(theta_c) for every highest
+    root theta_c, with verification of the inclusion u(positives) inside
+    the ambient positives and of the cascade correspondence: the child's
+    cascade is the ambient one without its forest tops, carried by
+    u^{-1}."""
     u_inv = inverse(u)
-    fixed = act(u_inv, theta)
-    roots = rs.positive_roots
-    pos = [b for b, p in zip(roots, pairings_with(rs, roots, fixed)) if not p]
+    tops = highest_roots(rs)
+    pos = list(rs.positive_roots)
+    for theta in tops:
+        pos = [b for b, p in zip(pos, pairings_with(rs, pos, act(u_inv, theta))) if not p]
     if not pos:
-        return Subsystem(rs, fixed, (), None)
+        return Subsystem(rs, (), None)
     comps = nonorthogonal_components(rs, _indecomposables(rs, pos))
     # classify each component and put its roots into Bourbaki order
     typed: list[tuple[str, int, list[tuple]]] = []
@@ -165,52 +169,30 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement, theta) -> Subsystem:
     name = "x".join(f"{letter}{rank}" for letter, rank, _ in typed)
     child = build_root_system(name)
     pi_prime = tuple(b for _, _, roots in typed for b in roots)
-    sub = Subsystem(rs, fixed, pi_prime, child)
+    sub = Subsystem(rs, pi_prime, child)
     images = list(map(sub.to_ambient, child.positive_roots))
     if set(images) != set(pos):
         raise ConstructError("child positive roots do not cover the subsystem")
     if not all(is_positive_root(rs, act(u, b)) for b in images):
         raise ConstructError("u does not carry the subsystem into the positives")
-    amb = build_cascade(rs)  # preorder starts at theta for a simple system
-    want = {act(u_inv, g) for g in amb.roots[1:]}
+    want = {act(u_inv, g) for g in build_cascade(rs).roots if g not in tops}
     got = {images[child.root_index[g]] for g in build_cascade(child).roots}
     if got != want:
         raise ConstructError("subsystem cascade does not match the ambient one")
     return sub
 
 
-def _build_v_simple(rs: RootSystem) -> WeylElement:
-    theta = highest_roots(rs)[0]
-    u = from_word(rs, build_u_for_theta(rs))
-    sub = orthogonal_subsystem(rs, u, theta)
-    if sub.child is None:
-        return u
-    v_child = build_v(sub.child)
-    return multiply(u, sub.lift(v_child))
-
-
 def build_v(rs: RootSystem) -> WeylElement:
     """Element whose inversion set avoids the cascade and meets every
-    matched pair exactly once; built per component as u times a lifted
-    recursive solution.  A simple system is its own component, so it is
-    used as it is rather than built a second time; in a reducible system
-    each distinct component type is built and solved once per call (A1xA1xA1
-    builds one A1), and its word is shifted onto every component of that
-    type."""
-    components = rs.cartan_type.components
-    if len(components) == 1:
-        return _build_v_simple(rs)
-    words: dict[tuple[str, int], tuple[int, ...]] = {}
-    v = identity(rs)
-    offset = 0
-    for letter, rank in components:
-        word = words.get((letter, rank))
-        if word is None:
-            comp_rs = build_root_system(f"{letter}{rank}")
-            word = words[letter, rank] = reduced_word(_build_v_simple(comp_rs))
-        v = multiply(v, from_word(rs, tuple(i + offset for i in word)))
-        offset += rank
-    return v
+    matched pair exactly once: u times the lift of the recursive solution
+    on the subsystem orthogonal to u^{-1}(theta_c) for every component c.
+    Components commute, so a reducible system is its components' recursions
+    side by side, and each level builds one child root system."""
+    u = from_word(rs, build_u_for_theta(rs))
+    sub = orthogonal_subsystem(rs, u)
+    if sub.child is None:
+        return u
+    return multiply(u, sub.lift(build_v(sub.child)))
 
 
 class TopPair:

@@ -38,6 +38,7 @@ __all__ = [
     "simple_lowering",
     "reflect",
     "is_root",
+    "is_positive_root",
     "add_roots",
     "highest_roots",
     "orthogonal",

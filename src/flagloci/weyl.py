@@ -54,14 +54,19 @@ __all__ = [
     "act",
     "length",
     "inversion_set",
+    "right_descents",
     "is_right_descent",
     "smallest_right_descent",
     "leq_by_descents",
+    "left_descents",
+    "smallest_left_descent",
     "reduced_word",
     "all_reduced_words",
     "roots_of_word",
     "from_word",
+    "is_reduced",
     "reflection_length",
+    "is_involution",
     "longest_element",
     "enumerate_group",
     "kernel_dim",
@@ -74,6 +79,7 @@ __all__ = [
     "element_to_perm",
     "perm_string",
     "element_name",
+    "perm_from_string",
 ]
 
 Matrix = tuple  # tuple of row tuples, ints

@@ -49,6 +49,7 @@ COMMANDS = [
     "gcr enumerate E8 --cap 100",
     "gcr check A3 --v 1,2,x,4 --w 2143",
     "gcr check B2 --v 3 --w 1.2",
+    "construct top-pair B4xC3xD5 --format json",
 ]
 
 

@@ -42,6 +42,12 @@ def test_u_words_frozen():
     }
     for t, word in greedy.items():
         assert build_u_for_theta(build_root_system(t)) == word, t
+    # a reducible system concatenates its components' words in ambient
+    # labels: E6xF4 is E6's greedy word, then F4's word shifted by 6
+    assert build_u_for_theta(build_root_system("D4xA1")) == (3, 2, 4, 3)
+    assert build_u_for_theta(build_root_system("E6xF4")) == (
+        greedy["E6"] + tuple(i + 6 for i in (1, 2, 3, 4, 2, 3, 1))
+    )
 
 
 def test_u_inversions_inside_e_theta():
@@ -69,12 +75,15 @@ def test_orthogonal_subsystem_types():
         "E6": "A5",
         "E7": "D6",
         "E8": "E7",
+        # one child for all components, orthogonal to every u^{-1}(theta_c)
+        "D4xA1": "A1xA1xA1",
+        "E6xF4": "A5xC3",
+        "B4xC3xD5": "A1xA1xA3xB2xB2",
     }
     for t, child in expected.items():
         rs = build_root_system(t)
         u = from_word(rs, build_u_for_theta(rs))
-        theta = highest_roots(rs)[0]
-        sub = orthogonal_subsystem(rs, u, theta)
+        sub = orthogonal_subsystem(rs, u)
         assert str(sub.child.cartan_type) == child
         # the child's Cartan matrix is the form on pi_prime, label by label
         pi = sub.pi_prime
@@ -156,33 +165,55 @@ def recorded_builds(monkeypatch) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("t", ["E7", "D7", "B6"])
+LEVEL_BUILDS = {
+    "E7": ["D6", "A1xD4", "A1xA1xA1"],
+    "D7": ["A1xD5", "A1xA3", "A1"],
+    "B6": ["A1xB4", "A1xB2", "A1"],
+    "E8": ["E7", "D6", "A1xD4", "A1xA1xA1"],
+}
+
+
+@pytest.mark.parametrize("t", list(LEVEL_BUILDS))
 def test_build_v_reuses_a_simple_system(t, monkeypatch):
+    # the system itself is never built again, and each level of the
+    # recursion builds its one orthogonal child, reducible or not
     rs = build_root_system(t)
     names = recorded_builds(monkeypatch)
     build_v(rs)
-    assert names and t not in names
+    assert names == LEVEL_BUILDS[t]
 
 
 def test_build_v_builds_each_component(monkeypatch):
     rs = build_root_system("D4xA1")
     names = recorded_builds(monkeypatch)
     v = build_v(rs)
-    # components are sorted (A1 first) and each is built before the
-    # recursion below it: A1 has no orthogonal subsystem, D4 has A1xA1xA1
+    # components are sorted (A1 first) and solved side by side, so no
+    # component is built on its own: A1 adds nothing orthogonal to its
+    # theta, D4 adds A1xA1xA1, and that one child is the only build
     assert rs.cartan_type.components == (("A", 1), ("D", 4))
-    assert names[:3] == ["A1", "D4", "A1xA1xA1"]
+    assert names == ["A1xA1xA1"]
     assert 2 * length(v) == len(rs.positive_roots) - len(build_cascade(rs).roots)
 
 
 @pytest.mark.parametrize(
-    # the elements the per-component build gave before types were shared
+    # the elements the per-component build gave; the one recursion builds
+    # one child per level and none where nothing is orthogonal
     "t, word, builds",
     [
-        ("A1xA1xA1", (), ["A1"]),
-        ("A3xA3", (1, 2, 4, 5), ["A3", "A1"]),
-        ("B2xB2", (2, 4), ["B2", "A1"]),
-        ("A2xA2xA1", (2, 4), ["A1", "A2"]),
+        ("A1xA1xA1", (), []),
+        ("A3xA3", (1, 2, 4, 5), ["A1xA1"]),
+        ("B2xB2", (2, 4), ["A1xA1"]),
+        ("A2xA2xA1", (2, 4), []),
+        (
+            "E6xF4",
+            (1, 2, 3, 4, 2, 3, 1, 5, 4, 2, 3, 1, 4, 3, 5, 4, 7, 9, 8, 9, 10, 9, 8, 7, 9, 10),
+            ["A5xC3", "A3xB2", "A1xA1"],
+        ),
+        (
+            "B4xC3xD5",
+            (2, 1, 4, 3, 2, 4, 5, 6, 5, 9, 8, 10, 9, 11, 10, 9, 8),
+            ["A1xA1xA3xB2xB2", "A1xA1xA1"],
+        ),
     ],
 )
 def test_build_v_builds_each_component_type_once(t, word, builds, monkeypatch):

@@ -1,5 +1,7 @@
 """Every top-level import of a package or test module is used: the module
-names it somewhere, or lists it in its ``__all__`` as a re-export."""
+names it somewhere, or lists it in its ``__all__`` as a re-export.  Every
+public name a package module imports from another is in that module's
+``__all__``."""
 
 import ast
 import os
@@ -17,6 +19,17 @@ MODULES = sorted((ROOT / "src" / "flagloci").glob("*.py")) + sorted(
 )
 
 
+def declared_all(tree: ast.Module) -> set[str]:
+    """The names a module's top-level ``__all__`` lists."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    return exported
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
@@ -28,12 +41,7 @@ def unused_imports(source: str) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported |= set(ast.literal_eval(node.value))
+    exported = declared_all(tree)
     return [
         f"line {line}: {name}"
         for name, line in imported.items()
@@ -52,6 +60,24 @@ def test_unused_import_is_caught():
         "line 2: d",
     ]
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+def test_package_imports_are_exported():
+    # a public name one package module takes from another is part of that
+    # module's interface, so its __all__ lists it
+    package = ROOT / "src" / "flagloci"
+    offences = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+                continue
+            exported = declared_all(ast.parse((package / f"{node.module}.py").read_text()))
+            offences += [
+                f"{path.name}:{node.lineno} imports {node.module}.{a.name}"
+                for a in node.names
+                if not a.name.startswith("_") and a.name not in exported
+            ]
+    assert offences == []
 
 
 def test_private_names_stay_home():
