@@ -8,9 +8,7 @@ property -> pass/fail) of the JSON output, and any "fail" into exit 3."""
 from __future__ import annotations
 
 import argparse
-import csv as csv_mod
 import io
-import json
 import os
 import random
 import sys
@@ -104,16 +102,21 @@ class Report:
 
 
 def _emit(report: Report, fmt: str) -> str:
+    # json and csv are imported in their branches: text, the default, needs neither
     if fmt == "json":
+        import json
+
         return json.dumps(report.payload, indent=2, sort_keys=True)
     if fmt == "text":
         return "\n".join(report.text)
     if fmt == "csv":
         if report.csv is None:
             raise InputError("no tabular form for this subcommand")
+        import csv
+
         header, rows = report.csv
         buf = io.StringIO()
-        writer = csv_mod.writer(buf, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return buf.getvalue().rstrip("\n")

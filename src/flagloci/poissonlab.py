@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from fractions import Fraction
 from time import monotonic
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .polyalg import (
     Ideal,
@@ -38,6 +37,9 @@ from .polyalg import (
     parse_polynomial,
 )
 from .weyl import oneline, parse_perm, perm_word
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Chart",
@@ -247,11 +249,12 @@ def _u_terms(chart: Chart) -> tuple[list[list[dict]], list[list[dict]]]:
     return u, uinv
 
 
-def poisson_matrix(chart: Chart, scale: Fraction = Fraction(1)) -> PoissonMatrix:
+def poisson_matrix(chart: Chart, scale: int | Fraction = 1) -> PoissonMatrix:
     """Coefficient matrix of the standard bivector on the chart.
 
-    scale rescales every root vector pair (e, f) to (scale*e, f/scale);
-    the result is independent of it.
+    scale, a nonzero int or Fraction (default the int 1), rescales every
+    root vector pair (e, f) to (scale*e, f/scale); the result is
+    independent of it.
 
     Works on terms dicts and makes one `Polynomial` per entry at the end.
     rep^T E_ij rep is s * E_ab for the column a of rep on row i and the

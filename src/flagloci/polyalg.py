@@ -4,7 +4,10 @@ via the extra-variable trick, and intersections via elimination.
 
 A coefficient is an int or a Fraction: arithmetic on ints stays in ints,
 and a division (`_div`) makes a Fraction only when the quotient is not
-integral.
+integral.  The module imports `fractions` on its first use of the class
+(`_fraction` binds it to a module global), so a run whose coefficients
+stay ints never loads it; the tokenizer of `parse_polynomial` is likewise
+compiled on its first call.
 
 Everything is deterministic: fixed variable order, graded reverse
 lexicographic comparisons by default, normal pair selection, and reduced
@@ -43,13 +46,14 @@ chart layer, which sums every bracket in one dict."""
 from __future__ import annotations
 
 import heapq
-import re
 import time
-from fractions import Fraction
 from functools import cache
 from itertools import compress
 from operator import add, le, sub
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PolyRing",
@@ -67,7 +71,7 @@ __all__ = [
 ]
 
 Expo = tuple  # exponent vector
-Coef = Union[int, Fraction]  # see Polynomial
+Coef = Union[int, "Fraction"]  # see Polynomial
 OrderTag = Union[str, tuple]  # "grevlex" | "lex" | ("block", k)
 
 
@@ -75,10 +79,24 @@ class PolyTimeout(Exception):
     """A Groebner computation exceeded its deadline."""
 
 
+_Fraction = None  # fractions.Fraction once _fraction() has run
+
+
+def _fraction() -> type:
+    """fractions.Fraction, imported and bound to ``_Fraction`` on the first
+    call, so that a run on int coefficients never loads the module."""
+    global _Fraction
+    from fractions import Fraction
+
+    _Fraction = Fraction
+    return Fraction
+
+
 def _coef(c) -> Coef:
     """c as an exact coefficient: an int when it is integral."""
     if type(c) is int:
         return c
+    Fraction = _Fraction or _fraction()
     if not isinstance(c, Fraction):
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
@@ -89,7 +107,7 @@ def _div(a: Coef, b: Coef) -> Coef:
     (never ``/`` on two ints, which would give a float)."""
     if type(a) is int and type(b) is int and a % b == 0:
         return a // b
-    return _coef(Fraction(a, b))
+    return _coef((_Fraction or _fraction())(a, b))
 
 
 def _grevlex_key(e: Expo):
@@ -302,16 +320,24 @@ class GroebnerBasis:
         self.sevs = sevs
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
 _OPERATORS = frozenset("-+*^)")
+
+
+@cache
+def _token_pattern():
+    """The tokenizer of `parse_polynomial`, compiled on its first call."""
+    import re
+
+    return re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     """Parse sums of products: rational coefficients, `*`, `^`, variables."""
+    token = _token_pattern()
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m or m.end() == pos:
             if text[pos:].strip():
                 raise ValueError(f"cannot tokenize {text[pos:]!r}")
@@ -345,7 +371,7 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             den = tok.partition("/")[2]
             if den and int(den) == 0:
                 raise ValueError(f"zero denominator in {tok!r}")
-            p = ring.const(Fraction(tok))
+            p = ring.const((_Fraction or _fraction())(tok))
         else:
             take()
             p = ring.var(tok)

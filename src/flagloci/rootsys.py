@@ -23,8 +23,6 @@ element's permutation) is built on first use and kept in
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from math import factorial
 from operator import add, mul
 from typing import Optional, Sequence
@@ -55,9 +53,6 @@ Coords = tuple  # integer (or Fraction) vector in the simple-root basis
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
 _RANK_MAX = {"A": None, "B": None, "C": None, "D": None, "E": 8, "F": 4, "G": 2}
 
-_TOKEN = re.compile(r"^([A-Ga-g])([0-9]+)$")
-
-
 class CartanType:
     """A semisimple Cartan type: ordered tuple of (letter, rank) components."""
 
@@ -77,11 +72,12 @@ class CartanType:
         parts = text.strip().split("x")
         comps = []
         for part in parts:
-            m = _TOKEN.match(part.strip())
-            if not m:
+            # a token is one letter in A-G or a-g, then ASCII digits
+            token = part.strip()
+            letter, digits = token[:1].upper(), token[1:]
+            if letter not in _RANK_MIN or not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"cannot parse Cartan type token {part!r}")
-            letter = m.group(1).upper()
-            rank = int(m.group(2))
+            rank = int(digits)
             lo = _RANK_MIN[letter]
             hi = _RANK_MAX[letter]
             if rank < lo or (hi is not None and rank > hi):
@@ -367,6 +363,8 @@ def reflect(rs: RootSystem, b: Coords, x: Sequence) -> tuple:
     k, rem = divmod(num, den)
     if not rem and all(type(c) is int for c in x):  # an int image, no Fraction
         return tuple(c - k * y for c, y in zip(x, b))
+    from fractions import Fraction  # only a non-integral image needs it
+
     coeff = Fraction(num, den)
     out = tuple(x[i] - coeff * b[i] for i in range(rs.rank))
     if all(Fraction(c).denominator == 1 for c in out):

@@ -166,17 +166,33 @@ def test_handlers_leave_verdicts_to_main():
     assert offences == []
 
 
-def _loaded_by_import(modules: set[str]) -> list[str]:
-    """Those of ``modules`` that importing the package and its CLI loads,
-    in a fresh interpreter."""
+def _fresh(code: str):
+    """The value a fresh interpreter prints last for ``code``, with this
+    checkout's package on its path."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = f"import sys, flagloci, flagloci.cli; print(sorted({modules!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return ast.literal_eval(proc.stdout)
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def _loaded_by_import(modules: set[str]) -> list[str]:
+    """Those of ``modules`` that importing the package and its CLI loads,
+    in a fresh interpreter."""
+    return _fresh(
+        f"import sys, flagloci, flagloci.cli; print(sorted({modules!r} & set(sys.modules)))"
+    )
+
+
+def _loaded_by_cli(argv: list[str], modules: set[str]) -> tuple[int, list[str]]:
+    """The exit code of one CLI run in a fresh interpreter, and those of
+    ``modules`` loaded after it."""
+    return _fresh(
+        "import sys; from flagloci.cli import main; "
+        f"code = main({argv!r}); print((code, sorted({modules!r} & set(sys.modules))))"
+    )
 
 
 def test_import_leaves_multiprocessing_unloaded():
@@ -187,3 +203,63 @@ def test_import_leaves_multiprocessing_unloaded():
 def test_import_leaves_dataclasses_and_inspect_unloaded():
     # the records are plain classes: a CLI process pays for neither module
     assert _loaded_by_import({"dataclasses", "inspect"}) == []
+
+
+# the Weyl side is exact integer data, and text is the default output
+WEYL_SIDE_UNUSED = {"fractions", "decimal", "numbers", "json", "csv"}
+
+
+def test_import_leaves_fractions_json_and_csv_unloaded():
+    assert _loaded_by_import(WEYL_SIDE_UNUSED) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["gcr", "enumerate", "A3"], ["construct", "top-pair", "E8"]], ids=" ".join
+)
+def test_weyl_side_cli_run_leaves_fractions_json_and_csv_unloaded(argv):
+    assert _loaded_by_cli(argv, WEYL_SIDE_UNUSED) == (0, [])
+
+
+def test_json_cli_run_loads_json():
+    # the control: the guard above sees a module that a run does load
+    argv = ["gcr", "enumerate", "A3", "--format", "json"]
+    code, loaded = _loaded_by_cli(argv, WEYL_SIDE_UNUSED)
+    assert code == 0 and "json" in loaded
+
+
+# each a first use of the coefficient class in a fresh interpreter:
+# (code that sets v, repr(v), whether fractions is loaded after it)
+FIRST_USE = [
+    # an integral quotient of two ints needs no Fraction
+    ("from flagloci.polyalg import _div; v = _div(4, 2)", "2", False),
+    ("from flagloci.polyalg import _div; v = _div(1, 2)", "Fraction(1, 2)", True),
+    (
+        "from flagloci.polyalg import PolyRing, parse_polynomial; "
+        "v = list(parse_polynomial(PolyRing(('x',)), '1/2*x').terms.values())",
+        "[Fraction(1, 2)]",
+        True,
+    ),
+    (
+        "from fractions import Fraction; from flagloci.polyalg import PolyRing; "
+        "v = PolyRing(('x',)).const(Fraction(3, 1)).terms",
+        "{(0,): 3}",
+        True,
+    ),
+    (
+        "from fractions import Fraction; "
+        "from flagloci.rootsys import build_root_system, reflect; "
+        "v = reflect(build_root_system('B2'), (1, 0), (Fraction(1, 2), 0))",
+        "(Fraction(-1, 2), Fraction(0, 1))",
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "code, want, loads_fractions",
+    FIRST_USE,
+    ids=["div_integral", "div_fraction", "parse_fraction", "const_integral", "reflect_fraction"],
+)
+def test_exact_coefficients_on_first_use(code, want, loads_fractions):
+    got = _fresh(f"import sys; {code}; print((repr(v), 'fractions' in sys.modules))")
+    assert got == (want, loads_fractions)

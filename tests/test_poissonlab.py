@@ -238,6 +238,18 @@ def test_scaling_independence():
             assert (base.entries[a][b] - stretched.entries[a][b]).is_zero()
 
 
+def test_default_scale_is_the_int_one():
+    # scale=1 and scale=Fraction(1) give the same entries, coefficient types
+    # included, on every SL3 chart
+    for ch in all_charts(2):
+        got, want = poisson_matrix(ch).entries, poisson_matrix(ch, Fraction(1)).entries
+        for row, want_row in zip(got, want):
+            for p, q in zip(row, want_row):
+                assert [(e, type(c), c) for e, c in p.terms.items()] == [
+                    (e, type(c), c) for e, c in q.terms.items()
+                ]
+
+
 def test_bracket_weights_are_additive():
     # each bracket {x_a, x_b} is a T-weight vector of weight wt(a) + wt(b)
     ch = build_chart(3)

@@ -61,6 +61,39 @@ def test_bad_type_rejected():
         CartanType.parse("B1")
 
 
+# the token grammar: one letter in A-G or a-g, then one or more ASCII
+# digits, checked on each "x"-separated part after strip()
+@pytest.mark.parametrize(
+    "text, want",
+    [("a3", "A3"), ("A03", "A3"), (" B2 x A1 ", "A1xB2"), ("A3\n", "A3"), ("E08", "E8")],
+)
+def test_cartan_token_accepted(text, want):
+    assert str(CartanType.parse(text)) == want
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("", ""),
+        ("A", "A"),
+        ("3", "3"),
+        ("H3", "H3"),
+        ("A-1", "A-1"),
+        ("A+3", "A+3"),
+        ("A1_0", "A1_0"),
+        ("A٣", "A٣"),  # ARABIC-INDIC DIGIT THREE
+        ("A 3", "A 3"),
+        ("AA3", "AA3"),
+        ("A3X B2", "A3X B2"),
+        ("A3x", ""),
+    ],
+)
+def test_cartan_token_refused(text, token):
+    with pytest.raises(ValueError) as err:
+        CartanType.parse(text)
+    assert str(err.value) == f"cannot parse Cartan type token {token!r}"
+
+
 def test_positive_root_counts():
     expected = {
         "A1": 1,
