@@ -172,11 +172,13 @@ def require_table(rs: RootSystem, cap: int = 60000) -> BruhatTable:
 
 def leq(v: WeylElement, w: WeylElement) -> bool:
     """v <= w: by the reachability table when one exists, else by descent
-    recursion.  It builds no table."""
+    recursion.  It builds no table, and refuses elements of two groups."""
+    if v.rs is not w.rs:
+        raise ValueError("elements of different groups")
     table = v.rs.cache.get("bruhat_table")
     if table is not None:
         return table.leq(v, w)
-    return bruhat_leq(v, w)
+    return leq_by_descents(v, w)
 
 
 def covers(v: WeylElement, w: WeylElement) -> bool:
@@ -197,7 +199,7 @@ def interval(
     table of the whole group, built under the default cap if it is not
     there yet."""
     table = require_table(v.rs)
-    if not table.leq(v, w):
+    if not leq(v, w):
         raise ValueError("lower element is not below upper element in Bruhat order")
     idxs = table.interval_indices(v, w)  # ascending
     inside = set(idxs)

@@ -147,7 +147,6 @@ def cmd_gcr(rs: RootSystem, args) -> Report:
         rows = [[element_name(p.v), element_name(p.w), p.d] for p in pairs]
         by_d = sorted(Counter(d for _, _, d in rows).items())
         payload = {
-            "type": str(rs.cartan_type),
             "mode": args.action,
             "count": len(rows),
             "by_dimension": {str(k): v for k, v in by_d},
@@ -163,7 +162,6 @@ def cmd_gcr(rs: RootSystem, args) -> Report:
         c4 = is_gcr_cond4(v, w)
         c6 = is_gcr_cond6(v, w) is not None
         payload = {
-            "type": str(rs.cartan_type),
             "v": element_name(v),
             "w": element_name(w),
             "gcr": c3,
@@ -182,7 +180,6 @@ def cmd_gcr(rs: RootSystem, args) -> Report:
         pair = make_gcr_pair(v, w)
         ok = verify_powerset_interval(pair)
         payload = {
-            "type": str(rs.cartan_type),
             "v": element_name(v),
             "w": element_name(w),
             "d": pair.d,
@@ -213,7 +210,6 @@ def cmd_cascade(rs: RootSystem, args) -> Report:
             ]
         )
     payload = {
-        "type": str(rs.cartan_type),
         "size": len(casc.roots),
         "roots": [_root_str(g) for g in casc.roots],
         "verification": summary,
@@ -257,7 +253,7 @@ def cmd_rpoly(rs: RootSystem, args) -> Report:
             raise InputError("--seed applies only with --sample")
         records = [_rpoly_record(*_read_pair(rs, args))]
     all_agree = all(r["agree"] for r in records)
-    payload = {"type": str(rs.cartan_type), "pairs": records, "all_agree": all_agree}
+    payload = {"pairs": records, "all_agree": all_agree}
     text = [
         f"R[{r['v']}, {r['w']}] = {r['pretty']}"
         + (f" = {r['factored']}" if r["factored"] else "")
@@ -300,7 +296,6 @@ def cmd_parabolic(rs: RootSystem, args) -> Report:
     intervals_ok = all(r[3] for r in rows)
     classes_ok = all(r[4] for r in rows)
     payload = {
-        "type": str(rs.cartan_type),
         "J": list(J),
         "count": len(pairs),
         "pairs": [dict(zip(header, r)) for r in rows],
@@ -322,7 +317,6 @@ def cmd_parabolic(rs: RootSystem, args) -> Report:
 def cmd_construct(rs: RootSystem, args) -> Report:
     pair = build_top_pair(rs)
     payload = {
-        "type": str(rs.cartan_type),
         "d": pair.d,
         "l_v": length(pair.v),
         "l_w": length(pair.w),
@@ -353,21 +347,19 @@ def cmd_poisson(rs: RootSystem, args) -> Report:
     if args.action == "scan":
         if args.cell is not None:
             raise InputError("--cell does not apply to scan, which runs every chart")
-        report = scan_cells(rs.rank, timeout_secs=args.timeout_secs, workers=args.workers)
-        payload = dict(report)
-        payload["type"] = str(rs.cartan_type)
-        text = [f"scan {rs.cartan_type}: witnesses on {len(report['witness_charts'])} charts"]
+        payload = scan_cells(rs.rank, timeout_secs=args.timeout_secs, workers=args.workers)
+        text = [f"scan {rs.cartan_type}: witnesses on {len(payload['witness_charts'])} charts"]
         text += [
             f"  {c['v']}: witness={c['witness']} generators={c['generators']}"
             + (" TIMEOUT" if c["timeout"] else "")
-            for c in report["charts"]
+            for c in payload["charts"]
         ]
         rows = [
             [c["v"], c["witness"] or "", c["generators"], c["timeout"]]
-            for c in report["charts"]
+            for c in payload["charts"]
         ]
         # a chart that ran out of time is a budget overrun, not "no witness"
-        code = 2 if any(c["timeout"] for c in report["charts"]) else 0
+        code = 2 if any(c["timeout"] for c in payload["charts"]) else 0
         return Report(
             payload, text, csv=(["v", "witness", "generators", "timeout"], rows), code=code
         )
@@ -383,7 +375,6 @@ def cmd_poisson(rs: RootSystem, args) -> Report:
             if not pm.entries[a][b].is_zero()
         ]
         payload = {
-            "type": str(rs.cartan_type),
             "cell": chart.v_oneline,
             "bivector": pm.pretty(),
             "entries": [dict(zip(header, r)) for r in rows],
@@ -397,7 +388,6 @@ def cmd_poisson(rs: RootSystem, args) -> Report:
         witness = nonreduced_witness(chart, timeout_secs=args.timeout_secs, di=di)
         generators = [str(g) for g in di.ideal.generators]
         payload = {
-            "type": str(rs.cartan_type),
             "cell": chart.v_oneline,
             "generators": generators,
             "witness": witness,
@@ -418,7 +408,7 @@ def cmd_graph(rs: RootSystem, args) -> Report:
     poset = enumerate_gcr(rs, cap=args.cap)
     highlight = {(p.v, p.w) for p in poset.maximal_pairs() if p.d == 1}
     dot = export_bruhat_graph(rs, highlight=highlight, cap=args.cap)
-    payload = {"type": str(rs.cartan_type), "dot": dot, "highlighted_edges": len(highlight)}
+    payload = {"dot": dot, "highlighted_edges": len(highlight)}
     return Report(payload, [dot], dot=dot)
 
 
@@ -498,7 +488,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 1
     try:
-        report = args.handler(build_root_system(args.type), args)
+        rs = build_root_system(args.type)
+        report = args.handler(rs, args)
+        report.payload["type"] = str(rs.cartan_type)
         if report.checks:
             report.payload["traceability"] = {
                 name: "pass" if ok else "fail" for name, ok in report.checks.items()

@@ -7,6 +7,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .bruhat import leq, walk_subwords
+from .polyalg import PolyRing, Polynomial
 from .rootsys import RootSystem
 from .weyl import (
     WeylElement,
@@ -84,30 +85,13 @@ class LaurentFreePolynomial:
         return None
 
     def pretty(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            elif e == 1:
-                body = "q" if mag == 1 else f"{mag}*q"
-            else:
-                body = f"q^{e}" if mag == 1 else f"{mag}*q^{e}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return str(Polynomial(_Q_RING, {(e,): c for e, c in enumerate(self.coeffs)}))
 
     def __str__(self) -> str:
         return self.pretty()
 
 
+_Q_RING = PolyRing(("q",))
 ZERO = LaurentFreePolynomial(())
 ONE = LaurentFreePolynomial((1,))
 _Q = LaurentFreePolynomial((0, 1))

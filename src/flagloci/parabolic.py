@@ -98,6 +98,8 @@ def _p_masks(table: BruhatTable, J: tuple[int, ...]) -> tuple[list[int], list[in
 
 
 def p_bruhat_leq(v: WeylElement, w: WeylElement, J: Iterable[int]) -> bool:
+    if v.rs is not w.rs:
+        raise ValueError("elements of different groups")
     table = require_table(v.rs)
     down, _ = _p_masks(table, _norm_j(v.rs, J))
     return bool(down[table.index[w]] >> table.index[v] & 1)

@@ -396,8 +396,7 @@ def scan_cells(n: int, timeout_secs: float = 60.0, workers: int = 1) -> dict:
 
 def verify_sl3_decomposition(timeout_secs: float = 60.0) -> bool:
     """Degeneracy ideal of the SL3 big cell equals the intersection of its
-    two component ideals with the embedded one, and sits inside each of the
-    first two."""
+    two component ideals with the embedded one (so it sits inside each)."""
     chart = build_chart(2)
     di = degeneracy_ideal(chart)
     ring = chart.ring
@@ -409,9 +408,6 @@ def verify_sl3_decomposition(timeout_secs: float = 60.0) -> bool:
         (p("x32^2"), p("x31*x32"), p("x21*x32 - 2*x31"), p("x21*x31"), p("x21^2")),
     )
     deadline = monotonic() + timeout_secs
-    for comp in (comp1, comp2):
-        if not all(membership(g, comp, deadline) for g in di.ideal.generators):
-            return False
     meet = intersect(intersect(comp1, comp2, deadline), embedded, deadline)
     return ideal_equal(di.ideal, meet, deadline)
 

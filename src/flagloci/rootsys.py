@@ -9,22 +9,23 @@ are ints, form values are ints, general vectors may carry Fractions.
 Simple roots are labeled 1..n following the Bourbaki numbering, components
 of semisimple types in sorted order ("G2xB2" and "B2xG2" agree).
 
-The enumeration of the positive roots carries each root's coroot pairings
-<b, a_i^v> = sum_j c_ij b_j, as p(b + a_i) = p(b) + column i of the Cartan
-matrix, and keeps them in ``RootSystem.coroot_pairings``.  They are the one
-source of what is derived from a root's pairings: its form image
-F b = (d_i <b, a_i^v>)_i (``_form_image``), its simple reflections
-s_i b = b - <b, a_i^v> a_i (``weyl``) and the step ``simple_lowering`` to a
-root of lower height.  What other modules derive from the roots (form
-images, reflection permutations, masks, the cascade forest, the longest
-element's permutation) is built on first use and kept in
-``RootSystem.cache``.
+The positive roots are the closure of the simple roots under the raising
+simple reflections s_i b = b - <b, a_i^v> a_i with <b, a_i^v> < 0.  The
+enumeration carries each root's coroot pairings <b, a_i^v> = sum_j c_ij b_j,
+as p(s_i b) = p(b) - <b, a_i^v> * column i of the Cartan matrix, and keeps
+them in ``RootSystem.coroot_pairings``.  They are the one source of what is
+derived from a root's pairings: its form image F b = (d_i <b, a_i^v>)_i
+(``_form_image``), its simple reflections (``weyl``) and the step
+``simple_lowering`` to a root of lower height.  What other modules derive
+from the roots (form images, reflection permutations, masks, the cascade
+forest, the longest element's permutation) is built on first use and kept
+in ``RootSystem.cache``.
 """
 
 from __future__ import annotations
 
 from math import factorial
-from operator import add, mul
+from operator import mul
 from typing import Optional, Sequence
 
 __all__ = [
@@ -237,41 +238,26 @@ class RootSystem:
             )
 
     def _enumerate_positive(self) -> tuple[tuple[Coords, ...], tuple[tuple[int, ...], ...]]:
-        # closure from the simple roots, level by level in height, using the
-        # root-string condition: b + a_i is a root iff p - <b, a_i^v> > 0
-        # where p = max k with b - k*a_i a root.
-        # The string below b is probed only as far as the condition needs.
-        # Each root's pairings (<b, a_i^v>)_i come along: a_i has column i of
-        # the Cartan matrix, and b + a_i has b's pairings plus that column.
+        # closure of the simple roots under raising simple reflections: every
+        # positive root is reached from a simple root by steps
+        # s_i b = b - <b, a_i^v> a_i with <b, a_i^v> < 0 (Humphreys 10.3).
+        # Each root's pairings come along: a_i has column i of the Cartan
+        # matrix, and s_i b has p(b) - <b, a_i^v> * column i.
         n = self.rank
         cols = tuple(zip(*self.cartan))
         simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         found = dict(zip(simple, cols))  # root -> its coroot pairings
-        levels: list[list[Coords]] = [sorted(simple)]
-        while True:
-            nxt: dict = {}
-            for b in levels[-1]:
-                pb = found[b]
-                for i, col in enumerate(cols):
-                    room = -pb[i]  # p - <b, a_i^v> at p = 0
-                    if room <= 0 and b[i]:  # else b - a_i is no root
-                        probe = list(b)
-                        while room <= 0:
-                            probe[i] -= 1
-                            if tuple(probe) not in found:
-                                break
-                            room += 1
-                    if room > 0:
-                        up = b[:i] + (b[i] + 1,) + b[i + 1 :]
-                        if up not in nxt:
-                            nxt[up] = tuple(map(add, pb, col))
-            if not nxt:
-                break
-            found.update(nxt)
-            levels.append(sorted(nxt))
-        out: list[Coords] = []
-        for level in levels:
-            out.extend(level)
+        stack = list(found.items())
+        while stack:
+            b, p = stack.pop()
+            for i, c in enumerate(p):
+                if c < 0:
+                    up = b[:i] + (b[i] - c,) + b[i + 1 :]
+                    if up not in found:
+                        found[up] = q = tuple(x - c * y for x, y in zip(p, cols[i]))
+                        stack.append((up, q))
+        # increasing height, which highest_roots and construct rely on
+        out = sorted(found, key=lambda b: (sum(b), b))
         return tuple(out), tuple(found[b] for b in out)
 
     def simple_root(self, i: int) -> Coords:

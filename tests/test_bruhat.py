@@ -27,6 +27,7 @@ from flagloci.gcr import (
     make_gcr_pair,
     pair_encloses,
 )
+from flagloci.parabolic import p_bruhat_leq
 from flagloci.rootsys import build_root_system
 from flagloci.weyl import (
     enumerate_group,
@@ -367,6 +368,23 @@ def test_leq_reads_a_table_and_builds_none():
     table = get_table(rs)
     assert [leq(v, w) for v, w in pairs] == want
     assert rs.cache["bruhat_table"] is table
+
+
+def test_comparisons_refuse_elements_of_two_groups():
+    # the same refusal with or without a table, for a second A2 as for B2
+    rs = build_root_system("A2")
+    v, w = identity(rs), longest_element(rs)
+    others = [longest_element(build_root_system(t)) for t in ("A2", "B2")]
+    for x in others:
+        for a, b in ((v, x), (x, w)):
+            with pytest.raises(ValueError, match="different groups"):
+                leq(a, b)
+    get_table(rs)
+    for x in others:
+        for a, b in ((v, x), (x, w)):
+            for compare in (leq, interval, lambda a, b: p_bruhat_leq(a, b, [1])):
+                with pytest.raises(ValueError, match="different groups"):
+                    compare(a, b)
 
 
 def test_single_calls_build_no_table():

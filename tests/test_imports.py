@@ -152,7 +152,8 @@ def test_one_way_to_build_and_one_covering_list():
 
 def test_handlers_leave_verdicts_to_main():
     # a handler names its checks in Report.checks; only main turns them
-    # into the traceability map and the exit code
+    # into the traceability map and the exit code, and only main stamps
+    # the payload's "type" from the root system it built
     offences = []
     for path in sorted((ROOT / "src" / "flagloci").glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -161,7 +162,8 @@ def test_handlers_leave_verdicts_to_main():
             offences += [
                 f"{path.name}:{node.lineno} {fn.name} names {node.value!r}"
                 for node in ast.walk(fn)
-                if isinstance(node, ast.Constant) and node.value in ("traceability", "pass", "fail")
+                if isinstance(node, ast.Constant)
+                and node.value in ("traceability", "pass", "fail", "type")
             ]
     assert offences == []
 

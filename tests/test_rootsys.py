@@ -248,6 +248,20 @@ def test_derived_root_data_match_the_form(t):
         perm = _reflection_perm(rs, rs.simple_root(i))
         for k, r in enumerate(rs.roots):
             assert rs.roots[perm[k]] == reflect(rs, rs.simple_root(i), r)
+    # the enumerated roots against the orbit of the simple roots under the
+    # form-based simple reflections, in (height, tuple) order
+    simple = [rs.simple_root(i) for i in range(1, n + 1)]
+    orbit, frontier = set(simple), list(simple)
+    while frontier:
+        r = frontier.pop()
+        for a in simple:
+            image = reflect(rs, a, r)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    assert len(orbit) == 2 * len(rs.positive_roots)
+    positive = sorted((b for b in orbit if sum(b) > 0), key=lambda b: (sum(b), b))
+    assert tuple(positive) == rs.positive_roots
 
 
 @pytest.mark.parametrize("t", ["A3", "B3", "C4", "G2xA1", "F4", "E6"])
