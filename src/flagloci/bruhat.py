@@ -232,10 +232,12 @@ def walk_subwords(
     be below, so a skipped test is one whose answer is True and the hits
     are unchanged.  Keeping a letter moves y by one right product,
     removing it leaves y unchanged, and a leaf is a hit iff l(y) = 0, so
-    the walk takes one inverse in all.  The word is
-    validated and its reversed suffix products are built at the call; the
+    the walk takes one inverse in all.  The word and the target's group are
+    validated and the word's reversed suffix products built at the call; the
     walk runs as the result is iterated.
     """
+    if target.rs is not rs:
+        raise ValueError("elements of different groups")
     word = tuple(word)
     if not is_reduced(rs, word):
         raise ValueError(f"word {word} is not reduced")

@@ -119,14 +119,10 @@ class Cascade:
         self.roots = tuple(node.gamma for node in iter_nodes(self))  # in preorder
 
 
-def _e_set(rs: RootSystem, sub: list[tuple], values: list) -> tuple[tuple, ...]:
-    """The roots of ``sub`` with ``values[k] = (sub[k], gamma) > 0``."""
-    es = [m for m, p in zip(sub, values) if p > 0]
-    es.sort(key=lambda r: (rs.height(r), r))
-    return tuple(es)
-
-
-def _match_pairs(rs: RootSystem, gamma: tuple, e_set) -> tuple:
+def _match_pairs(gamma: tuple, e_set) -> tuple:
+    """The pairs (m, gamma - m) of the E-set without gamma.  The E-set is in
+    root order, so m, the first of its pair to be met, is the lower one, and
+    the pairs come in the order of their lower roots."""
     rest = set(e_set)
     rest.discard(gamma)
     seen = set()
@@ -137,19 +133,18 @@ def _match_pairs(rs: RootSystem, gamma: tuple, e_set) -> tuple:
         partner = tuple(g - c for g, c in zip(gamma, m))
         if partner not in rest or partner == m:
             raise KostantCheckError(f"no twin for {m} inside E({gamma})")
-        seen.add(m)
         seen.add(partner)
-        a, b = sorted((m, partner), key=lambda r: (rs.height(r), r))
-        out.append((a, b))
-    out.sort(key=lambda p: (rs.height(p[0]), p[0]))
+        out.append((m, partner))
     return tuple(out)
 
 
 def _build_node(rs: RootSystem, gamma: tuple) -> CascadeNode:
     supp, sub = support_subsystem(rs, gamma)
     values = pairings_with(rs, sub, gamma)  # the one pairing pass of the node
-    e_set = _e_set(rs, sub, values)
-    pairs = _match_pairs(rs, gamma, e_set)
+    # the roots with (m, gamma) > 0, in the order of sub, which is the order
+    # of rs.positive_roots: by height, then coordinates
+    e_set = tuple(m for m, p in zip(sub, values) if p > 0)
+    pairs = _match_pairs(gamma, e_set)
     children = tuple(_build_node(rs, d) for d in _descendants(rs, gamma, sub, values))
     return CascadeNode(gamma, supp, e_set, pairs, children)
 

@@ -16,10 +16,12 @@ as p(s_i b) = p(b) - <b, a_i^v> * column i of the Cartan matrix, and keeps
 them in ``RootSystem.coroot_pairings``.  They are the one source of what is
 derived from a root's pairings: its form image F b = (d_i <b, a_i^v>)_i
 (``_form_image``), its simple reflections (``weyl``) and the step
-``simple_lowering`` to a root of lower height.  What other modules derive
-from the roots (form images, reflection permutations, masks, the cascade
-forest, the longest element's permutation) is built on first use and kept
-in ``RootSystem.cache``.
+``simple_lowering`` to a root of lower height.  The positive roots are
+sorted by height, then coordinates, so a_i is positive root n - i, which
+is where ``weyl`` reads the descents.  What other modules derive from the
+roots (form images, reflection permutations, masks, the cascade forest,
+the longest element's permutation) is built on first use and kept in
+``RootSystem.cache``.
 """
 
 from __future__ import annotations
@@ -223,11 +225,11 @@ class RootSystem:
         # element pool "elements" of an enumerated group, witnessed pairs,
         # the "gcr_hosts" checked host words of pairs under (w, word),
         # parabolic masks, R-polynomials, reflection permutations, one per
-        # positive root, the permutation of the "longest" element, the
-        # "form_images" F y of roots read by pairing, orthogonality masks,
-        # the "highest_roots", the cascade forest and the cascade's
-        # "support_masks"), one entry per name, living as long as the root
-        # system
+        # positive root, the "simple_reflections" right products, the
+        # permutation of the "longest" element, the "form_images" F y of
+        # roots read by pairing, orthogonality masks, the "highest_roots",
+        # the cascade forest and the cascade's "support_masks"), one entry
+        # per name, living as long as the root system
         self.cache: dict = {}
         expected = sum(
             _POSITIVE_COUNT[letter](r) for letter, r in cartan_type.components
@@ -256,7 +258,7 @@ class RootSystem:
                     if up not in found:
                         found[up] = q = tuple(x - c * y for x, y in zip(p, cols[i]))
                         stack.append((up, q))
-        # increasing height, which highest_roots and construct rely on
+        # increasing height, which highest_roots, construct and cascade rely on
         out = sorted(found, key=lambda b: (sum(b), b))
         return tuple(out), tuple(found[b] for b in out)
 

@@ -3,9 +3,12 @@
 The 2N roots are numbered as in ``RootSystem.roots`` (positives first, so
 root k + N is -(root k)), and an element is the tuple ``perm`` with
 ``perm[k]`` the index of its image of root k (Bjorner-Brenti, *Combinatorics
-of Coxeter Groups*, ch. 4).  Permutation equality is element equality, so no
-word-problem normalization is ever needed; products, inverses, lengths,
-inversion sets and descents are index lookups.
+of Coxeter Groups*, ch. 4).  Within one Cartan type permutation equality is
+element equality, so no word-problem normalization is ever needed;
+products, inverses, lengths, inversion sets and descents are index
+lookups.  The simple root a_i is positive root n - i (``rootsys`` orders
+the positive roots by height, then coordinates), so s_i is a right
+descent of w iff ``perm[n - i] >= N``, on every element alike.
 
 The integer matrix whose columns are the images of the simple roots is a
 derived view, built and cached where behaviour depends on it: the ordering
@@ -16,28 +19,28 @@ Once a group has been enumerated there is one object per element: every
 constructor goes through ``_make``, which returns the object recorded by
 ``enumerate_group`` in ``rs.cache["elements"]``, so an element's length,
 reduced word and matrix are computed once per group element.  A pooled
-element also keeps its right neighbours w s_1, ..., w s_n and its
-right-descent bitmask, which the enumeration forms anyway, and its
-inverse, which ``inverse`` links both ways on first use.  So on a pooled
-group ``times_simple``, ``inverse`` and the descent tests are lookups,
-with no permutation product and no pool lookup; a left step s_i w goes
-through ``simple_times`` as (w^{-1} s_i)^{-1}, and ``identity`` and
-``from_word`` read the pool the same way.  A group that is never
-enumerated has no pool, and each product is a fresh object that holds no
-reference to another element.  An unpickled or deep-copied element is
-made again from its permutation on a root system rebuilt from its type,
-so it equals the original but is not pooled.
+element also keeps its right neighbours w s_1, ..., w s_n, which the
+enumeration forms anyway, and its inverse, which ``inverse`` links both
+ways on first use.  So on a pooled group ``times_simple`` and ``inverse``
+are lookups, with no permutation product and no pool lookup; a left step
+s_i w goes through ``simple_times`` as (w^{-1} s_i)^{-1}, and
+``identity`` and ``from_word`` read the pool the same way.  A group that
+is never enumerated has no pool, and each product is a fresh object that
+holds no reference to another element.  An unpickled or deep-copied
+element is made again from its permutation on a root system rebuilt from
+its type, so it equals the original but is not pooled.
 
 The representation is private to this module: other modules see only the
 functions below, and they key dicts and sets on the elements themselves
 (an element hashes its permutation once; equality is identity first, then
-the permutation).  Changing the representation touches this file only.
+the permutation and the Cartan type, so elements of B2 and C2 differ).
+Changing the representation touches this file only.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .rootsys import RootSystem, is_root, simple_lowering, weyl_order
 
@@ -131,19 +134,26 @@ def _reflection_perm(rs: RootSystem, b: tuple) -> Perm:
     return perm
 
 
-def _simple(rs: RootSystem) -> tuple[tuple[Perm, ...], tuple[int, ...], tuple]:
-    """The permutations of s_1..s_n, the root indices of a_1..a_n, and for
-    each s_i an ``itemgetter`` that right-multiplies a permutation by it."""
+def _simple(rs: RootSystem) -> tuple:
+    """For each s_i an ``itemgetter`` that right-multiplies a permutation by
+    it."""
     got = rs.cache.get("simple_reflections")
     if got is None:
-        simple = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
-        perms = tuple(_reflection_perm(rs, a) for a in simple)
-        got = rs.cache["simple_reflections"] = (
-            perms,
-            tuple(rs.root_index[a] for a in simple),
-            tuple(itemgetter(*perm) for perm in perms),
+        got = rs.cache["simple_reflections"] = tuple(
+            itemgetter(*_reflection_perm(rs, rs.simple_root(i))) for i in range(1, rs.rank + 1)
         )
     return got
+
+
+def _first_simple(perm: Perm, n: int, negative: bool = True) -> Optional[int]:
+    """The smallest 1-based i for which the permutation sends a_i, positive
+    root n - i, to a negative root (``negative=False``: to a positive one);
+    None if there is none."""
+    n_pos = len(perm) // 2
+    for i in range(1, n + 1):
+        if (perm[n - i] >= n_pos) == negative:
+            return i
+    return None
 
 
 def _mat_vec(m: Matrix, v: Sequence) -> tuple:
@@ -152,7 +162,7 @@ def _mat_vec(m: Matrix, v: Sequence) -> tuple:
 
 
 class WeylElement:
-    __slots__ = ("rs", "perm", "_hash", "_len", "_rword", "_matrix", "_right", "_desc", "_inv")
+    __slots__ = ("rs", "perm", "_hash", "_len", "_rword", "_matrix", "_right", "_inv")
 
     def __init__(self, rs: RootSystem, perm: Perm):
         self.rs = rs
@@ -161,15 +171,17 @@ class WeylElement:
         self._len: Optional[int] = None
         self._rword: Optional[tuple[int, ...]] = None
         self._matrix: Optional[Matrix] = None
-        # set on pooled elements only: w s_1, ..., w s_n and the mask of the
-        # right descents (bit i - 1 for s_i) by enumerate_group, the inverse
-        # by inverse on first use
+        # set on pooled elements only: w s_1, ..., w s_n by enumerate_group,
+        # the inverse by inverse on first use; the descents are read off perm
         self._right: Optional[tuple[WeylElement, ...]] = None
-        self._desc: Optional[int] = None
         self._inv: Optional[WeylElement] = None
 
     def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, WeylElement) and self.perm == other.perm)
+        return self is other or (
+            isinstance(other, WeylElement)
+            and self.perm == other.perm
+            and self.rs.cartan_type == other.rs.cartan_type
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -188,9 +200,8 @@ class WeylElement:
     def matrix(self) -> Matrix:
         """Rows of the matrix whose column j is the image of a_{j+1}."""
         if self._matrix is None:
-            roots = self.rs.roots
-            simple_index = _simple(self.rs)[1]
-            cols = [roots[self.perm[k]] for k in simple_index]
+            roots, n, perm = self.rs.roots, self.rs.rank, self.perm
+            cols = [roots[perm[n - j]] for j in range(1, n + 1)]  # a_j is root n - j
             self._matrix = tuple(zip(*cols))
         return self._matrix
 
@@ -236,8 +247,7 @@ def _check_letter(rs: RootSystem, i: int) -> None:
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """s_i for a 1-based simple index: it changes only coordinate i of a
     root, b_i -> b_i - sum_j c_ij b_j."""
-    _check_letter(rs, i)
-    return _make(rs, _simple(rs)[0][i - 1])
+    return _make(rs, _reflection_perm(rs, rs.simple_root(i)))
 
 
 def reflection(rs: RootSystem, b: Sequence) -> WeylElement:
@@ -259,7 +269,7 @@ def times_simple(w: WeylElement, i: int) -> WeylElement:
     right = w._right
     if right is not None:
         return right[i - 1]
-    return _make(w.rs, _simple(w.rs)[2][i - 1](w.perm))
+    return _make(w.rs, _simple(w.rs)[i - 1](w.perm))
 
 
 def simple_times(i: int, w: WeylElement) -> WeylElement:
@@ -268,8 +278,7 @@ def simple_times(i: int, w: WeylElement) -> WeylElement:
     permutation product."""
     if w._right is not None:
         return inverse(times_simple(inverse(w), i))
-    _check_letter(w.rs, i)
-    return _make(w.rs, itemgetter(*w.perm)(_simple(w.rs)[0][i - 1]))
+    return _make(w.rs, itemgetter(*w.perm)(_reflection_perm(w.rs, w.rs.simple_root(i))))
 
 
 def _inverse_perm(perm: Perm) -> Perm:
@@ -308,38 +317,22 @@ def inversion_set(w: WeylElement) -> frozenset:
     return frozenset(w.rs.roots[j - n_pos] for j in w.perm[:n_pos] if j >= n_pos)
 
 
-def _scan_simple_images(rs: RootSystem, perm: Perm, negative: bool = True) -> Iterator[int]:
-    """1-based indices i, ascending, for which the permutation sends a_i to
-    a negative root (``negative=False``: to a positive one).  Lazy, so
-    ``next`` stops at the first hit."""
-    n_pos = len(perm) // 2
-    for i, k in enumerate(_simple(rs)[1], 1):
-        if (perm[k] >= n_pos) == negative:
-            yield i
-
-
 def right_descents(w: WeylElement) -> list[int]:
-    desc = w._desc
-    if desc is not None:
-        return [i for i in range(1, w.rs.rank + 1) if desc >> (i - 1) & 1]
-    return list(_scan_simple_images(w.rs, w.perm))
+    n, perm = w.rs.rank, w.perm
+    n_pos = len(perm) // 2
+    return [i for i in range(1, n + 1) if perm[n - i] >= n_pos]
 
 
 def is_right_descent(w: WeylElement, i: int) -> bool:
-    """Whether s_i is a right descent of w (w sends a_i to a negative root):
-    one lookup, where ``i in right_descents(w)`` scans every simple root."""
+    """Whether s_i is a right descent of w: whether w sends a_i, positive
+    root n - i, to a negative root.  One lookup, where ``i in
+    right_descents(w)`` scans every simple root."""
     _check_letter(w.rs, i)
-    desc = w._desc
-    if desc is not None:
-        return bool(desc >> (i - 1) & 1)
-    return w.perm[_simple(w.rs)[1][i - 1]] >= len(w.perm) // 2
+    return w.perm[w.rs.rank - i] >= len(w.perm) // 2
 
 
 def smallest_right_descent(w: WeylElement) -> Optional[int]:
-    desc = w._desc
-    if desc is not None:
-        return (desc & -desc).bit_length() or None
-    return next(_scan_simple_images(w.rs, w.perm), None)
+    return _first_simple(w.perm, w.rs.rank)
 
 
 def leq_by_descents(v: WeylElement, w: WeylElement) -> bool:
@@ -350,18 +343,16 @@ def leq_by_descents(v: WeylElement, w: WeylElement) -> bool:
     lookup) and right-multiplies by the cached ``itemgetter`` of s, so no
     element is built; the lengths are tracked as ints, as a step lowers
     l(y) by exactly 1 and l(x) by exactly 1 when s is a descent of x."""
-    _, simple_index, times = _simple(v.rs)
-    n_pos = len(v.perm) // 2
+    times = _simple(v.rs)
+    n, n_pos = v.rs.rank, len(v.perm) // 2
     x, y = _inverse_perm(v.perm), _inverse_perm(w.perm)
     lx, ly = length(v), length(w)
     while lx < ly:
-        for i, k in enumerate(simple_index):  # the smallest descent of y
-            if y[k] >= n_pos:
-                break
-        if x[k] >= n_pos:
-            x = times[i](x)
+        i = _first_simple(y, n)
+        if x[n - i] >= n_pos:
+            x = times[i - 1](x)
             lx -= 1
-        y = times[i](y)
+        y = times[i - 1](y)
         ly -= 1
     return x == y
 
@@ -378,10 +369,10 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Lexicographically smallest reduced word (greedy smallest left descent),
     stripped on the permutation of w^{-1}."""
     if w._rword is None:
-        times = _simple(w.rs)[2]
+        times, n = _simple(w.rs), w.rs.rank
         word = []
         u = _inverse_perm(w.perm)  # right descents of w^{-1} = left descents of w
-        while (i := next(_scan_simple_images(w.rs, u), None)) is not None:
+        while (i := _first_simple(u, n)) is not None:
             word.append(i)
             u = times[i - 1](u)
         w._rword = tuple(word)
@@ -407,7 +398,7 @@ def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
             _check_letter(rs, i)
             w = w._right[i - 1]
         return w
-    times = _simple(rs)[2]
+    times = _simple(rs)
     w = range(len(rs.roots))
     for i in word:
         _check_letter(rs, i)
@@ -422,13 +413,13 @@ def is_reduced(rs: RootSystem, word: Sequence[int]) -> bool:
 def roots_of_word(rs: RootSystem, word: Sequence[int]) -> list[tuple]:
     """The roots b_k = (s_{i_1}...s_{i_{k-1}})(a_{i_k}) of a reduced word;
     the word is reduced iff every b_k is positive."""
-    _, simple_index, times = _simple(rs)
-    n_pos = len(rs.positive_roots)
+    times = _simple(rs)
+    n, n_pos = rs.rank, len(rs.positive_roots)
     out = []
     prefix = range(len(rs.roots))
     for i in word:
         _check_letter(rs, i)
-        k = prefix[simple_index[i - 1]]
+        k = prefix[n - i]
         if k >= n_pos:
             raise ValueError(f"word {tuple(word)} is not reduced")
         out.append(rs.roots[k])
@@ -484,9 +475,9 @@ def longest_element(rs: RootSystem) -> WeylElement:
     pooled object on an enumerated group."""
     w = rs.cache.get("longest")
     if w is None:
-        times = _simple(rs)[2]
+        times = _simple(rs)
         w = tuple(range(len(rs.roots)))
-        while (i := next(_scan_simple_images(rs, w, negative=False), None)) is not None:
+        while (i := _first_simple(w, rs.rank, negative=False)) is not None:
             w = times[i - 1](w)
         rs.cache["longest"] = w
     return _make(rs, w)
@@ -499,16 +490,14 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
     ``rs.cache["elements"]`` (perm -> element, in this order), and every
     element of rs made afterwards is a pooled object.  The breadth-first
     search forms every w s_i once, so it hands each element its right
-    neighbours and its right descents (the s_i with w s_i found one layer
-    down) as it goes."""
+    neighbours as it goes."""
     order = weyl_order(rs.cartan_type)
     if order > cap:
         raise GroupTooLargeError(order, cap)
     pool = rs.cache.get("elements")
     if pool is not None:
         return list(pool.values())
-    times = _simple(rs)[2]
-    bits = [1 << i for i in range(rs.rank)]
+    times = _simple(rs)
     layer = [identity(rs)]
     seen = {layer[0].perm: layer[0]}
     out = []
@@ -518,18 +507,14 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
         for w in layer:
             w._len = depth  # BFS depth over simple generators is the length
             right = []
-            desc = 0
-            for bit, g in zip(bits, times):
+            for g in times:
                 perm = g(w.perm)
                 x = seen.get(perm)
                 if x is None:
                     x = seen[perm] = _make(rs, perm)
                     nxt.append(x)
-                elif x._len == depth - 1:
-                    desc |= bit
                 right.append(x)
             w._right = tuple(right)
-            w._desc = desc
         out.extend(layer)
         layer = sorted(nxt, key=lambda x: x.matrix)
         depth += 1

@@ -51,6 +51,17 @@ def test_two_routes_agree_small_groups():
                 assert a.coeffs == b.coeffs
 
 
+def test_both_routes_refuse_elements_of_two_types():
+    # B2 and C2 elements with equal permutations are not equal, so the
+    # recurrence does not stop at v == w; the subword walk refuses them
+    # before it walks, also on the empty word of the identity
+    b2, c2 = build_root_system("B2"), build_root_system("C2")
+    for make in (identity, longest_element):
+        for route in (r_polynomial_recurrence, r_polynomial_deodhar):
+            with pytest.raises(ValueError, match="elements of different groups"):
+                route(make(b2), make(c2))
+
+
 def test_zero_iff_not_below():
     rs = build_root_system("B2")
     els = enumerate_group(rs)

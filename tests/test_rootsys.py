@@ -262,6 +262,9 @@ def test_derived_root_data_match_the_form(t):
     assert len(orbit) == 2 * len(rs.positive_roots)
     positive = sorted((b for b in orbit if sum(b) > 0), key=lambda b: (sum(b), b))
     assert tuple(positive) == rs.positive_roots
+    # so a_i is positive root n - i, where weyl reads the descents
+    for i in range(1, n + 1):
+        assert rs.positive_roots[n - i] == rs.simple_root(i)
 
 
 @pytest.mark.parametrize("t", ["A3", "B3", "C4", "G2xA1", "F4", "E6"])

@@ -374,7 +374,7 @@ def test_matrix_is_private_to_weyl():
     # only weyl.py may read an element's permutation, matrix or private
     # slots, or import weyl's private names
     src = Path(__file__).resolve().parents[1] / "src" / "flagloci"
-    private = ("matrix", "perm", "_right", "_inv", "_desc", "_len", "_rword")
+    private = ("matrix", "perm", "_right", "_inv", "_len", "_rword")
     offences = []
     for path in sorted(src.glob("*.py")):
         if path.name == "weyl.py":
@@ -460,8 +460,10 @@ def test_pooled_elements_know_their_simple_neighbours(t):
 
 @pytest.mark.parametrize("t", ["A3", "B3", "G2xA1"])
 def test_pooled_lookups_match_an_unpooled_group(t):
-    # the facts a pooled element keeps (inverse, descents, neighbours)
-    # answer as the permutation products of a group without a pool do
+    # the facts a pooled element keeps (inverse, neighbours) answer as the
+    # permutation products of a group without a pool do; the descents are
+    # also checked against the length, which counts inversions and so does
+    # not depend on where the simple roots sit in the root order
     pooled, fresh = build_root_system(t), build_root_system(t)
     els = enumerate_group(pooled)
     assert "elements" not in fresh.cache
@@ -478,6 +480,8 @@ def test_pooled_lookups_match_an_unpooled_group(t):
         assert smallest_left_descent(w) == smallest_left_descent(u)
         for i in range(1, n + 1):
             assert is_right_descent(w, i) == is_right_descent(u, i)
+            for x in (w, u):
+                assert is_right_descent(x, i) == (length(times_simple(x, i)) < length(x))
             assert simple_times(i, w).perm == simple_times(i, u).perm
             assert from_word(pooled, word + (i,)).perm == from_word(fresh, word + (i,)).perm
     assert "elements" not in fresh.cache
@@ -533,6 +537,20 @@ def test_inverse_leaves_no_cyclic_garbage():
         gc.garbage.clear()
         gc.enable()
     assert leaked == []
+
+
+def test_elements_of_two_types_differ():
+    # B2 and C2 number their roots alike, so their identities and longest
+    # elements have equal permutations; a copy is rebuilt on the same type
+    # and still equals its original
+    b2, c2 = build_root_system("B2"), build_root_system("C2")
+    for make in (identity, longest_element):
+        x, y = make(b2), make(c2)
+        assert x.perm == y.perm
+        assert x != y and y != x
+        assert len({x, y}) == 2
+        assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(y)) == y
+        assert make(build_root_system("B2")) == x
 
 
 def test_pooled_elements_pickle_and_copy():
