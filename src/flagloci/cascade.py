@@ -14,6 +14,7 @@ the form image of gamma once, and its E-set (pairing > 0) and descendants
 
 from __future__ import annotations
 
+from ._record import Record
 from .rootsys import (
     RootSystem,
     classify_component,
@@ -92,22 +93,8 @@ def descendants(rs: RootSystem, gamma) -> list[tuple]:
     return _descendants(rs, gamma, sub, pairings_with(rs, sub, gamma))
 
 
-class CascadeNode:
+class CascadeNode(Record):
     __slots__ = ("gamma", "support", "E_set", "pairs", "children")
-
-    def __init__(
-        self,
-        gamma: tuple,
-        support: tuple[int, ...],
-        E_set: tuple[tuple, ...],
-        pairs: tuple[tuple[tuple, tuple], ...],
-        children: tuple[CascadeNode, ...],
-    ):
-        self.gamma = gamma
-        self.support = support
-        self.E_set = E_set
-        self.pairs = pairs
-        self.children = children
 
 
 class Cascade:

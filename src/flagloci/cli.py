@@ -68,13 +68,18 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
         return identity(rs)
     if is_type_a(rs) and ("," in text or text.isdigit()):
         return perm_from_string(rs, text)
+    if not text.isascii():  # int() would read other scripts' digits too
+        raise InputError(f"cannot parse element {text!r}")
     try:
         word = [int(tok) for tok in text.split(".")]
     except ValueError:
         raise InputError(f"cannot parse element {text!r}")
     if any(i < 1 or i > rs.rank for i in word):
         raise InputError(f"word letters out of range in {text!r}")
-    return from_word(rs, word)
+    w = from_word(rs, word)
+    if length(w) != len(word):
+        raise InputError(f"word {text!r} is not reduced")
+    return w
 
 
 def _root_str(root) -> str:

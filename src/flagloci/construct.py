@@ -10,8 +10,8 @@ side by side, one child root system per level."""
 from __future__ import annotations
 
 from operator import mul
-from typing import Optional
 
+from ._record import Record
 from .cascade import build_cascade, iter_nodes
 from .gcr import is_gcr_cond3
 from .rootsys import (
@@ -94,7 +94,7 @@ def build_u_for_theta(rs: RootSystem) -> tuple[int, ...]:
     return word_t
 
 
-class Subsystem:
+class Subsystem(Record):
     """The roots orthogonal to u^{-1}(theta_c) for every highest root
     theta_c, repackaged as a standalone root system ``child``, or None if
     there are none; ``pi_prime`` lists the ambient coordinates of the
@@ -102,16 +102,6 @@ class Subsystem:
     embedding of the child's Weyl group into the ambient one."""
 
     __slots__ = ("rs", "pi_prime", "child")
-
-    def __init__(
-        self,
-        rs: RootSystem,
-        pi_prime: tuple[tuple, ...],
-        child: Optional[RootSystem],
-    ):
-        self.rs = rs
-        self.pi_prime = pi_prime
-        self.child = child
 
     def to_ambient(self, child_root) -> tuple:
         return tuple(sum(map(mul, child_root, col)) for col in zip(*self.pi_prime))
@@ -195,23 +185,11 @@ def build_v(rs: RootSystem) -> WeylElement:
     return multiply(u, sub.lift(build_v(sub.child)))
 
 
-class TopPair:
+class TopPair(Record):
     """(v, w0 v) with the per-pair certificate: for every matched pair
     (mu, nu) of every cascade node, which twin lies in the inversion set."""
 
     __slots__ = ("v", "w", "d", "certificate")
-
-    def __init__(
-        self,
-        v: WeylElement,
-        w: WeylElement,
-        d: int,
-        certificate: tuple[tuple[tuple, tuple, tuple, tuple], ...],
-    ):
-        self.v = v
-        self.w = w
-        self.d = d
-        self.certificate = certificate
 
 
 def build_top_pair(rs: RootSystem) -> TopPair:

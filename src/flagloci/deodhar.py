@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ._record import Record
 from .bruhat import leq, walk_subwords
 from .polyalg import PolyRing, Polynomial
 from .rootsys import RootSystem
@@ -105,7 +106,7 @@ def q_minus_one_power(k: int) -> LaurentFreePolynomial:
     return out
 
 
-class DistinguishedSubword:
+class DistinguishedSubword(Record):
     """A keep/remove pattern on ``host`` whose kept letters multiply to the
     target, recorded with the full partial-product trace.
 
@@ -113,20 +114,6 @@ class DistinguishedSubword:
     kept steps where sigma drops; n_stat + 2*m_stat is the length gap."""
 
     __slots__ = ("host", "removed", "sigma_trace", "n_stat", "m_stat")
-
-    def __init__(
-        self,
-        host: tuple[int, ...],
-        removed: tuple[int, ...],
-        sigma_trace: tuple[WeylElement, ...],
-        n_stat: int,
-        m_stat: int,
-    ):
-        self.host = host
-        self.removed = removed
-        self.sigma_trace = sigma_trace
-        self.n_stat = n_stat
-        self.m_stat = m_stat
 
 
 def _kept_descents(trace: Sequence[WeylElement]) -> int:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .bruhat import BruhatTable, closure, require_table
 from .gcr import GcrPair, enumerate_gcr, sub_pairs, verify_powerset_interval
 from .rootsys import RootSystem
@@ -105,15 +106,10 @@ def p_bruhat_leq(v: WeylElement, w: WeylElement, J: Iterable[int]) -> bool:
     return bool(down[table.index[w]] >> table.index[v] & 1)
 
 
-class PairClass:
+class PairClass(Record):
     """Canonical representative (v w_P^{-1}, w^P) of a pair class."""
 
     __slots__ = ("v", "w", "J")
-
-    def __init__(self, v: WeylElement, w: WeylElement, J: tuple[int, ...]):
-        self.v = v
-        self.w = w
-        self.J = J
 
     def __eq__(self, other) -> bool:
         return (

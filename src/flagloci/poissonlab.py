@@ -23,6 +23,7 @@ import os
 from time import monotonic
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from ._record import Record
 from .polyalg import (
     Ideal,
     PolyRing,
@@ -58,24 +59,13 @@ __all__ = [
 ]
 
 
-class Chart:
+class Chart(Record):
     """Affine chart v.U_-B+/B+ with row-major coordinates x_ij, i > j."""
 
+    # representative is the chosen lift of v, a signed permutation matrix:
+    # column b is sign * e_row, stored as representative[b] = (row, sign),
+    # 0-based rows
     __slots__ = ("n", "v_oneline", "ring", "representative")
-
-    def __init__(
-        self,
-        n: int,
-        v_oneline: str,
-        ring: PolyRing,
-        representative: tuple[tuple[int, int], ...],
-    ):
-        self.n = n
-        self.v_oneline = v_oneline
-        self.ring = ring
-        # the chosen lift of v, a signed permutation matrix: column b is
-        # sign * e_row, stored as representative[b] = (row, sign), 0-based rows
-        self.representative = representative
 
     @property
     def size(self) -> int:
@@ -317,12 +307,8 @@ def poisson_matrix(chart: Chart, scale: int | Fraction = 1) -> PoissonMatrix:
     return PoissonMatrix(chart, tuple(tuple(row) for row in entries))
 
 
-class DegeneracyIdeal:
+class DegeneracyIdeal(Record):
     __slots__ = ("chart", "ideal")
-
-    def __init__(self, chart: Chart, ideal: Ideal):
-        self.chart = chart
-        self.ideal = ideal
 
 
 def degeneracy_ideal(chart: Chart, pm: Optional[PoissonMatrix] = None) -> DegeneracyIdeal:

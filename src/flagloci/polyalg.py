@@ -52,6 +52,8 @@ from itertools import compress
 from operator import add, le, sub
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
+from ._record import Record
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -300,24 +302,12 @@ class Ideal:
         return f"Ideal(PolyRing({ring.variables!r}, {ring.order!r}), {self.generators!r})"
 
 
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """A basis and the data every reduction by it reads: the leading
     monomials of its members (``leads``) and their support masks
     (``sevs``), which the completion loop that built it already holds."""
 
     __slots__ = ("ring", "polys", "leads", "sevs")
-
-    def __init__(
-        self,
-        ring: PolyRing,
-        polys: tuple[Polynomial, ...],
-        leads: tuple[Expo, ...],
-        sevs: tuple[int, ...],
-    ):
-        self.ring = ring
-        self.polys = polys
-        self.leads = leads
-        self.sevs = sevs
 
 
 _OPERATORS = frozenset("-+*^)")
@@ -328,7 +318,8 @@ def _token_pattern():
     """The tokenizer of `parse_polynomial`, compiled on its first call."""
     import re
 
-    return re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
+    # in a str pattern \d would also match other scripts' digits
+    return re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))", re.ASCII)
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:

@@ -541,20 +541,14 @@ def _check_type_a(rs: RootSystem) -> int:
     return rs.rank
 
 
-def _eps_coords(c: Sequence) -> list:
-    """Root-lattice coords -> coefficients in the e_1..e_{n+1} basis."""
-    n = len(c)
-    return [c[0]] + [c[m] - c[m - 1] for m in range(1, n)] + [-c[n - 1]]
-
-
 def parse_perm(text: str) -> tuple[int, ...]:
     """The entries of a one-line permutation: run-together digits or
     comma-separated entries.  ValueError("cannot parse permutation ...")
-    when the text is empty or an entry is empty or not a decimal number;
-    whether the entries form a permutation is not checked here."""
+    when the text is empty or an entry is empty or not a number in ASCII
+    digits; whether the entries form a permutation is not checked here."""
     text = text.strip()
     entries = [tok.strip() for tok in text.split(",")] if "," in text else list(text)
-    if not entries or not all(tok.isdecimal() for tok in entries):
+    if not entries or not all(tok.isascii() and tok.isdecimal() for tok in entries):
         raise ValueError(f"cannot parse permutation {text!r}")
     return tuple(int(tok) for tok in entries)
 
@@ -588,15 +582,12 @@ def perm_to_element(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
 
 
 def element_to_perm(w: WeylElement) -> tuple[int, ...]:
-    n = _check_type_a(w.rs)
-    perm = [0] * (n + 1)
-    for j in range(1, n + 1):
-        x = w.act(tuple(int(k < j) for k in range(n)))  # w(a_1 + ... + a_j)
-        eps = _eps_coords(x)
-        plus = eps.index(1) + 1
-        minus = eps.index(-1) + 1
-        perm[0] = plus
-        perm[j] = minus
+    """The one-line permutation of a type-A element: starting from
+    (1, ..., n+1), right multiplication by s_i swaps entries i and i+1,
+    applied along a reduced word of w (the rule of `perm_word`)."""
+    perm = list(range(1, _check_type_a(w.rs) + 2))
+    for i in reduced_word(w):
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
     return tuple(perm)
 
 

@@ -183,7 +183,7 @@ def test_poisson_cell_flag(capsys):
 
 def test_bad_cell_exits_1(capsys):
     # an empty or non-digit entry is bad input, named as a permutation
-    for text in ("1a3", "1,2,,3"):
+    for text in ("1a3", "1,2,,3", "1２3"):
         assert main(["poisson", "matrix", "A2", "--cell", text]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -281,6 +281,16 @@ def test_a9_names_read_back(capsys):
     # up to A8 the entries still run together
     _, a8 = run_json(capsys, "gcr", "check", "A8", "--v", "1,2,3,4,5,6,7,8,9", "--w", "213456789")
     assert (a8["v"], a8["w"]) == ("123456789", "213456789")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1.1", "word '1.1' is not reduced"), ("１", "cannot parse element '１'")],
+)
+def test_bad_word_element_exits_1(capsys, text, message):
+    # a word names an element only when it is reduced and in ASCII digits
+    assert main(["gcr", "check", "B2", "--v", text, "--w", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bad_comma_permutation_exits_1(capsys):

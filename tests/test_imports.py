@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from flagloci import polyalg
+from flagloci import cascade, construct, deodhar, parabolic, poissonlab, polyalg
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "flagloci").glob("*.py")) + sorted(
@@ -148,6 +148,90 @@ def test_one_way_to_build_and_one_covering_list():
             ):
                 offences.append(f"{path.name}:{node.lineno} calls object.__new__")
     assert offences == []
+
+
+def store_only_constructors(source: str) -> list[str]:
+    """The classes whose ``__init__``, apart from a docstring, only does
+    ``self.p = p`` for two or more of its parameters p."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__init__"):
+                continue
+            body = fn.body
+            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            params = {a.arg for a in fn.args.args[1:]}
+            stores = [
+                s
+                for s in body
+                if isinstance(s, ast.Assign)
+                and len(s.targets) == 1
+                and isinstance(s.targets[0], ast.Attribute)
+                and isinstance(s.targets[0].value, ast.Name)
+                and s.targets[0].value.id == "self"
+                and isinstance(s.value, ast.Name)
+                and s.value.id == s.targets[0].attr in params
+            ]
+            if len(stores) == len(body) >= 2:
+                found.append(cls.name)
+    return found
+
+
+def test_no_store_only_constructor():
+    # a record that only stores its fields takes Record's constructor
+    offences = []
+    for path in sorted((ROOT / "src" / "flagloci").glob("*.py")):
+        offences += [f"{path.name}: {name}" for name in store_only_constructors(path.read_text())]
+    assert offences == []
+
+
+def test_store_only_constructor_is_caught():
+    source = """
+class Pair:
+    def __init__(self, a, b):
+        '''Doc.'''
+        self.a = a
+        self.b = b
+
+class One:
+    def __init__(self, a):
+        self.a = a
+
+class Derived:
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+        self.c = a + b
+"""
+    assert store_only_constructors(source) == ["Pair"]
+
+
+RECORDS = [
+    cascade.CascadeNode,
+    construct.Subsystem,
+    construct.TopPair,
+    deodhar.DistinguishedSubword,
+    parabolic.PairClass,
+    poissonlab.Chart,
+    poissonlab.DegeneracyIdeal,
+    polyalg.GroebnerBasis,
+]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_takes_one_value_per_field(cls):
+    fields = cls.__slots__
+    for count in (len(fields) - 1, len(fields) + 1):
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*range(count))
+    with pytest.raises(TypeError):
+        cls(**dict.fromkeys(fields))
+    record = cls(*range(len(fields)))
+    assert [getattr(record, name) for name in fields] == list(range(len(fields)))
+    assert not hasattr(record, "__dict__")
 
 
 def test_handlers_leave_verdicts_to_main():

@@ -621,6 +621,7 @@ def test_unit_ideal_stops_at_a_constant(monkeypatch):
         ("()", "unexpected ')'"),
         ("x*+y", "unexpected '+'"),
         ("x + z", "unknown variable 'z'"),
+        ("٣*x", "cannot tokenize"),
     ],
 )
 def test_parse_errors_are_value_errors(text, message):

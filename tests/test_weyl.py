@@ -353,7 +353,8 @@ def test_perm_composition_convention():
 def test_parse_perm_rejects_bad_entries():
     assert parse_perm("2143") == (2, 1, 4, 3)
     assert parse_perm(" 2, 1,10 ") == (2, 1, 10)
-    for text in ("", "1a3", "1,2,,3", "1,2,x,4", ",", "-1,2"):
+    # digits of other scripts (fullwidth, Arabic-Indic) are refused too
+    for text in ("", "1a3", "1,2,,3", "1,2,x,4", ",", "-1,2", "1２3", "١٢٣"):
         with pytest.raises(ValueError, match="cannot parse permutation"):
             parse_perm(text)
 
