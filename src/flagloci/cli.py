@@ -68,12 +68,12 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
         return identity(rs)
     if is_type_a(rs) and ("," in text or text.isdigit()):
         return perm_from_string(rs, text)
-    if not text.isascii():  # int() would read other scripts' digits too
+    # int() would also take a sign, spaces, underscores and other scripts'
+    # digits, so every letter must be a run of ASCII digits
+    tokens = text.split(".")
+    if not text.isascii() or not all(tok.isdecimal() for tok in tokens):
         raise InputError(f"cannot parse element {text!r}")
-    try:
-        word = [int(tok) for tok in text.split(".")]
-    except ValueError:
-        raise InputError(f"cannot parse element {text!r}")
+    word = [int(tok) for tok in tokens]
     if any(i < 1 or i > rs.rank for i in word):
         raise InputError(f"word letters out of range in {text!r}")
     w = from_word(rs, word)

@@ -9,17 +9,24 @@ but f not in it certifies non-reducedness of the chart scheme.
 
 A chart needs no root system: `build_chart` reads a reduced word off the
 one-line permutation (`weyl.perm_word`) and multiplies the signed lifts of
-its letters.  `poisson_matrix` works on terms dicts: u^-1 by forward
+its letters.  A root vector's field depends on the chart only through the
+two columns of the lift on its rows, and the signs of the lift cancel in a
+bracket, so the bivector of every chart is a signed sum of the same
+brackets, one per pair of columns a < b: -1 when the chart puts column a
+on a lower row than column b, +1 otherwise.  `_root_brackets` builds those
+brackets once per (n, scale) on terms dicts (u^-1 by forward
 substitution, each tail sum of a root vector field computed once and
-shared by every root with the same column, every bracket accumulated in
-one dict with the product kernel of `polyalg`, and one `Polynomial` per
-entry at the end.  `vector_field` is the independent route, on polynomial
-matrices, that the tests hold it against."""
+shared by every root with the same column, the product kernel of
+`polyalg`) and keeps the last four; `poisson_matrix` adds them up in fresh
+dicts and makes one `Polynomial` per entry.  `vector_field` is the
+independent route, on polynomial matrices, that the tests hold it
+against."""
 
 from __future__ import annotations
 
 import itertools
 import os
+from functools import lru_cache
 from time import monotonic
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -239,14 +246,13 @@ def _u_terms(chart: Chart) -> tuple[list[list[dict]], list[list[dict]]]:
     return u, uinv
 
 
-def poisson_matrix(chart: Chart, scale: int | Fraction = 1) -> PoissonMatrix:
-    """Coefficient matrix of the standard bivector on the chart.
+@lru_cache(maxsize=4)
+def _root_brackets(n: int, scale: int | Fraction) -> tuple:
+    """The bracket of each pair of rep columns a < b of SL(n+1): the wedge
+    of the fields of scale * E_ab and E_ba / scale on the identity chart,
+    as ``(a, b, entries)`` with one ``(x, y, terms)`` per nonzero entry
+    x > y and ``terms`` a tuple of (exponent, coefficient) pairs.
 
-    scale, a nonzero int or Fraction (default the int 1), rescales every
-    root vector pair (e, f) to (scale*e, f/scale); the result is
-    independent of it.
-
-    Works on terms dicts and makes one `Polynomial` per entry at the end.
     rep^T E_ij rep is s * E_ab for the column a of rep on row i and the
     column b on row j, with s the product of their signs.  So in
     `vector_field`, u^-1 (rep^T E_ij rep) u is the rank-one matrix
@@ -254,11 +260,11 @@ def poisson_matrix(chart: Chart, scale: int | Fraction = 1) -> PoissonMatrix:
     E_ij is s u[b][q] T(a, r, q) with the tail sum
     T(a, r, q) = sum_{q < t <= r} u[r][t] u^-1[t][a].  Every root with
     column a shares T(a, ., .), so each tail sum is computed once, and
-    u^-1 comes from forward substitution."""
+    u^-1 comes from forward substitution.  None of this depends on the
+    chart, which is why it is kept, for the last few (n, scale)."""
+    chart = build_chart(n)
     m = chart.size
-    ring = chart.ring
-    k = len(ring.variables)
-    scale = _coef(scale)
+    k = len(chart.ring.variables)
     inv = _div(1, scale)
     positions = [(i - 1, j - 1) for i, j in chart.positions()]
     u, uinv = _u_terms(chart)
@@ -284,20 +290,48 @@ def poisson_matrix(chart: Chart, scale: int | Fraction = 1) -> PoissonMatrix:
             out.append(f)
         return out
 
-    where = {p: (col, s) for col, (p, s) in enumerate(chart.representative)}
-    acc = [[{} for _ in range(a)] for a in range(k)]  # acc[a][b], b < a
-    for i in range(m):
-        for j in range(i + 1, m):
-            (a, sa), (b, sb) = where[i], where[j]
-            chi_e = field(a, b, sa * sb * scale)  # scale * E_ij
-            chi_f = field(b, a, sa * sb * inv)  # E_ji / scale
-            for x in range(k):
-                ex, fx, row = chi_e[x], chi_f[x], acc[x]
-                for y in range(x):
-                    if ex and chi_f[y]:
-                        _add_product(row[y], ex, chi_f[y])
-                    if chi_e[y] and fx:
-                        _add_product(row[y], chi_e[y], fx, -1)
+    pairs = []
+    for a, b in itertools.combinations(range(m), 2):
+        chi_e, chi_f = field(a, b, scale), field(b, a, inv)
+        entries = []
+        for x in range(k):
+            ex, fx = chi_e[x], chi_f[x]
+            for y in range(x):
+                acc: dict = {}
+                if ex and chi_f[y]:
+                    _add_product(acc, ex, chi_f[y])
+                if chi_e[y] and fx:
+                    _add_product(acc, chi_e[y], fx, -1)
+                if acc:
+                    entries.append((x, y, tuple(acc.items())))
+        pairs.append((a, b, tuple(entries)))
+    return tuple(pairs)
+
+
+def poisson_matrix(chart: Chart, scale: int | Fraction = 1) -> PoissonMatrix:
+    """Coefficient matrix of the standard bivector on the chart.
+
+    scale, a nonzero int or Fraction (default the int 1), rescales every
+    root vector pair (e, f) to (scale*e, f/scale); the result is
+    independent of it.
+
+    The field of E_ij depends on the chart only through the rep columns
+    on rows i and j, and a bracket multiplies the fields of E_ij and
+    E_ji, so the signs of the lift cancel (as do scale and 1/scale).  So
+    the bivector is the signed sum over column pairs a < b of the
+    chart-free brackets of `_root_brackets`: with sign -1 when the chart
+    puts column a on a lower row than column b, +1 otherwise.  The sum
+    runs in fresh dicts, one `Polynomial` per entry at the end."""
+    ring = chart.ring
+    k = len(ring.variables)
+    rows = [row for row, _ in chart.representative]
+    acc = [[{} for _ in range(x)] for x in range(k)]  # acc[x][y], y < x
+    for a, b, entries in _root_brackets(chart.n, _coef(scale)):
+        sign = -1 if rows[a] > rows[b] else 1
+        for x, y, terms in entries:
+            d = acc[x][y]
+            for e, c in terms:
+                d[e] = d.get(e, 0) + sign * c
     zero = ring.const(0)
     entries = [[zero] * k for _ in range(k)]
     for x in range(k):

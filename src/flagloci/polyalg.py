@@ -14,7 +14,8 @@ lexicographic comparisons by default, normal pair selection, and reduced
 monic output sorted by leading monomial.
 
 A polynomial computes its leading term once, on first use, and keeps it
-(nothing mutates ``terms`` after construction).  In the same way an
+(nothing mutates ``terms`` after construction); the completion and
+`_lift` set it instead where they already know it.  In the same way an
 `Ideal` computes its reduced basis once, on the first `buchberger` call,
 and keeps it, so `membership`, `ideal_equal`, `radical_membership` and
 callers that ask again all read one basis; the basis keeps the leading
@@ -572,7 +573,10 @@ def _complete(
             continue
         k = len(basis)
         basis.append(Polynomial(ring, r))
-        leads.append(basis[k].leading()[0])
+        # r was filled in strictly descending order: its first key is the lead
+        lead = next(iter(r))
+        basis[k]._lead = (lead, r[lead])
+        leads.append(lead)
         sevs.append(_support(leads[k]))
         monos.append(len(r) == 1)
         if not sevs[k]:
@@ -600,6 +604,7 @@ def _complete(
         rem = _reduce_terms(tail, basis, leads, sevs, ring.key)
         terms = {e: 1} | {t: _div(v, c) for t, v in rem.items()}
         reduced.append(Polynomial(ring, terms))
+        reduced[-1]._lead = (e, 1)
     return GroebnerBasis(ring, tuple(reduced), tuple(leads), tuple(sevs))
 
 
@@ -616,7 +621,9 @@ def _lift(
     ring_new: PolyRing, p: Polynomial, shift: int
 ) -> Polynomial:
     """Reinterpret p in a ring with extra variables (prepended when shift>0,
-    appended when shift==0)."""
+    appended when shift==0).  Appended variables keep the grevlex, lex and
+    block orders on the old monomials, so a lead p already knows carries
+    over, padded, when the new ring has p's order."""
     pad = len(ring_new.variables) - len(p.ring.variables)
     out = {}
     for e, c in p.terms.items():
@@ -624,7 +631,11 @@ def _lift(
             out[(0,) * pad + tuple(e)] = c
         else:
             out[tuple(e) + (0,) * pad] = c
-    return Polynomial(ring_new, out)
+    q = Polynomial(ring_new, out)
+    if not shift and p._lead is not None and ring_new.order == p.ring.order:
+        e, c = p._lead
+        q._lead = (tuple(e) + (0,) * pad, c)
+    return q
 
 
 def radical_membership(

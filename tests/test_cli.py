@@ -285,10 +285,17 @@ def test_a9_names_read_back(capsys):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("1.1", "word '1.1' is not reduced"), ("１", "cannot parse element '１'")],
+    [
+        ("1.1", "word '1.1' is not reduced"),
+        ("１", "cannot parse element '１'"),
+        ("+1", "cannot parse element '+1'"),
+        ("1. 2", "cannot parse element '1. 2'"),
+        ("2_0", "cannot parse element '2_0'"),
+    ],
 )
 def test_bad_word_element_exits_1(capsys, text, message):
-    # a word names an element only when it is reduced and in ASCII digits
+    # a word names an element only when it is reduced and each letter is a
+    # run of ASCII digits: no sign, space or underscore, which int() takes
     assert main(["gcr", "check", "B2", "--v", text, "--w", "1"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -111,6 +111,51 @@ def test_poisson_matrix_matches_vector_field():
             assert [list(row) for row in pm.entries] == expected, (ch.v_oneline, scale)
 
 
+def test_w0_chart_negates_the_identity_chart():
+    # every column pair is inverted on the w0 chart, so each signed
+    # bracket flips
+    for n in range(1, 5):
+        ident = poisson_matrix(build_chart(n))
+        top = poisson_matrix(build_chart(n, "".join(str(i) for i in range(n + 1, 0, -1))))
+        assert [list(row) for row in top.entries] == [
+            [-p for p in row] for row in ident.entries
+        ], n
+
+
+def test_root_brackets_memo_survives_eviction():
+    # six (n, scale) keys against a memo of at most four: interleaving the
+    # charts evicts entries again and again, and must not change a bracket
+    charts = {n: all_charts(n) for n in (2, 3)}
+    charts[4] = [build_chart(4, v) for v in ("12345", "35142", "54321", "21453")]
+    keys = [(n, scale) for n in (2, 3, 4) for scale in (1, Fraction(3, 2))]
+
+    def run(order):
+        return {(n, s, i): poisson_matrix(charts[n][i], scale=s).entries for n, s, i in order}
+
+    poissonlab._root_brackets.cache_clear()
+    rounds = range(max(len(c) for c in charts.values()))
+    interleaved = run((n, s, i) for i in rounds for n, s in keys if i < len(charts[n]))
+    info = poissonlab._root_brackets.cache_info()
+    assert info.currsize <= info.maxsize < len(keys) and info.misses > len(keys)
+    poissonlab._root_brackets.cache_clear()
+    in_order = run((n, s, i) for n, s in keys for i in range(len(charts[n])))
+    assert interleaved == in_order
+
+
+def test_mutated_entry_leaves_later_calls_alone():
+    # the signed sum runs in fresh dicts, so a caller that mutates a
+    # returned entry changes no later result
+    ch = build_chart(3, "4231")
+    pm = poisson_matrix(ch)
+    want = [[str(p) for p in row] for row in pm.entries]
+    for row in pm.entries:
+        for p in row:
+            for e in p.terms:
+                p.terms[e] *= 7
+            p.terms[(9,) * len(ch.ring.variables)] = 1
+    assert [[str(p) for p in row] for row in poisson_matrix(ch).entries] == want
+
+
 def test_forward_substitution_inverse_sl6():
     ch = build_chart(5)
     u, uinv = poissonlab._u_terms(ch)
@@ -337,6 +382,15 @@ def test_scan_cells_n2():
             assert rec["witness"] == "x31"
         else:
             assert rec["witness"] is None
+
+
+def test_two_process_scan_equals_the_serial_scan(monkeypatch):
+    # a real pool of 2 processes, each building its own bracket memo
+    monkeypatch.setattr(poissonlab.os, "cpu_count", lambda: 2)
+    poissonlab._root_brackets.cache_clear()
+    pooled = scan_cells(2, workers=2)["charts"]
+    assert pooled == scan_cells(2)["charts"]
+    assert [rec["v"] for rec in pooled] == ["123", "132", "213", "231", "312", "321"]
 
 
 def test_scan_cells_sl5_witness_counts():

@@ -472,6 +472,63 @@ def test_no_popped_pair_is_coprime_or_two_monomials_on_sl4_charts(monkeypatch):
         assert len(f.terms) > 1 or len(g.terms) > 1, (str(f), str(g))
 
 
+def fresh_lead(p):
+    e = max(p.terms, key=p.ring.key)
+    return (e, p.terms[e])
+
+
+def test_completion_seeds_the_leads_it_knows_on_sl4_charts(monkeypatch):
+    # the completion seeds the lead of each new member from its remainder's
+    # first key, and of each reduced member as (lead, 1); `_lift` pads a
+    # known lead.  Each must equal a fresh max over the terms.
+    pops = record_pops(monkeypatch)
+    members = 0
+    for p in itertools.permutations("1234"):
+        chart = build_chart(3, "".join(p))
+        di = degeneracy_ideal(chart)
+        gb = buchberger(di.ideal)
+        witness = nonreduced_witness(chart, 60.0, di)
+        if witness is not None:
+            assert radical_membership(chart.ring.var(witness), di.ideal)
+        r = chart.ring
+        big = PolyRing(r.variables + ("_rad",), r.order)
+        for g in gb.polys:
+            assert g._lead is not None and g.leading() == fresh_lead(g), str(g)
+            h = polyalg._lift(big, g, 0)
+            assert h._lead is not None and h.leading() == fresh_lead(h), str(g)
+            members += 1
+    assert members and pops
+    for f, g in pops:
+        assert f.leading() == fresh_lead(f) and g.leading() == fresh_lead(g)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_lift_pads_a_known_lead(order):
+    rng = random.Random(f"lift:{order}")
+    r = ring("x", "y", "z", order=order)
+    big = ring("x", "y", "z", "t", order=order)
+    for _ in range(40):
+        p = random_poly(r, rng)
+        p.leading()
+        q = polyalg._lift(big, p, 0)
+        assert q._lead is not None and q.leading() == fresh_lead(q), str(p)
+        assert polyalg._lift(big, random_poly(r, rng), 0)._lead is None
+
+
+def test_remainder_keys_descend():
+    # the completion reads a remainder's lead off its first key
+    rng = random.Random("remainder")
+    for order in ORDERS:
+        r = ring("x", "y", "z", order=order)
+        for _ in range(40):
+            basis = [random_poly(r, rng) for _ in range(3)]
+            leads = [lead(g) for g in basis]
+            sevs = [polyalg._support(e) for e in leads]
+            f = random_poly(r, rng) * random_poly(r, rng)
+            rem = polyalg._reduce_terms(dict(f.terms), basis, leads, sevs, r.key)
+            assert list(rem) == sorted(rem, key=r.key, reverse=True)
+
+
 def record_reductions(monkeypatch):
     """Wrap `_reduce_terms`: each call appends whether its remainder is
     empty."""
