@@ -276,12 +276,13 @@ def cmd_rpoly(rs: RootSystem, args) -> Report:
 
 
 def _parse_parabolic(text: str) -> list[int]:
-    """The comma-separated simple indices of --parabolic; an empty or
-    non-integer entry, or an index given twice, is bad input."""
-    try:
-        J = [int(tok) for tok in text.split(",")]
-    except ValueError:
+    """The comma-separated simple indices of --parabolic; an entry that is
+    not a run of ASCII digits (after stripping spaces), or an index given
+    twice, is bad input."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tok.isascii() and tok.isdecimal() for tok in tokens):
         raise InputError(f"cannot parse --parabolic {text!r}")
+    J = [int(tok) for tok in tokens]
     for k, i in enumerate(J):
         if i in J[:k]:
             raise InputError(f"repeated simple index {i} in --parabolic {text!r}")
@@ -373,12 +374,7 @@ def cmd_poisson(rs: RootSystem, args) -> Report:
     if args.action == "matrix":
         header = ["a", "b", "bracket"]
         names = chart.ring.variables
-        rows = [
-            [names[a], names[b], str(pm.entries[a][b])]
-            for a in range(len(names))
-            for b in range(a)
-            if not pm.entries[a][b].is_zero()
-        ]
+        rows = [[names[a], names[b], str(p)] for a, b, p in pm.nonzero()]
         payload = {
             "cell": chart.v_oneline,
             "bivector": pm.pretty(),

@@ -13,14 +13,16 @@ its letters.  A root vector's field depends on the chart only through the
 two columns of the lift on its rows, and the signs of the lift cancel in a
 bracket, so the bivector of every chart is a signed sum of the same
 brackets, one per pair of columns a < b: -1 when the chart puts column a
-on a lower row than column b, +1 otherwise.  `_root_brackets` builds those
-brackets once per (n, scale) on terms dicts (u^-1 by forward
-substitution, each tail sum of a root vector field computed once and
-shared by every root with the same column, the product kernel of
-`polyalg`) and keeps the last four; `poisson_matrix` adds them up in fresh
-dicts and makes one `Polynomial` per entry.  `vector_field` is the
-independent route, on polynomial matrices, that the tests hold it
-against."""
+on a lower row than column b, +1 otherwise.  The brackets do not depend on
+how each pair (e, f) is normalized either, so there is one bivector per
+chart and no knob.  `_root_brackets` builds those brackets once per n on
+terms dicts (u^-1 by forward substitution, each tail sum of a root vector
+field computed once and shared by every root with the same column, the
+product kernel of `polyalg`) and keeps the last four; `poisson_matrix`
+adds them up in fresh dicts and makes one `Polynomial` per entry below the
+diagonal, and `PoissonMatrix` fills in the rest by antisymmetry.
+`vector_field` is the independent route, on polynomial matrices, that the
+tests hold it against."""
 
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import itertools
 import os
 from functools import lru_cache
 from time import monotonic
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._record import Record
 from .polyalg import (
@@ -37,17 +39,12 @@ from .polyalg import (
     Polynomial,
     PolyTimeout,
     _add_product,
-    _coef,
-    _div,
     ideal_equal,
     intersect,
     membership,
     parse_polynomial,
 )
 from .weyl import oneline, parse_perm, perm_word
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "Chart",
@@ -183,46 +180,49 @@ def vector_field(chart: Chart, X: Sequence[Sequence]) -> list[Polynomial]:
     return [delta[i - 1][j - 1] for i, j in chart.positions()]
 
 
-def _negates(p: Polynomial, q: Polynomial) -> bool:
-    """Whether p == -q, read off the terms dicts without building -q."""
-    if p.ring is not q.ring and p.ring != q.ring:
-        return False
-    tq = q.terms
-    return len(p.terms) == len(tq) and all(tq.get(e) == -c for e, c in p.terms.items())
-
-
 class PoissonMatrix:
+    """The bracket matrix of a chart, antisymmetric by construction: it is
+    built from its strict lower triangle, ``lower[a]`` holding the ``a``
+    brackets {x_a, x_b} with b < a.  ``entries`` is the full k x k tuple,
+    zero on the diagonal and the negated lower half above it."""
+
     __slots__ = ("chart", "entries")
 
-    def __init__(self, chart: Chart, entries: tuple):
-        k = len(chart.ring.variables)
-        if len(entries) != k:
-            raise ValueError(f"bracket matrix has {len(entries)} rows, chart has {k} variables")
-        for a in range(k):
-            if not entries[a][a].is_zero():
-                raise ValueError(f"bracket matrix has a nonzero diagonal entry at {a}")
-            for b in range(a):
-                if not _negates(entries[a][b], entries[b][a]):
-                    raise ValueError(f"bracket matrix is not antisymmetric at ({a}, {b})")
+    def __init__(self, chart: Chart, lower: Sequence[Sequence[Polynomial]]):
+        ring = chart.ring
+        k = len(ring.variables)
+        if len(lower) != k:
+            raise ValueError(f"bracket triangle has {len(lower)} rows, chart has {k} variables")
+        zero = ring.const(0)
+        entries = [[zero] * k for _ in range(k)]
+        for a, row in enumerate(lower):
+            if len(row) != a:
+                raise ValueError(f"bracket triangle row {a} has {len(row)} entries, not {a}")
+            for b, p in enumerate(row):
+                if p.ring is not ring and p.ring != ring:
+                    raise ValueError(f"bracket ({a}, {b}) is from another ring than the chart's")
+                entries[a][b], entries[b][a] = p, -p
         self.chart = chart
-        self.entries = entries  # entries[a][b] = {x_a, x_b}, antisymmetric
+        self.entries = tuple(map(tuple, entries))  # entries[a][b] = {x_a, x_b}
 
     def bracket(self, name_a: str, name_b: str) -> Polynomial:
         ring = self.chart.ring
         return self.entries[ring.index(name_a)][ring.index(name_b)]
 
+    def nonzero(self) -> list[tuple[int, int, Polynomial]]:
+        """``(a, b, {x_a, x_b})`` for each nonzero entry below the
+        diagonal, in row-major order."""
+        return [
+            (a, b, p)
+            for a, row in enumerate(self.entries)
+            for b, p in enumerate(row[:a])
+            if not p.is_zero()
+        ]
+
     def pretty(self) -> str:
         """Wedge expansion over pairs a > b in row-major order."""
         names = self.chart.ring.variables
-        parts = []
-        for a in range(len(names)):
-            for b in range(a):
-                c = self.entries[a][b]
-                if c.is_zero():
-                    continue
-                da = "d" + names[a][1:]
-                db = "d" + names[b][1:]
-                parts.append(f"({c}) {da}^{db}")
+        parts = [f"({p}) d{names[a][1:]}^d{names[b][1:]}" for a, b, p in self.nonzero()]
         return " + ".join(parts) if parts else "0"
 
 
@@ -247,9 +247,9 @@ def _u_terms(chart: Chart) -> tuple[list[list[dict]], list[list[dict]]]:
 
 
 @lru_cache(maxsize=4)
-def _root_brackets(n: int, scale: int | Fraction) -> tuple:
+def _root_brackets(n: int) -> tuple:
     """The bracket of each pair of rep columns a < b of SL(n+1): the wedge
-    of the fields of scale * E_ab and E_ba / scale on the identity chart,
+    of the fields of E_ab and E_ba on the identity chart,
     as ``(a, b, entries)`` with one ``(x, y, terms)`` per nonzero entry
     x > y and ``terms`` a tuple of (exponent, coefficient) pairs.
 
@@ -261,11 +261,10 @@ def _root_brackets(n: int, scale: int | Fraction) -> tuple:
     T(a, r, q) = sum_{q < t <= r} u[r][t] u^-1[t][a].  Every root with
     column a shares T(a, ., .), so each tail sum is computed once, and
     u^-1 comes from forward substitution.  None of this depends on the
-    chart, which is why it is kept, for the last few (n, scale)."""
+    chart, which is why it is kept, for the last few n."""
     chart = build_chart(n)
     m = chart.size
     k = len(chart.ring.variables)
-    inv = _div(1, scale)
     positions = [(i - 1, j - 1) for i, j in chart.positions()]
     u, uinv = _u_terms(chart)
     # tails[a][r][q] = T(a, r, q), summed from t = r down; u^-1[t][a] is
@@ -280,19 +279,19 @@ def _root_brackets(n: int, scale: int | Fraction) -> tuple:
                     _add_product(run, u[r][q + 1], uinv[q + 1][a])
                 tails[a][r][q] = run
 
-    def field(a: int, b: int, c) -> list[dict]:
-        # c times the field of a root vector whose rep columns are a, b
+    def field(a: int, b: int) -> list[dict]:
+        # the field of a root vector whose rep columns are a, b
         out = []
         for r, q in positions:
             f: dict = {}
             if q <= b:  # u[b][q] is zero above the diagonal
-                _add_product(f, u[b][q], tails[a][r][q], c)
+                _add_product(f, u[b][q], tails[a][r][q])
             out.append(f)
         return out
 
     pairs = []
     for a, b in itertools.combinations(range(m), 2):
-        chi_e, chi_f = field(a, b, scale), field(b, a, inv)
+        chi_e, chi_f = field(a, b), field(b, a)
         entries = []
         for x in range(k):
             ex, fx = chi_e[x], chi_f[x]
@@ -308,60 +307,62 @@ def _root_brackets(n: int, scale: int | Fraction) -> tuple:
     return tuple(pairs)
 
 
-def poisson_matrix(chart: Chart, scale: int | Fraction = 1) -> PoissonMatrix:
+def poisson_matrix(chart: Chart) -> PoissonMatrix:
     """Coefficient matrix of the standard bivector on the chart.
-
-    scale, a nonzero int or Fraction (default the int 1), rescales every
-    root vector pair (e, f) to (scale*e, f/scale); the result is
-    independent of it.
 
     The field of E_ij depends on the chart only through the rep columns
     on rows i and j, and a bracket multiplies the fields of E_ij and
-    E_ji, so the signs of the lift cancel (as do scale and 1/scale).  So
-    the bivector is the signed sum over column pairs a < b of the
-    chart-free brackets of `_root_brackets`: with sign -1 when the chart
-    puts column a on a lower row than column b, +1 otherwise.  The sum
-    runs in fresh dicts, one `Polynomial` per entry at the end."""
+    E_ji, so the signs of the lift cancel, as would any rescaling of the
+    pair to (c E_ij, E_ji / c).  So the bivector is the signed sum over
+    column pairs a < b of the chart-free brackets of `_root_brackets`:
+    with sign -1 when the chart puts column a on a lower row than column
+    b, +1 otherwise.  The sum runs in fresh dicts, one `Polynomial` per
+    entry below the diagonal at the end."""
     ring = chart.ring
     k = len(ring.variables)
     rows = [row for row, _ in chart.representative]
     acc = [[{} for _ in range(x)] for x in range(k)]  # acc[x][y], y < x
-    for a, b, entries in _root_brackets(chart.n, _coef(scale)):
+    for a, b, entries in _root_brackets(chart.n):
         sign = -1 if rows[a] > rows[b] else 1
         for x, y, terms in entries:
             d = acc[x][y]
             for e, c in terms:
                 d[e] = d.get(e, 0) + sign * c
-    zero = ring.const(0)
-    entries = [[zero] * k for _ in range(k)]
-    for x in range(k):
-        for y in range(x):
-            entries[x][y] = Polynomial(ring, acc[x][y])
-            entries[y][x] = -entries[x][y]
-    return PoissonMatrix(chart, tuple(tuple(row) for row in entries))
+    return PoissonMatrix(chart, [[Polynomial(ring, d) for d in row] for row in acc])
 
 
 class DegeneracyIdeal(Record):
     __slots__ = ("chart", "ideal")
 
 
+def _same_cell(chart: Chart, given: Chart, what: str) -> None:
+    """Refuse a record built for another cell than ``chart``."""
+    if (given.n, given.v_oneline) != (chart.n, chart.v_oneline):
+        raise ValueError(
+            f"{what} is for cell {given.v_oneline} of SL({given.n + 1}),"
+            f" not for cell {chart.v_oneline} of SL({chart.n + 1})"
+        )
+
+
 def degeneracy_ideal(chart: Chart, pm: Optional[PoissonMatrix] = None) -> DegeneracyIdeal:
     """Ideal generated by the nonzero bivector coefficients below the
-    diagonal, in row-major order, each kept at its first occurrence."""
+    diagonal, in row-major order, each kept at its first occurrence.  A
+    ``pm`` built for another cell is refused."""
     if pm is None:
         pm = poisson_matrix(chart)
-    gens = dict.fromkeys(
-        g for a, row in enumerate(pm.entries) for g in row[:a] if not g.is_zero()
-    )
+    _same_cell(chart, pm.chart, "the bracket matrix")
+    gens = dict.fromkeys(p for _, _, p in pm.nonzero())
     return DegeneracyIdeal(chart, Ideal(chart.ring, tuple(gens)))
 
 
 def nonreduced_witness(
     chart: Chart, timeout_secs: float = 60.0, di: Optional[DegeneracyIdeal] = None
 ) -> Optional[str]:
-    """First variable f (row-major) with f^2 in the ideal but f outside it."""
+    """First variable f (row-major) with f^2 in the ideal but f outside it.
+    A ``di`` built for another cell is refused."""
     if di is None:
         di = degeneracy_ideal(chart)
+    _same_cell(chart, di.chart, "the degeneracy ideal")
     deadline = monotonic() + timeout_secs
     for name in chart.ring.variables:
         f = chart.ring.var(name)

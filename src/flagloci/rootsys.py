@@ -461,9 +461,9 @@ def classify_component(
                 a[i][j] = cartan[i][j]
     degree = {i: len(a[i]) for i in idx}
 
-    def path_from(start: int) -> list[int]:
+    def path_from(start: int, prev: Optional[int] = None) -> list[int]:
+        # the walk from start away from prev, refused where it branches
         out = [start]
-        prev = None
         cur = start
         while True:
             nxt = [j for j in a[cur] if j != prev]
@@ -523,29 +523,15 @@ def classify_component(
     # simply laced
     branch_nodes = [i for i in idx if degree[i] > 2]
     if not branch_nodes:
-        ends = sorted(i for i in idx if degree[i] <= 1)
-        order = path_from(ends[0])
+        # from the lowest end; with no end (a cycle) the walk is refused
+        order = path_from(min(idx, key=lambda i: (degree[i], i)))
         return _checked("A", n, tuple(order), cartan)
     if len(branch_nodes) > 1:
         raise ValueError("more than one branch node")
     z = branch_nodes[0]
     if degree[z] != 3:
         raise ValueError("branch node of degree > 3")
-    branches = []
-    for nb in sorted(a[z]):
-        arm = [nb]
-        prev = z
-        cur = nb
-        while True:
-            nxt = [j for j in a[cur] if j != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                raise ValueError("branched arm")
-            prev, cur = cur, nxt[0]
-            arm.append(cur)
-        branches.append(arm)
-    branches.sort(key=lambda arm: (len(arm), arm))
+    branches = sorted((path_from(nb, z) for nb in a[z]), key=lambda arm: (len(arm), arm))
     lens = sorted(len(arm) for arm in branches)
     if lens[0] == 1 and lens[1] == 1:
         # D_n: two singleton arms, long arm ordered from its far end
@@ -563,7 +549,11 @@ def classify_component(
 def _checked(
     letter: str, rank: int, order: tuple[int, ...], cartan
 ) -> tuple[str, int, tuple[int, ...]]:
-    """Validate a classification by comparing against the standard block."""
+    """Validate a classification by comparing against the standard block.
+    An order shorter than the rank means the walk did not reach every
+    index: the subset is not connected."""
+    if len(order) != rank:
+        raise ValueError("the simple-root subset is not connected")
     block, _ = _cartan_block(letter, rank)
     for i in range(rank):
         for j in range(rank):

@@ -131,11 +131,14 @@ def test_parabolic_command(capsys):
         "parabolic-classes-distinct": "pass",
         "parabolic-powerset-interval": "pass",
     }
+    # spaces around an entry are stripped
+    assert run_json(capsys, "parabolic", "A3", "--parabolic", " 1, 3") == (code, data)
 
 
 def test_bad_parabolic_exits_1(capsys):
-    # an empty or non-integer entry is bad input, never a silent J
-    for text in (",", "1,,3", "x"):
+    # an empty entry, or one that is not a run of ASCII digits (a sign, an
+    # underscore, another script's digit), is bad input, never a silent J
+    for text in (",", "1,,3", "x", "+1", "1_0", "\uff11"):
         assert main(["parabolic", "A3", "--parabolic", text]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -82,12 +82,12 @@ def test_package_imports_are_exported():
 
 def test_private_names_stay_home():
     # only bruhat names its table's cache key, poissonlab imports from
-    # polyalg only public names and the three term-level helpers it shares,
+    # polyalg only public names and the term-level kernel it shares,
     # construct takes from gcr only the membership test, never the pair
     # enumeration, and from rootsys neither pairing nor reflect (the descent
     # from theta is rootsys.simple_lowering); no module imports
     # cached_property, as every record is filled in its constructor
-    allowed = set(polyalg.__all__) | {"_add_product", "_coef", "_div"}
+    allowed = set(polyalg.__all__) | {"_add_product"}
     offences = []
     for path in sorted((ROOT / "src" / "flagloci").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

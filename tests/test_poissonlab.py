@@ -91,11 +91,13 @@ def all_charts(n):
 def test_poisson_matrix_matches_vector_field():
     # poisson_matrix takes the rank-one route for root vectors on terms
     # dicts; the oracle sums wedges of the generic vector_field of
-    # scale*E_ij and E_ji/scale, on dense Polynomial matrices
+    # scale*E_ij and E_ji/scale, on dense Polynomial matrices, and for
+    # either scale must give the one matrix poisson_matrix builds
     sl5 = ["".join(p) for p in itertools.permutations("12345")]
     sl5 = [build_chart(4, v) for v in random.Random(5).sample(sl5, 6)]
     for ch in all_charts(2) + all_charts(3) + sl5:
         m, k = ch.size, len(ch.ring.variables)
+        pm = poisson_matrix(ch)
         for scale in (Fraction(1), Fraction(3, 2)):
             expected = [[ch.ring.const(0)] * k for _ in range(k)]
             for i in range(m):
@@ -107,7 +109,6 @@ def test_poisson_matrix_matches_vector_field():
                         for b in range(k):
                             term = chi_e[a] * chi_f[b] - chi_e[b] * chi_f[a]
                             expected[a][b] = expected[a][b] + term
-            pm = poisson_matrix(ch, scale=scale)
             assert [list(row) for row in pm.entries] == expected, (ch.v_oneline, scale)
 
 
@@ -123,22 +124,23 @@ def test_w0_chart_negates_the_identity_chart():
 
 
 def test_root_brackets_memo_survives_eviction():
-    # six (n, scale) keys against a memo of at most four: interleaving the
+    # five keys n = 1..5 against a memo of at most four: interleaving the
     # charts evicts entries again and again, and must not change a bracket
-    charts = {n: all_charts(n) for n in (2, 3)}
+    charts = {n: all_charts(n) for n in (1, 2, 3)}
     charts[4] = [build_chart(4, v) for v in ("12345", "35142", "54321", "21453")]
-    keys = [(n, scale) for n in (2, 3, 4) for scale in (1, Fraction(3, 2))]
+    charts[5] = [build_chart(5, v) for v in ("123456", "645231", "214365")]
+    keys = sorted(charts)
 
     def run(order):
-        return {(n, s, i): poisson_matrix(charts[n][i], scale=s).entries for n, s, i in order}
+        return {(n, i): poisson_matrix(charts[n][i]).entries for n, i in order}
 
     poissonlab._root_brackets.cache_clear()
     rounds = range(max(len(c) for c in charts.values()))
-    interleaved = run((n, s, i) for i in rounds for n, s in keys if i < len(charts[n]))
+    interleaved = run((n, i) for i in rounds for n in keys if i < len(charts[n]))
     info = poissonlab._root_brackets.cache_info()
     assert info.currsize <= info.maxsize < len(keys) and info.misses > len(keys)
     poissonlab._root_brackets.cache_clear()
-    in_order = run((n, s, i) for n, s in keys for i in range(len(charts[n])))
+    in_order = run((n, i) for n in keys for i in range(len(charts[n])))
     assert interleaved == in_order
 
 
@@ -191,7 +193,7 @@ def test_chart_layer_builds_no_root_system(monkeypatch):
     with pytest.raises(AssertionError):
         build_root_system("A2")
     for n, v in ((2, None), (3, "4231"), (4, "35142")):
-        poisson_matrix(build_chart(n, v), scale=Fraction(3, 2))
+        poisson_matrix(build_chart(n, v))
 
 
 def test_sl4_output_digest():
@@ -218,31 +220,30 @@ def test_bracket_antisymmetry():
             assert (pm.bracket(a, b) + pm.bracket(b, a)).is_zero()
 
 
-def test_poisson_matrix_rejects_broken_antisymmetry():
+def test_poisson_matrix_from_lower_triangle():
+    # the constructor takes the strict lower triangle and fills in a zero
+    # diagonal and the negated lower half above it
     ch = build_chart(2)
-    entries = [list(row) for row in poisson_matrix(ch).entries]
-    PoissonMatrix(ch, tuple(map(tuple, entries)))  # the intact matrix passes
-    assert not entries[1][0].is_zero()
-    x21 = Polynomial(ch.ring, {(1, 0, 0): 1})
-    broken = [
-        # an entry equal to, not minus, its transpose
-        ((1, 0), entries[0][1]),
-        # a term missing from one side only
-        ((1, 0), -entries[0][1] + x21),
-        # a term dropped from one side: the term counts differ
-        ((1, 0), Polynomial(ch.ring, {})),
-        # the same terms in another ring
-        ((1, 0), Polynomial(PolyRing(("a", "b", "c")), entries[1][0].terms)),
+    p = lambda s: parse_polynomial(ch.ring, s)
+    lower = [[], [p("x21 - 3*x32")], [p("0"), p("2*x31^2")]]
+    pm = PoissonMatrix(ch, lower)
+    for a in range(3):
+        assert pm.entries[a][a].is_zero()
+        for b in range(a):
+            assert pm.entries[a][b] == lower[a][b]
+            assert pm.entries[b][a] == -lower[a][b]
+    assert [(a, b, str(q)) for a, b, q in pm.nonzero()] == [
+        (1, 0, "x21 - 3*x32"),
+        (2, 1, "2*x31^2"),
     ]
-    for (a, b), p in broken:
-        bad = [list(row) for row in entries]
-        bad[a][b] = p
-        with pytest.raises(ValueError, match=rf"not antisymmetric at \({a}, {b}\)"):
-            PoissonMatrix(ch, tuple(map(tuple, bad)))
-    bad = [list(row) for row in entries]
-    bad[2][2] = x21
-    with pytest.raises(ValueError, match="nonzero diagonal entry at 2"):
-        PoissonMatrix(ch, tuple(map(tuple, bad)))
+    assert str(pm.bracket("x21", "x31")) == "-x21 + 3*x32"
+    with pytest.raises(ValueError, match="triangle has 2 rows, chart has 3 variables"):
+        PoissonMatrix(ch, lower[:2])
+    with pytest.raises(ValueError, match="row 2 has 1 entries, not 2"):
+        PoissonMatrix(ch, [[], lower[1], lower[2][:1]])
+    foreign = Polynomial(PolyRing(("a", "b", "c")), lower[1][0].terms)
+    with pytest.raises(ValueError, match=r"bracket \(1, 0\) is from another ring"):
+        PoissonMatrix(ch, [[], [foreign], lower[2]])
 
 
 def test_jacobi_identity():
@@ -273,26 +274,13 @@ def test_jacobi_identity():
                     assert jac.is_zero()
 
 
-def test_scaling_independence():
-    ch = build_chart(2)
-    base = poisson_matrix(ch)
-    stretched = poisson_matrix(ch, scale=Fraction(2))
-    nv = len(ch.ring.variables)
-    for a in range(nv):
-        for b in range(nv):
-            assert (base.entries[a][b] - stretched.entries[a][b]).is_zero()
-
-
-def test_default_scale_is_the_int_one():
-    # scale=1 and scale=Fraction(1) give the same entries, coefficient types
-    # included, on every SL3 chart
-    for ch in all_charts(2):
-        got, want = poisson_matrix(ch).entries, poisson_matrix(ch, Fraction(1)).entries
-        for row, want_row in zip(got, want):
-            for p, q in zip(row, want_row):
-                assert [(e, type(c), c) for e, c in p.terms.items()] == [
-                    (e, type(c), c) for e, c in q.terms.items()
-                ]
+def test_bracket_coefficients_are_ints():
+    # every bracket coefficient is an int, never an integral Fraction, on
+    # every SL3 and SL4 chart
+    for ch in all_charts(2) + all_charts(3):
+        for row in poisson_matrix(ch).entries:
+            for p in row:
+                assert all(type(c) is int for c in p.terms.values()), ch.v_oneline
 
 
 def test_bracket_weights_are_additive():
@@ -349,6 +337,21 @@ def test_membership_facts_sl4():
 def test_witnesses():
     assert nonreduced_witness(build_chart(2)) == "x31"
     assert nonreduced_witness(build_chart(3)) == "x31"
+
+
+def test_records_of_another_cell_are_refused():
+    # a bracket matrix or an ideal built for another cell is never read as
+    # this cell's: chart 132 has no witness, and the 321 ideal is not 123's
+    big = build_chart(2)
+    assert nonreduced_witness(build_chart(2, "132")) is None
+    with pytest.raises(ValueError, match="ideal is for cell 123 of SL\\(3\\), not for cell 132"):
+        nonreduced_witness(build_chart(2, "132"), di=degeneracy_ideal(big))
+    with pytest.raises(ValueError, match="matrix is for cell 321 of SL\\(3\\), not for cell 123"):
+        degeneracy_ideal(big, poisson_matrix(build_chart(2, "321")))
+    with pytest.raises(ValueError, match="matrix is for cell 1234 of SL\\(4\\)"):
+        degeneracy_ideal(big, poisson_matrix(build_chart(3)))
+    # a record of the same cell, built afresh, is accepted
+    assert nonreduced_witness(big, di=degeneracy_ideal(build_chart(2))) == "x31"
 
 
 def test_sl5_big_cell_witness():

@@ -337,6 +337,20 @@ def test_classify_component_round_trip():
         assert sorted(order) == list(idx)
 
 
+def test_classify_component_refuses_disconnected_subsets():
+    # A3 {0, 2} and D5 {0, 3, 4} are not connected; the affine A2 diagram
+    # is a cycle, which no walk from an end covers
+    affine_a2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    cases = (
+        (build_root_system("A3").cartan, [0, 2], "not connected"),
+        (build_root_system("D5").cartan, [0, 3, 4], "not connected"),
+        (affine_a2, [0, 1, 2], "not a path"),
+    )
+    for cartan, idx, message in cases:
+        with pytest.raises(ValueError, match=message):
+            classify_component(cartan, idx)
+
+
 def test_dual_coxeter_numbers():
     assert dual_coxeter_number("A", 3) == 4
     assert dual_coxeter_number("B", 3) == 5
