@@ -17,7 +17,6 @@ from __future__ import annotations
 from ._record import Record
 from .rootsys import (
     RootSystem,
-    classify_component,
     dual_coxeter_number,
     highest_roots,
     is_positive_root,
@@ -158,14 +157,12 @@ def iter_nodes(c: Cascade) -> list[CascadeNode]:
     return out
 
 
-def _subsystem_dual_coxeter(rs: RootSystem, node: CascadeNode) -> int:
-    letter, rank, _ = classify_component(rs.cartan, [i - 1 for i in node.support])
-    return dual_coxeter_number(letter, rank)
-
-
 def verify_kostant(rs: RootSystem, c: Cascade) -> dict:
     """Run every structural identity; raise KostantCheckError on the first
-    failure, otherwise return a report of the checked quantities."""
+    failure, otherwise return a report of the checked quantities.  A node's
+    h-dual is read off its gamma, the highest root of its support."""
+    if c.rs.cartan_type != rs.cartan_type:
+        raise ValueError(f"cascade of {c.rs.cartan_type} checked against {rs.cartan_type}")
     nodes = iter_nodes(c)
     w0 = longest_element(rs)
 
@@ -193,7 +190,7 @@ def verify_kostant(rs: RootSystem, c: Cascade) -> dict:
 
     rows = []
     for node in nodes:
-        h = _subsystem_dual_coxeter(rs, node)
+        h = dual_coxeter_number(rs, node.gamma)
         if len(node.E_set) != 2 * h - 3:
             raise KostantCheckError(
                 f"|E({node.gamma})| = {len(node.E_set)} but 2h-3 = {2 * h - 3}"

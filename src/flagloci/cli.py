@@ -243,7 +243,7 @@ def _rpoly_record(v: WeylElement, w: WeylElement) -> dict:
 
 
 def cmd_rpoly(rs: RootSystem, args) -> Report:
-    if args.sample:
+    if args.sample is not None:
         if args.v is not None or args.w is not None:
             raise InputError("--v and --w do not apply with --sample")
         elements = enumerate_group(rs, cap=args.cap)
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--v")
     p.add_argument("--w")
-    p.add_argument("--sample", type=_at_least(0), default=0)
+    p.add_argument("--sample", type=_at_least(1))
     p.add_argument("--seed", type=int, help="seed of --sample's draws (default 0)")
     p.set_defaults(handler=cmd_rpoly)
 

@@ -1,11 +1,14 @@
 """Constructive pipeline for a top-dimensional witnessed pair (v, w0 v):
-build a short element u (by ``simple_lowering`` steps from theta_c in the
-single-laced components) whose inversion set sits inside the union of the
-E(theta_c), the E-sets of the cascade's tree tops, pass to the subsystem
-orthogonal to every u^{-1}(theta_c), recurse, and certify that the
-inversion set of v picks exactly one member of every matched pair.  A
-reducible system needs no separate path: its components' recursions run
-side by side, one child root system per level."""
+build a short element u (by ``simple_lowering`` steps from theta_c, or a
+fixed word in types B and F) whose inversion set sits inside the union of
+the E(theta_c), the E-sets of the cascade's tree tops; pass to the
+subsystem orthogonal to every u^{-1}(theta_c), whose simple roots are the
+u^{-1}(a_j) for the simple roots a_j orthogonal to every theta_c; recurse;
+take v = x' u, x' being the child's solution with each letter k renamed to
+its a_j; and certify that the inversion set of v picks exactly one member
+of every matched pair.  A reducible system needs no separate path: its
+components' recursions run side by side, one child root system per
+level."""
 
 from __future__ import annotations
 
@@ -29,7 +32,6 @@ from .weyl import (
     WeylElement,
     act,
     from_word,
-    identity,
     inversion_set,
     inverse,
     is_reduced,
@@ -37,7 +39,6 @@ from .weyl import (
     longest_element,
     multiply,
     reduced_word,
-    reflection,
 )
 
 __all__ = [
@@ -58,30 +59,24 @@ def build_u_for_theta(rs: RootSystem) -> tuple[int, ...]:
     """Word of an element u, one factor per simple component in component
     order and in ambient labels, with l(u) = sum_c (h_dual_c - 2) and all
     inversions inside the union of E(theta_c) minus theta_c, E(theta_c)
-    being the E-set of the cascade's tree for component c.  Single-laced
-    components take h_dual - 2 ``simple_lowering`` steps down from their
-    theta (height h_dual - 1), each one level lower; the others have fixed
-    words shifted onto their labels.  The postcondition is always checked."""
+    being the E-set of the cascade's tree for component c.  A component
+    lowers its theta by ``simple_lowering`` steps until the root is simple,
+    so that u^{-1}(theta_c) is a simple root.  B and F keep fixed words,
+    shifted onto their labels: other reduced words of the same u than the
+    lowering gives.  The postcondition is always checked."""
     word: list[int] = []
     target_len = 0
     for (letter, n), comp, cur in zip(rs.cartan_type.components, rs.components, highest_roots(rs)):
-        steps = dual_coxeter_number(letter, n) - 2
-        target_len += steps
-        if letter in ("A", "D", "E"):
-            for _ in range(steps):
+        target_len += dual_coxeter_number(rs, cur) - 2
+        if letter == "B":
+            local = list(range(2, n + 1)) + list(range(1, n - 1))
+        elif letter == "F":
+            local = [1, 2, 3, 4, 2, 3, 1]
+        else:
+            while sum(cur) > 1:
                 i, cur = simple_lowering(rs, cur)
                 word.append(i)
             continue
-        if letter == "C":
-            local = list(range(1, n))
-        elif letter == "B":
-            local = list(range(2, n + 1)) + list(range(1, n - 1))
-        elif letter == "G":
-            # short root first under Bourbaki labels; (1, 2) fails the
-            # postcondition because a_1 is orthogonal to theta here
-            local = [2, 1]
-        else:  # F4
-            local = [1, 2, 3, 4, 2, 3, 1]
         word.extend(i + comp[0] for i in local)  # comp[0] labels precede this component
     word_t = tuple(word)
     if len(word_t) != target_len or not is_reduced(rs, word_t):
@@ -97,51 +92,41 @@ def build_u_for_theta(rs: RootSystem) -> tuple[int, ...]:
 class Subsystem(Record):
     """The roots orthogonal to u^{-1}(theta_c) for every highest root
     theta_c, repackaged as a standalone root system ``child``, or None if
-    there are none; ``pi_prime`` lists the ambient coordinates of the
-    child's simple roots in the child's labeling order, and ``lift`` is the
-    embedding of the child's Weyl group into the ambient one."""
+    there are none.  ``pi_prime`` lists the ambient coordinates of the
+    child's simple roots in the child's labeling order, and ``labels`` the
+    simple index j with u(pi_prime[k]) = a_j for each of them."""
 
-    __slots__ = ("rs", "pi_prime", "child")
+    __slots__ = ("rs", "pi_prime", "labels", "child")
 
     def to_ambient(self, child_root) -> tuple:
         return tuple(sum(map(mul, child_root, col)) for col in zip(*self.pi_prime))
 
-    def lift(self, x: WeylElement) -> WeylElement:
-        out = identity(self.rs)
-        for i in reduced_word(x):
-            out = multiply(out, reflection(self.rs, self.pi_prime[i - 1]))
-        return out
-
-
-def _indecomposables(rs: RootSystem, pos: list[tuple]) -> list[tuple]:
-    """The roots of ``pos`` that are not a sum of two of its roots, for
-    ``pos`` the positive roots of a closed subsystem in increasing height.
-    The indecomposables are the simple roots of the subsystem, a positive
-    root that is not simple is a simple root plus a positive root, and a
-    sum is higher than its terms, so each root is tested against the
-    indecomposables found before it only."""
-    pos_set = set(pos)
-    out: list[tuple] = []
-    for b in pos:
-        if not any(tuple(x - y for x, y in zip(b, a)) in pos_set for a in out):
-            out.append(b)
-    return out
-
 
 def orthogonal_subsystem(rs: RootSystem, u: WeylElement) -> Subsystem:
     """Subsystem of roots orthogonal to u^{-1}(theta_c) for every highest
-    root theta_c, with verification of the inclusion u(positives) inside
-    the ambient positives and of the cascade correspondence: the child's
-    cascade is the ambient one without its forest tops, carried by
-    u^{-1}."""
+    root theta_c.  theta_c is dominant, so a positive root orthogonal to it
+    has no a_j with (a_j, theta_c) > 0 in its support: the roots orthogonal
+    to every theta_c have the simple roots a_j orthogonal to every theta_c,
+    and the subsystem has the simple roots u^{-1}(a_j), in root order.
+    Verified: they are positive, so u carries the subsystem into the
+    positives, and the child's cascade is the ambient one without its
+    forest tops, carried by u^{-1}."""
+    if u.rs is not rs:
+        raise ValueError("elements of different groups")
     u_inv = inverse(u)
     tops = highest_roots(rs)
-    pos = list(rs.positive_roots)
-    for theta in tops:
-        pos = [b for b, p in zip(pos, pairings_with(rs, pos, act(u_inv, theta))) if not p]
-    if not pos:
-        return Subsystem(rs, (), None)
-    comps = nonorthogonal_components(rs, _indecomposables(rs, pos))
+    # (a_j, theta) = 0 iff <theta, a_j^v> = 0
+    top_pairings = [rs.coroot_pairings[rs.root_index[theta]] for theta in tops]
+    label = {
+        act(u_inv, rs.simple_root(j + 1)): j + 1
+        for j in range(rs.rank)
+        if not any(p[j] for p in top_pairings)
+    }
+    if not all(is_positive_root(rs, b) for b in label):
+        raise ConstructError("u does not carry the subsystem into the positives")
+    if not label:
+        return Subsystem(rs, (), (), None)
+    comps = nonorthogonal_components(rs, sorted(label, key=rs.root_index.__getitem__))
     # classify each component and put its roots into Bourbaki order
     typed: list[tuple[str, int, list[tuple]]] = []
     for comp in comps:
@@ -159,14 +144,9 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement) -> Subsystem:
     name = "x".join(f"{letter}{rank}" for letter, rank, _ in typed)
     child = build_root_system(name)
     pi_prime = tuple(b for _, _, roots in typed for b in roots)
-    sub = Subsystem(rs, pi_prime, child)
-    images = list(map(sub.to_ambient, child.positive_roots))
-    if set(images) != set(pos):
-        raise ConstructError("child positive roots do not cover the subsystem")
-    if not all(is_positive_root(rs, act(u, b)) for b in images):
-        raise ConstructError("u does not carry the subsystem into the positives")
+    sub = Subsystem(rs, pi_prime, tuple(map(label.__getitem__, pi_prime)), child)
     want = {act(u_inv, g) for g in build_cascade(rs).roots if g not in tops}
-    got = {images[child.root_index[g]] for g in build_cascade(child).roots}
+    got = set(map(sub.to_ambient, build_cascade(child).roots))
     if got != want:
         raise ConstructError("subsystem cascade does not match the ambient one")
     return sub
@@ -174,15 +154,20 @@ def orthogonal_subsystem(rs: RootSystem, u: WeylElement) -> Subsystem:
 
 def build_v(rs: RootSystem) -> WeylElement:
     """Element whose inversion set avoids the cascade and meets every
-    matched pair exactly once: u times the lift of the recursive solution
+    matched pair exactly once: u times the lift of the recursive solution x
     on the subsystem orthogonal to u^{-1}(theta_c) for every component c.
-    Components commute, so a reducible system is its components' recursions
-    side by side, and each level builds one child root system."""
-    u = from_word(rs, build_u_for_theta(rs))
+    u maps the child's simple root k to a_j, j = ``labels[k - 1]``, so the
+    lift is u^{-1} x' u, x' being a word of x with each letter k relabelled
+    to j, and v = x' u.  Components commute, so a reducible system is its
+    components' recursions side by side, and each level builds one child
+    root system."""
+    word = build_u_for_theta(rs)
+    u = from_word(rs, word)
     sub = orthogonal_subsystem(rs, u)
     if sub.child is None:
         return u
-    return multiply(u, sub.lift(build_v(sub.child)))
+    x = reduced_word(build_v(sub.child))
+    return from_word(rs, tuple(sub.labels[k - 1] for k in x) + word)
 
 
 class TopPair(Record):

@@ -400,7 +400,7 @@ def scan_cells(n: int, timeout_secs: float = 60.0, workers: int = 1) -> dict:
     if workers < 1:
         raise ValueError("workers must be at least 1")
     deadline = monotonic() + timeout_secs
-    perms = ["".join(map(str, p)) for p in itertools.permutations(range(1, n + 2))]
+    perms = [oneline(p) for p in itertools.permutations(range(1, n + 2))]
     size = min(workers, os.cpu_count() or 1, len(perms))
     if size > 1:
         # imported here, so that no other run loads multiprocessing

@@ -163,21 +163,6 @@ _WEYL_ORDER = {
     "G": lambda n: 12,
 }
 
-_DUAL_COXETER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2 * n - 1,
-    "C": lambda n: n + 1,
-    "D": lambda n: 2 * n - 2,
-    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
-    "F": lambda n: 9,
-    "G": lambda n: 4,
-}
-
-
-def dual_coxeter_number(letter: str, rank: int) -> int:
-    return _DUAL_COXETER[letter](rank)
-
-
 def weyl_order(t: CartanType) -> int:
     out = 1
     for letter, rank in t.components:
@@ -419,6 +404,18 @@ def nonorthogonal_components(rs: RootSystem, roots: Sequence) -> list[list[tuple
             remaining = still
         comps.append(comp)
     return comps
+
+
+def dual_coxeter_number(rs: RootSystem, theta: Coords) -> int:
+    """h-dual of the simple system whose highest root is theta:
+    1 + ht(theta^v), with theta^v = sum_i theta_i (a_i, a_i)/(theta, theta)
+    a_i^v in the simple coroots (Bourbaki, Lie VI).  The coroot of a root
+    has an integral height, so a non-integral one is refused."""
+    num = sum(c * rs.form[i][i] for i, c in enumerate(theta))
+    height, rem = divmod(num, pairing(rs, theta, theta))
+    if rem:
+        raise ValueError(f"{theta} has a coroot of non-integral height")
+    return 1 + height
 
 
 def highest_roots(rs: RootSystem) -> list[Coords]:

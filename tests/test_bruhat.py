@@ -377,8 +377,10 @@ def test_comparisons_refuse_elements_of_two_groups():
     others = [longest_element(build_root_system(t)) for t in ("A2", "B2")]
     for x in others:
         for a, b in ((v, x), (x, w)):
-            with pytest.raises(ValueError, match="different groups"):
-                leq(a, b)
+            # the product refuses them too
+            for compare in (leq, bruhat_leq, lambda a, b: a * b):
+                with pytest.raises(ValueError, match="different groups"):
+                    compare(a, b)
     get_table(rs)
     for x in others:
         for a, b in ((v, x), (x, w)):

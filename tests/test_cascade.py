@@ -70,6 +70,14 @@ def test_verify_kostant_reducible():
     assert report["size"] == 3
 
 
+def test_verify_kostant_refuses_another_types_cascade():
+    # a cascade of another type is bad input, not a failed identity
+    for t, other in (("A3", "A1xA1xA1"), ("B3", "C3")):
+        rs = build_root_system(t)
+        with pytest.raises(ValueError, match=f"cascade of {other} checked against {t}"):
+            verify_kostant(rs, build_cascade(build_root_system(other)))
+
+
 def test_cascade_sizes():
     sizes = {}
     for t in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
@@ -95,6 +103,8 @@ def test_descendants_rejects_non_high_root():
     rs = build_root_system("B3")
     with pytest.raises(ValueError):
         descendants(rs, (0, 1, 1))
+    with pytest.raises(ValueError, match="not a positive root"):
+        support_subsystem(rs, (0, -1, -1))
 
 
 def test_descendants_of_highest_root():

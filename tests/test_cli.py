@@ -143,6 +143,9 @@ def test_bad_parabolic_exits_1(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot parse --parabolic {text!r}\n"
+    # and the option is required
+    assert main(["parabolic", "A3"]) == 1
+    assert capsys.readouterr().err == "error: --parabolic is required here\n"
 
 
 def test_repeated_parabolic_index_exits_1(capsys):
@@ -350,9 +353,13 @@ def test_bad_budget_exits_1(capsys):
 
 
 def test_negative_sample_exits_1(capsys):
-    # a negative sample size is bad input, not a report over no pairs
-    assert main(["rpoly", "A2", "--sample", "-3"]) == 1
-    assert "agreement" not in capsys.readouterr().out
+    # a negative or zero sample size is bad input, not a report over no
+    # pairs, and 0 is not read as no --sample
+    for size in ("-3", "0"):
+        assert main(["rpoly", "A2", "--sample", size]) == 1, size
+        captured = capsys.readouterr()
+        assert "agreement" not in captured.out
+        assert "must be at least 1" in captured.err
 
 
 def test_sample_refuses_a_given_pair(capsys):

@@ -7,6 +7,7 @@ import pytest
 from flagloci import construct
 from flagloci.cascade import build_cascade
 from flagloci.construct import (
+    ConstructError,
     build_top_pair,
     build_u_for_theta,
     build_v,
@@ -16,12 +17,15 @@ from flagloci.gcr import enumerate_gcr, make_gcr_pair
 from flagloci.rootsys import build_root_system, highest_roots, is_positive_root, pairing
 from flagloci.weyl import (
     from_word,
+    identity,
     inversion_set,
     inverse,
     act,
     length,
     longest_element,
     multiply,
+    reduced_word,
+    reflection,
 )
 
 
@@ -99,6 +103,55 @@ def test_orthogonal_subsystem_types():
             for c, alpha in zip(beta, pi):
                 want = [x + c * y for x, y in zip(want, alpha)]
             assert amb == tuple(want)
+
+
+# the types of test_orthogonal_subsystem_types
+ORTHOGONAL_TYPES = [
+    "B3", "B4", "C3", "D4", "G2", "F4", "E6", "E7", "E8", "D4xA1", "E6xF4", "B4xC3xD5",
+]
+
+
+def indecomposables(roots):
+    """The roots of ``roots`` that are no sum of two of its roots."""
+    found = set(roots)
+    return [
+        b for b in roots if not any(tuple(x - y for x, y in zip(b, a)) in found for a in roots)
+    ]
+
+
+@pytest.mark.parametrize("t", ORTHOGONAL_TYPES)
+def test_orthogonal_subsystem_matches_a_search_and_a_lift(t):
+    # the child's simple roots are the indecomposables of the positive
+    # roots orthogonal to every u^{-1}(theta_c), and v is u times the lift
+    # of the child's v by the reflections in those simple roots
+    rs = build_root_system(t)
+    u = from_word(rs, build_u_for_theta(rs))
+    sub = orthogonal_subsystem(rs, u)
+    pos = [
+        b
+        for b in rs.positive_roots
+        if all(pairing(rs, b, act(inverse(u), theta)) == 0 for theta in highest_roots(rs))
+    ]
+    assert sorted(sub.pi_prime, key=rs.root_index.get) == indecomposables(pos)
+    for b, j in zip(sub.pi_prime, sub.labels):
+        assert act(u, b) == rs.simple_root(j)
+    lift = identity(rs)
+    for k in reduced_word(build_v(sub.child)):
+        lift = multiply(lift, reflection(rs, sub.pi_prime[k - 1]))
+    assert build_v(rs) == multiply(u, lift)
+
+
+def test_orthogonal_subsystem_refuses_a_bad_u():
+    # w0 sends the simple roots orthogonal to theta to negative roots
+    message = "u does not carry the subsystem into the positives"
+    for t in ("B3", "A3", "E6", "D5"):
+        rs = build_root_system(t)
+        with pytest.raises(ConstructError, match=message):
+            orthogonal_subsystem(rs, longest_element(rs))
+    # an element of another root system is refused before it is used
+    b3 = build_root_system("B3")
+    with pytest.raises(ValueError, match="elements of different groups"):
+        orthogonal_subsystem(build_root_system("C3"), from_word(b3, build_u_for_theta(b3)))
 
 
 def test_top_pair_d_values():

@@ -129,6 +129,20 @@ def test_private_names_stay_home():
     assert offences == []
 
 
+def test_cascade_reads_h_dual_off_theta():
+    # verify_kostant takes each node's h-dual from its gamma, so cascade
+    # classifies no support and imports no classifier
+    tree = ast.parse((ROOT / "src" / "flagloci" / "cascade.py").read_text())
+    names = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    }
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "classify_component" not in names | used
+
+
 def test_one_way_to_build_and_one_covering_list():
     # every GcrPair goes through its own constructor, so src/ fills no
     # object behind __init__'s back; the Bruhat table stores its covers in

@@ -167,6 +167,8 @@ def test_gcr_p_all_j_a3():
             assert is_min_rep(p.w, J)
             assert verify_p_interval(p, J)
             assert verify_classes_distinct(p, J)
+    with pytest.raises(ValueError, match="out of range"):
+        gcr_p(rs, [4])
 
 
 def test_gcr_p_counts_a3():

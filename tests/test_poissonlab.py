@@ -63,6 +63,10 @@ def test_vector_field_rejects_traceful():
     ch = build_chart(1)
     with pytest.raises(ValueError):
         vector_field(ch, fm(((1, 0), (0, 0))))
+    # and a matrix of the wrong shape, too many rows or a short row
+    for rows in (((0, 0), (0, 0), (0, 0)), ((0, 0), (0,))):
+        with pytest.raises(ValueError, match="wrong shape"):
+            vector_field(ch, fm(rows))
 
 
 def test_sl3_brackets_frozen():
@@ -473,6 +477,8 @@ def test_chart_rejects_bad_oneline():
         build_chart(2, "331")
     with pytest.raises(ValueError):
         build_chart(2, "12")
+    with pytest.raises(ValueError, match="need n >= 1"):
+        build_chart(0)
 
 
 class _RecordingPool:

@@ -70,6 +70,9 @@ def test_parse_round_trip():
     for text in ("x21*x32 - 2*x31", "x31^2", "1/2*x21 + 7", "-x21 - x31"):
         p = parse_polynomial(r, text)
         assert parse_polynomial(r, str(p)) - p == r.const(0)
+    # a parenthesized factor
+    x21 = r.var("x21")
+    assert parse_polynomial(r, "(x21+1)*(x21-1)") == x21 * x21 - r.const(1)
 
 
 def test_parse_rejects_garbage():
@@ -678,6 +681,7 @@ def test_unit_ideal_stops_at_a_constant(monkeypatch):
         ("()", "unexpected ')'"),
         ("x*+y", "unexpected '+'"),
         ("x + z", "unknown variable 'z'"),
+        ("(x", "missing closing parenthesis"),
         ("٣*x", "cannot tokenize"),
     ],
 )

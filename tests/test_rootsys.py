@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagloci.cascade import build_cascade, iter_nodes
 from flagloci.rootsys import (
     CartanType,
     add_roots,
@@ -352,13 +353,39 @@ def test_classify_component_refuses_disconnected_subsets():
 
 
 def test_dual_coxeter_numbers():
-    assert dual_coxeter_number("A", 3) == 4
-    assert dual_coxeter_number("B", 3) == 5
-    assert dual_coxeter_number("C", 3) == 4
-    assert dual_coxeter_number("D", 4) == 6
-    assert dual_coxeter_number("E", 8) == 30
-    assert dual_coxeter_number("F", 4) == 9
-    assert dual_coxeter_number("G", 2) == 4
+    want = {"A3": 4, "B3": 5, "C3": 4, "D4": 6, "E8": 30, "F4": 9, "G2": 4}
+    for t, h in want.items():
+        rs = build_root_system(t)
+        assert dual_coxeter_number(rs, highest_roots(rs)[0]) == h, t
+    # 2 a_1 in A1 is no root: its "coroot" a_1^v / 2 has height 1/2
+    with pytest.raises(ValueError, match="non-integral"):
+        dual_coxeter_number(build_root_system("A1"), (2,))
+
+
+# h-dual of each simple type by the classical table (Bourbaki, Lie, Plates)
+_H_DUAL = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2 * n - 1,
+    "C": lambda n: n + 1,
+    "D": lambda n: 2 * n - 2,
+    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
+    "F": lambda n: 9,
+    "G": lambda n: 4,
+}
+
+CASCADE_TYPES = [f"A{n}" for n in range(1, 10)] + [f"B{n}" for n in range(2, 7)]
+CASCADE_TYPES += [f"C{n}" for n in range(2, 8)] + [f"D{n}" for n in range(4, 9)]
+CASCADE_TYPES += ["E6", "E7", "E8", "F4", "G2", "B4xC3xD5", "E6xF4xG2"]
+
+
+@pytest.mark.parametrize("t", CASCADE_TYPES)
+def test_dual_coxeter_number_matches_the_classified_support(t):
+    # on every cascade node, the h-dual read off gamma equals the table's
+    # value for the type of gamma's support
+    rs = build_root_system(t)
+    for node in iter_nodes(build_cascade(rs)):
+        letter, rank, _ = classify_component(rs.cartan, [i - 1 for i in node.support])
+        assert dual_coxeter_number(rs, node.gamma) == _H_DUAL[letter](rank), node.gamma
 
 
 def test_weyl_orders():
