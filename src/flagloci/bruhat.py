@@ -28,11 +28,13 @@ the other (see ``walk_subwords``).
 ``closure`` is the one routine that turns a covering relation into
 down-set and up-set bitmasks, both from the one list ``covers_down``: the
 table runs it on all covers, the parabolic order on the covers that
-change coset.  ``require_table`` is the
-one "table within the cap, else ``GroupTooLargeError``" lookup, and a
-table is built only there, for a request on the whole group (enumeration,
-covers, intervals, the DOT graph), under the caller's cap (the default
-where the call takes none, as ``interval`` does).
+change coset.  ``require_table`` is the one table lookup, and a table is
+built only there, for a request on the whole group (enumeration,
+intervals, the DOT graph), under the caller's cap or the default.  The
+cap is checked where the group is enumerated: ``enumerate_group`` raises
+``GroupTooLargeError``.  A caller that builds the table under its own cap
+(``enumerate_gcr``, ``gcr_p``, the CLI) has it cached before it asks for
+the covers, an interval or the graph, which take no cap.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .rootsys import RootSystem, simple_lowering, weyl_order
 from .weyl import (
-    GroupTooLargeError,
     WeylElement,
     element_name,
     enumerate_group,
@@ -59,7 +60,6 @@ from .weyl import (
 __all__ = [
     "bruhat_leq",
     "leq",
-    "covers",
     "covering_pairs",
     "interval",
     "walk_subwords",
@@ -155,19 +155,20 @@ class BruhatTable:
         return out
 
 
-def get_table(rs: RootSystem, build_limit: int = 60000) -> Optional[BruhatTable]:
-    table = rs.cache.get("bruhat_table")
-    if table is None and weyl_order(rs.cartan_type) <= build_limit:
-        table = rs.cache["bruhat_table"] = BruhatTable(rs, cap=build_limit)
-    return table
-
-
 def require_table(rs: RootSystem, cap: int = 60000) -> BruhatTable:
-    """The table of rs, built if |W| <= cap; GroupTooLargeError otherwise."""
-    table = get_table(rs, build_limit=cap)
+    """The table of rs, from the cache or built under ``cap``, where
+    ``enumerate_group`` raises GroupTooLargeError if |W| > cap."""
+    table = rs.cache.get("bruhat_table")
     if table is None:
-        raise GroupTooLargeError(weyl_order(rs.cartan_type), cap)
+        table = rs.cache["bruhat_table"] = BruhatTable(rs, cap)
     return table
+
+
+def get_table(rs: RootSystem, build_limit: int = 60000) -> Optional[BruhatTable]:
+    """The table of rs if it is cached or |W| <= build_limit, else None."""
+    if "bruhat_table" in rs.cache or weyl_order(rs.cartan_type) <= build_limit:
+        return require_table(rs, build_limit)
+    return None
 
 
 def leq(v: WeylElement, w: WeylElement) -> bool:
@@ -181,12 +182,8 @@ def leq(v: WeylElement, w: WeylElement) -> bool:
     return leq_by_descents(v, w)
 
 
-def covers(v: WeylElement, w: WeylElement) -> bool:
-    return length(v) == length(w) - 1 and leq(v, w)
-
-
-def covering_pairs(rs: RootSystem, cap: int = 60000) -> list[tuple[WeylElement, WeylElement]]:
-    table = require_table(rs, cap)
+def covering_pairs(rs: RootSystem) -> list[tuple[WeylElement, WeylElement]]:
+    table = require_table(rs)
     els = table.elements
     pairs = sorted((j, k) for k, js in enumerate(table.covers_down) for j in js)
     return [(els[j], els[k]) for j, k in pairs]
@@ -284,15 +281,11 @@ def subwords_with_value(
     return [removed for removed, _ in hits]
 
 
-def export_bruhat_graph(
-    rs: RootSystem,
-    highlight: Optional[set] = None,
-    cap: int = 60000,
-) -> str:
+def export_bruhat_graph(rs: RootSystem, highlight: Optional[set] = None) -> str:
     """Graphviz DOT text of the Hasse diagram; edges in ``highlight`` (pairs
     of elements) are flagged."""
     flagged = highlight or set()
-    elements = require_table(rs, cap).elements
+    elements = require_table(rs).elements
     # the CLI's names, with an "s" before a reduced word
     prefix = "" if is_type_a(rs) else "s"
     name = {
@@ -302,7 +295,7 @@ def export_bruhat_graph(
     lines = ["digraph bruhat {", "  rankdir=BT;"]
     for w in elements:
         lines.append(f'  "{name[w]}";')
-    for v, w in covering_pairs(rs, cap):
+    for v, w in covering_pairs(rs):
         attr = ' [color=red, penwidth=2]' if (v, w) in flagged else ""
         lines.append(f'  "{name[v]}" -> "{name[w]}"{attr};')
     lines.append("}")

@@ -408,7 +408,7 @@ def cmd_poisson(rs: RootSystem, args) -> Report:
 def cmd_graph(rs: RootSystem, args) -> Report:
     poset = enumerate_gcr(rs, cap=args.cap)
     highlight = {(p.v, p.w) for p in poset.maximal_pairs() if p.d == 1}
-    dot = export_bruhat_graph(rs, highlight=highlight, cap=args.cap)
+    dot = export_bruhat_graph(rs, highlight=highlight)
     payload = {"dot": dot, "highlighted_edges": len(highlight)}
     return Report(payload, [dot], dot=dot)
 

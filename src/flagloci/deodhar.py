@@ -107,13 +107,14 @@ def q_minus_one_power(k: int) -> LaurentFreePolynomial:
 
 
 class DistinguishedSubword(Record):
-    """A keep/remove pattern on ``host`` whose kept letters multiply to the
-    target, recorded with the full partial-product trace.
+    """A keep/remove pattern on a reduced word whose kept letters multiply
+    to the target: the 1-based removed positions and the statistics of the
+    partial-product trace.
 
     n_stat counts steps with sigma unchanged (the removals), m_stat counts
     kept steps where sigma drops; n_stat + 2*m_stat is the length gap."""
 
-    __slots__ = ("host", "removed", "sigma_trace", "n_stat", "m_stat")
+    __slots__ = ("removed", "n_stat", "m_stat")
 
 
 def _kept_descents(trace: Sequence[WeylElement]) -> int:
@@ -133,7 +134,7 @@ def distinguished_subwords(
         return not is_right_descent(sigma, word[k]), True
 
     return [
-        DistinguishedSubword(word, removed, trace, len(removed), _kept_descents(trace))
+        DistinguishedSubword(removed, len(removed), _kept_descents(trace))
         for removed, trace in walk_subwords(rs, word, v, step)
     ]
 
@@ -150,8 +151,8 @@ def positive_subword(
         return ascent, ascent
 
     hits = [
-        DistinguishedSubword(word, removed, trace, len(removed), 0)
-        for removed, trace in walk_subwords(rs, word, v, step)
+        DistinguishedSubword(removed, len(removed), 0)
+        for removed, _ in walk_subwords(rs, word, v, step)
     ]
     if len(hits) != 1:
         raise RuntimeError(f"expected a unique no-descent subword, got {len(hits)}")

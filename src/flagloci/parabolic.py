@@ -23,7 +23,6 @@ __all__ = [
     "PairClass",
     "min_coset_rep",
     "is_min_rep",
-    "levi_contains",
     "p_bruhat_leq",
     "canonicalize_pair",
     "gcr_p",
@@ -66,11 +65,6 @@ def min_coset_rep(w: WeylElement, J: Iterable[int]) -> tuple[WeylElement, WeylEl
 
 def is_min_rep(w: WeylElement, J: Iterable[int]) -> bool:
     return _first_descent(w, _norm_j(w.rs, J)) is None
-
-
-def levi_contains(rs: RootSystem, root: Sequence, J: Iterable[int]) -> bool:
-    """Whether a (positive or negative) root lies in the subsystem spanned by J."""
-    return _support(root) <= set(_norm_j(rs, J))
 
 
 def _support(root: Sequence) -> set[int]:

@@ -59,7 +59,6 @@ __all__ = [
     "verify_sl3_decomposition",
     "partial_derivative",
     "variable_weight",
-    "substitute_zero",
 ]
 
 
@@ -375,7 +374,7 @@ def _scan_one(n: int, oneline: str, deadline: float) -> dict:
     """One chart of a scan, given the scan's ``monotonic()`` deadline (a
     system-wide clock, so a worker process reads it too); a chart that
     starts after it, or runs past it, is marked ``timeout``."""
-    late = monotonic() >= deadline
+    late = not monotonic() < deadline  # a NaN deadline counts as passed
     record = {"v": oneline, "witness": None, "generators": 0, "timeout": late}
     if late:
         return record
@@ -454,9 +453,3 @@ def variable_weight(chart: Chart, name: str) -> tuple[int, ...]:
     w[j - 1] += 1
     w[i - 1] -= 1
     return tuple(w)
-
-
-def substitute_zero(f: Polynomial, names: Sequence[str]) -> Polynomial:
-    idxs = {f.ring.index(n) for n in names}
-    out = {e: c for e, c in f.terms.items() if all(e[t] == 0 for t in idxs)}
-    return Polynomial(f.ring, out)

@@ -178,9 +178,9 @@ class Polynomial:
     A coefficient is an int or a Fraction.  Sums, differences and products
     of ints stay ints, and `PolyRing.const` and `scale` turn an integral
     argument into an int.  The divisions (`_div`: normal-form steps,
-    S-polynomials, `monic`) return an int when the quotient is integral
-    and a Fraction otherwise; arithmetic on Fractions may still leave an
-    integral Fraction.  Since ``Fraction(n) == n`` and
+    S-polynomials, making a basis member monic) return an int when the
+    quotient is integral and a Fraction otherwise; arithmetic on Fractions
+    may still leave an integral Fraction.  Since ``Fraction(n) == n`` and
     ``hash(Fraction(n)) == hash(n)``, the type of an integral coefficient
     changes neither ``==``, ``hash`` nor ``str``."""
 
@@ -241,10 +241,6 @@ class Polynomial:
             e = max(self.terms, key=self.ring.key)
             self._lead = (e, self.terms[e])
         return self._lead
-
-    def monic(self) -> "Polynomial":
-        _, c = self.leading()
-        return Polynomial(self.ring, {e: _div(v, c) for e, v in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -472,7 +468,8 @@ def _add_product(acc: dict, f: dict, g: dict, c: Coef = 1) -> None:
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and time.monotonic() > deadline:
+    # written so that a NaN deadline counts as passed
+    if deadline is not None and not time.monotonic() <= deadline:
         raise PolyTimeout("basis computation exceeded the deadline")
 
 

@@ -256,13 +256,6 @@ class RootSystem:
     def height(self, b: Coords) -> int:
         return sum(b)
 
-    def component_of(self, i: int) -> tuple[int, ...]:
-        """0-based component block containing 0-based simple index i."""
-        for comp in self.components:
-            if i in comp:
-                return comp
-        raise ValueError(i)
-
     def __reduce__(self):
         # a copy or an unpickled root system is rebuilt from its type, with
         # an empty cache: the cache keys dicts on elements of this system,

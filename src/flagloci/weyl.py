@@ -484,7 +484,10 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 
 def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
-    """All elements, ordered by (length, matrix).  Raises if |W| > cap.
+    """All elements, ordered by (length, matrix).  Raises
+    GroupTooLargeError unless |W| <= cap (so a NaN cap refuses every
+    group); this is the package's one check of the enumeration cap, and
+    ``bruhat.require_table`` builds its table through it.
 
     The first enumeration of a root system records its elements as the pool
     ``rs.cache["elements"]`` (perm -> element, in this order), and every
@@ -492,7 +495,7 @@ def enumerate_group(rs: RootSystem, cap: int = 60000) -> list[WeylElement]:
     search forms every w s_i once, so it hands each element its right
     neighbours as it goes."""
     order = weyl_order(rs.cartan_type)
-    if order > cap:
+    if not order <= cap:
         raise GroupTooLargeError(order, cap)
     pool = rs.cache.get("elements")
     if pool is not None:

@@ -10,7 +10,6 @@ from flagloci import bruhat
 from flagloci.bruhat import (
     bruhat_leq,
     covering_pairs,
-    covers,
     export_bruhat_graph,
     get_table,
     interval,
@@ -121,15 +120,6 @@ def test_covers_a2():
     for v, w in pairs:
         assert length(w) == length(v) + 1
         assert bruhat_leq(v, w)
-
-
-def test_covers_predicate():
-    rs = build_root_system("B2")
-    e = identity(rs)
-    s1 = simple_reflection(rs, 1)
-    assert covers(e, s1)
-    assert not covers(s1, e)
-    assert not covers(e, longest_element(rs))
 
 
 def test_interval_full_group():
@@ -401,7 +391,6 @@ def test_single_calls_build_no_table():
             is_gcr_cond4(v, w)
             r_polynomial_recurrence(v, w)
             r_polynomial_deodhar(v, w)
-            covers(v, w)
             if is_gcr_cond6(v, w) is not None:
                 found.append(make_gcr_pair(v, w))
     assert len(found) > 10

@@ -412,6 +412,27 @@ def test_powerset_builds_its_table_under_cap(capsys):
     assert "group order 10080 exceeds enumeration cap 10000" in capsys.readouterr().err
 
 
+OVER_CAP = "group order 24 exceeds enumeration cap 10"
+# (argv, exit code, message): every subcommand that builds a table, and bad
+# input that is refused before any group is built
+CAP_CASES = [
+    ("gcr components A3 --cap 10", 2, OVER_CAP),
+    ("parabolic A3 --parabolic 1 --cap 10", 2, OVER_CAP),
+    ("graph A3 --cap 10", 2, OVER_CAP),
+    ("rpoly A3 --sample 2 --cap 10", 2, OVER_CAP),
+    ("parabolic E8 --parabolic 9 --cap 100", 1, "simple index 9 out of range 1..8"),
+    ("gcr enumerate E8 --v e --cap 100", 1, "--v and --w do not apply to enumerate"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", CAP_CASES, ids=[c[0] for c in CAP_CASES])
+def test_every_table_building_command_keeps_its_cap(capsys, argv, code, message):
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_closed_pipe_is_quiet():
     # a reader that stops after one byte gets no traceback on stderr
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,12 +1,14 @@
 """Every top-level import of a package or test module is used: the module
 names it somewhere, or lists it in its ``__all__`` as a re-export.  Every
 public name a package module imports from another is in that module's
-``__all__``."""
+``__all__``.  Every public definition of the package has a reader in the
+package or the bench, or a listed reason to stay."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -221,6 +223,129 @@ class Derived:
         self.c = a + b
 """
     assert store_only_constructors(source) == ["Pair"]
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``: as a ``Name``, as the
+    attribute of an ``Attribute``, or as the last part of an import alias."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def readerless_public_names(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """The public top-level defs and classes of ``sources`` (module name ->
+    source), and the public methods of their classes, that neither
+    ``sources`` outside the definition itself nor any of ``readers``
+    reads, as ``module.name`` or ``module.Class.method``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    for source in readers:
+        reads += _reads(ast.parse(source))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{node.name}.{fn.name}", fn)
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                ]
+            for qualname, fn in defs:
+                if not fn.name.startswith("_") and reads[fn.name] == _reads(fn)[fn.name]:
+                    found.append(f"{module}.{qualname}")
+    return found
+
+
+# the public names that no module of the package nor the bench reads, each
+# with the reason it stays: an oracle a test checks a pipeline against, a
+# name the acceptance tests import, or a roadmap item's next caller
+UNREAD_PUBLIC = {
+    "cascade.descendants": "the public handle of _descendants",
+    "deodhar.positive_subword": "ROADMAP item 1 is its next caller",
+    "gcr.pair_encloses": "the oracle for GcrPoset.maximal_pairs",
+    "parabolic.canonicalize_pair": (
+        "the public handle of _canonical, which verify_classes_distinct relies on"
+    ),
+    "parabolic.is_min_rep": "the oracle for gcr_p",
+    "poissonlab.PoissonMatrix.bracket": "imported by the acceptance tests",
+    "poissonlab.partial_derivative": "imported by the acceptance tests",
+    "poissonlab.variable_weight": (
+        "the reference weights for the bracket test, and the grading of ROADMAP item 6"
+    ),
+    "poissonlab.vector_field": (
+        "the oracle for poisson_matrix, and ROADMAP item 10's generic route"
+    ),
+    "polyalg.normal_form": "imported by the acceptance tests",
+    "rootsys.reflect": "the oracle for weyl._reflection_perm",
+    "weyl.WeylElement.sort_key": "the reference order for enumeration and intervals",
+    "weyl.all_reduced_words": (
+        "the oracle for the host-word independence of r_polynomial_deodhar"
+    ),
+}
+
+
+def test_public_names_have_readers():
+    # a public name stays only if the package or the bench reads it, or it
+    # is listed above; an entry that is gone or now read fails too, so the
+    # list stays exact
+    package = ROOT / "src" / "flagloci"
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    readers = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    unread = set(readerless_public_names(sources, readers))
+    assert sorted(unread - UNREAD_PUBLIC.keys()) == []
+    assert sorted(UNREAD_PUBLIC.keys() - unread) == []
+
+
+def test_readerless_public_name_is_caught():
+    sources = {
+        "m": """
+def used():
+    pass
+
+def unused():
+    used()
+
+def recursive():
+    return recursive()
+
+class Kept:
+    def method(self):
+        return self.helper()
+
+    def helper(self):
+        pass
+
+    def unread(self):
+        pass
+
+    def _private(self):
+        pass
+""",
+        "n": "from .m import Kept\n",
+    }
+    readers = ["Kept().method()\n"]
+    assert readerless_public_names(sources, readers) == [
+        "m.unused",
+        "m.recursive",
+        "m.Kept.unread",
+    ]
+    assert readerless_public_names({"m": sources["m"]}, []) == [
+        "m.unused",
+        "m.recursive",
+        "m.Kept",
+        "m.Kept.method",
+        "m.Kept.unread",
+    ]
 
 
 RECORDS = [

@@ -11,7 +11,6 @@ from flagloci.parabolic import (
     canonicalize_pair,
     gcr_p,
     is_min_rep,
-    levi_contains,
     min_coset_rep,
     p_bruhat_leq,
     verify_classes_distinct,
@@ -147,14 +146,6 @@ def test_canonicalize_rejects_unrelated():
     w0 = [x for x in els if length(x) == 3][0]
     with pytest.raises(ValueError):
         canonicalize_pair(w0, from_word(rs, [1]), (1,))
-
-
-def test_levi_contains():
-    rs = build_root_system("A3")
-    assert levi_contains(rs, (1, 0, 0), (1,))
-    assert levi_contains(rs, (0, -1, 0), (1, 2))
-    assert not levi_contains(rs, (1, 1, 0), (1,))
-    assert not levi_contains(rs, (0, 0, 1), (1, 2))
 
 
 def test_gcr_p_all_j_a3():

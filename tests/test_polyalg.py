@@ -100,9 +100,10 @@ def test_coefficients_stay_int_until_a_division():
     p = (x.scale(3) + y) * (x - r.const(Fraction(4, 2)))
     assert all(type(c) is int for c in p.terms.values())
     assert all(type(c) is int for c in (p.scale(Fraction(6, 3)) - y).terms.values())
-    half = x.scale(2).monic()
+    # the reduced basis makes each member monic
+    (half,) = buchberger(Ideal(r, (x.scale(2),))).polys
     assert half.terms == {(1, 0): 1} and type(half.terms[(1, 0)]) is int
-    third = (x.scale(3) + y).monic()
+    (third,) = buchberger(Ideal(r, (x.scale(3) + y,))).polys
     assert third.terms == {(1, 0): 1, (0, 1): Fraction(1, 3)}
     assert type(third.terms[(0, 1)]) is Fraction
     assert str(normal_form(x * y.scale(2), (y.scale(4) + r.const(2),))) == "-x"
@@ -649,6 +650,9 @@ def test_expired_deadline_raises_in_every_case():
         radical_membership(x, Ideal(r, (x * x,)), deadline=past)
     with pytest.raises(PolyTimeout):
         radical_membership(x, kept, deadline=past)
+    # a NaN deadline compares False with every clock reading
+    with pytest.raises(PolyTimeout):
+        buchberger(Ideal(r, (x * x - y, x * y)), deadline=float("nan"))
 
 
 def test_unit_ideal_stops_at_a_constant(monkeypatch):

@@ -401,6 +401,3 @@ def test_heights_and_component_of():
     rs = build_root_system("G2")
     assert rs.height((3, 2)) == 5
     assert rs.height((1, 0)) == 1
-    rs2 = build_root_system("A1xA2")
-    assert rs2.component_of(0) == (0,)
-    assert rs2.component_of(1) == rs2.component_of(2) == (1, 2)

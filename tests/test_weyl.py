@@ -60,6 +60,9 @@ def test_group_orders_by_enumeration():
 def test_cap_raises():
     with pytest.raises(GroupTooLargeError):
         enumerate_group(build_root_system("E8"), cap=1000)
+    # a NaN cap compares False with every order, and refuses every group
+    with pytest.raises(GroupTooLargeError, match="group order 24 exceeds enumeration cap nan"):
+        enumerate_group(build_root_system("A3"), cap=float("nan"))
 
 
 def test_identity_and_simple_lengths():
